@@ -27,9 +27,7 @@ from .cliffordt_compile import (
     rewrite_ry, synthesize_rz,
 )
 from .cli_bench import SweepRow, rows_to_csv, run_sweep
-from .gridsynth import (
-    GRID_BACKEND, SynthesisError, set_grid_backend, synthesize_rz_tags,
-)
+from .gridsynth import SynthesisError, synthesize_rz_tags
 from .rotation_synthesis import (
     AngleTable, StateValidationError, TargetState, build_angle_table,
     choose_pivot, demux_ucry, prune_constant_controls, synthesize_dense,

@@ -22,6 +22,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .alias_prepare import ValidationError, prepare_alias_state, realized_margin
 from .benchmark_states import BenchmarkSpec, ParameterError, ParseError, make_state
 from .circuit_core import Circuit, CircuitError, count_resources, deserialize, serialize
 from .cliffordt_compile import CompileError, SynthesisConfig, compile_circuit
+from .gridsynth import SynthesisError
 from .rotation_synthesis import StateValidationError, TargetState, synthesize_dense, synthesize_sparse
 from .simulator import (
     DEFAULT_QUBIT_BUDGET, CapacityError, address_marginal, fidelity_prob,
@@ -312,10 +314,16 @@ def _cfg_from_bench(args) -> SynthesisConfig:
 
 
 def _cmd_verify(args) -> int:
-    cmd = [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-v"]
+    # the suite ships with the source tree, two levels above the package
+    root = Path(__file__).resolve().parents[2]
+    suite = root / "tests" / "test_acceptance.py"
+    if not suite.is_file():
+        raise OSError(f"acceptance suite not found at {suite}; "
+                      "verify needs a source checkout")
+    cmd = [sys.executable, "-m", "pytest", str(suite), "-v"]
     if args.select:
         cmd += ["-k", args.select]
-    rc = subprocess.call(cmd)
+    rc = subprocess.call(cmd, cwd=root)
     return 0 if rc == 0 else 3
 
 
@@ -340,7 +348,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except CapacityError as e:
+    except (CapacityError, SynthesisError) as e:
         print(f"capacity error: {e}", file=sys.stderr)
         return 4
     except (ValidationError, ParameterError, ParseError, CompileError,

@@ -1,12 +1,15 @@
-"""Ross-Selinger style Clifford+T synthesis of Rz rotations.
+"""Ross-Selinger Clifford+T synthesis of Rz rotations.
 
 Pipeline per precision eps = 2^-b:
   1. octant reduction: theta = m*(pi/4) + theta', |theta'| <= pi/8; the
      m-part is an exact S/T word, theta' goes through grid search.
   2. for increasing denominator exponent k, enumerate ring candidates
      u in Z[omega] with |u| <= sqrt2^k, |u_galois| <= sqrt2^k and
-     Re(conj(z) u) >= sqrt2^k (1 - eps^2/2) for z = e^{-i theta'/2}
-     via two nested 1D lattice problems (grid kernel).
+     Re(conj(z) u) >= sqrt2^k (1 - eps^2/2) for z = e^{-i theta'/2}.
+     This is a two-dimensional grid problem (Ross & Selinger,
+     arXiv:1403.2975): the eps-region and the conjugate disk are enclosed
+     in ellipses, a grid operator found once per angle makes both upright,
+     and each k enumerates the upright pair with four 1D grid problems.
   3. for each candidate solve the Diophantine equation t.conj t = xi with
      xi = 2^k - u.conj u over Z[sqrt2] by factoring its integer norm and
      splitting primes in Z[omega] / Z[i] / Z[sqrt-2].
@@ -27,50 +30,65 @@ from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from .rings import (
     RingError, ZI, ZOmega, ZRootM2, ZSqrt2,
-    ZO_DELTA, ZO_ONE, ZO_SQRT2, ZO_ZERO, ZS_ONE,
-    zi_gcd, zi_to_zomega, zm2_gcd, zm2_to_zomega,
-    zo_div_exact, zo_div_sqrt2, zo_gcd, zo_sqrt2_divisible, zo_from_zsqrt2,
+    ZO_DELTA, ZO_ONE, ZO_ZERO, ZS_ONE, ZS_ZERO,
+    zi_gcd, zi_to_zomega, zm2_gcd, zm2_to_zomega, zo_gcd, zo_from_zsqrt2,
     zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_sqrt2_valuation,
 )
 
-try:  # compiled kernel if the extension built; pure-Python twin otherwise
-    from . import _gridcore as _core
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _gridcore_py as _core
-
-GRID_BACKEND = _core.BACKEND
-
 SQRT2 = math.sqrt(2.0)
+_LOG_LAMBDA = math.log(1.0 + SQRT2)
+_GRID_ROW_LIMIT = 2_000_000
 
 
 class SynthesisError(RuntimeError):
     pass
 
 
-def set_grid_backend(name: str) -> None:
-    """Force 'python' or 'cython' kernel (benchmark/testing hook)."""
-    global _core, GRID_BACKEND
-    if name == "python":
-        from . import _gridcore_py as core
-    elif name == "cython":
-        from . import _gridcore as core
-    else:
-        raise ValueError(f"unknown grid backend {name!r}")
-    _core = core
-    GRID_BACKEND = core.BACKEND
-
-
-def solve_grid_1d(l1: float, u1: float, l2: float, u2: float) -> List[ZSqrt2]:
+def solve_grid_1d(l1: float, u1: float, l2: float, u2: float,
+                  pad: float = 1e-10) -> List[ZSqrt2]:
     """All x in Z[sqrt2] with value in [l1,u1] and conjugate in [l2,u2].
 
-    Intervals are padded slightly outward by the kernel, so callers must
-    verify candidates exactly; no valid solution is missed at float scale.
+    The problem is rebalanced by the unit lambda = 1 + sqrt2 so the two
+    intervals have comparable width (keeps the row count short): x is
+    found as lambda^-j * (a + b*sqrt2).  Intervals are padded outward by
+    `pad` times their endpoint magnitude, so callers must verify candidates
+    exactly; no valid solution is missed at float scale.
     """
-    j, sols = _core.scaled_solutions(l1, u1, l2, u2)
-    if not sols:
+    w1 = u1 - l1
+    w2 = u2 - l2
+    if w1 < 0.0 or w2 < 0.0:
         return []
+    # balance the widths the kernel will scan, padding included, so an
+    # interval narrower than its padding is balanced too
+    w1 = max(w1, pad * (abs(l1) + abs(u1) + 1.0))
+    w2 = max(w2, pad * (abs(l2) + abs(u2) + 1.0))
+    j = int(round(math.log(w2 / w1) / (2.0 * _LOG_LAMBDA)))
+    s1 = math.exp(j * _LOG_LAMBDA)
+    s2 = (-1.0) ** (j & 1) * math.exp(-j * _LOG_LAMBDA)
+    a1, b1 = l1 * s1, u1 * s1
+    a2, b2 = l2 * s2, u2 * s2
+    if a2 > b2:
+        a2, b2 = b2, a2
+    pad1 = pad * (abs(a1) + abs(b1) + 1.0)
+    pad2 = pad * (abs(a2) + abs(b2) + 1.0)
+    a1 -= pad1
+    b1 += pad1
+    a2 -= pad2
+    b2 += pad2
+
+    tsq = 2.0 * SQRT2
+    b_lo = math.ceil((a1 - b2) / tsq)
+    b_hi = math.floor((b1 - a2) / tsq)
+    if b_hi - b_lo > _GRID_ROW_LIMIT:
+        raise SynthesisError(f"grid enumeration too large: {b_hi - b_lo} rows")
     back = zs_lambda_power(-j)
-    return [ZSqrt2(a, b) * back for a, b in sols]
+    out = []
+    for b in range(b_lo, b_hi + 1):
+        r = b * SQRT2
+        for a in range(math.ceil(max(a1 - r, a2 + r)),
+                       math.floor(min(b1 - r, b2 + r)) + 1):
+            out.append(ZSqrt2(a, b) * back)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +197,11 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
         return None
     if abs(s.norm()) != 1 or not s.totally_positive():
         return None
-    mm = round(math.log(max(s.value(), 1e-300)) / (2 * math.log(1 + SQRT2)))
+    # s = lambda^(2m) = a + b sqrt2 with 2a = lambda^2|m| + lambda^-2|m| and
+    # sign(b) = sign(m); s.value() itself cancels to noise for m < -10
+    mm = round(math.log(2 * s.a) / (2 * _LOG_LAMBDA))
+    if s.b < 0:
+        mm = -mm
     for cand in (mm, mm - 1, mm + 1, mm - 2, mm + 2):
         if zs_lambda_power(2 * cand) == s:
             t = t * zo_from_zsqrt2(zs_lambda_power(cand))
@@ -193,11 +215,21 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
 
 # ---------------------------------------------------------------------------
 # Exact synthesis of ring unitaries into gate tags (temporal order)
+#
+# The arithmetic runs on plain (a, b, c, d) int tuples for a + b w + c w^2
+# + d w^3, which is several times faster than the ZOmega dataclass.
 
 _T_WORD = {
     0: [], 1: ["T"], 2: ["S"], 3: ["S", "T"],
     4: ["S", "S"], 5: ["Sdg", "Tdg"], 6: ["Sdg"], 7: ["Tdg"],
 }
+
+_W = Tuple[int, int, int, int]
+_W_ZERO: _W = (0, 0, 0, 0)
+_W_ONE: _W = (1, 0, 0, 0)
+_W_UNIT_LOG = {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2,
+               (0, 0, 0, 1): 3, (-1, 0, 0, 0): 4, (0, -1, 0, 0): 5,
+               (0, 0, -1, 0): 6, (0, 0, 0, -1): 7}
 
 
 @dataclass(frozen=True)
@@ -216,15 +248,49 @@ class RingMatrix:
                          [self.m10.value(), self.m11.value()]], dtype=complex) / s
 
 
-def _strip_matrix(m: RingMatrix) -> RingMatrix:
-    while m.k > 0 and all(zo_sqrt2_divisible(x)
-                          for x in (m.m00, m.m01, m.m10, m.m11)):
-        m = RingMatrix(zo_div_sqrt2(m.m00), zo_div_sqrt2(m.m01),
-                       zo_div_sqrt2(m.m10), zo_div_sqrt2(m.m11), m.k - 1)
-    return m
+def _w_add(u: _W, v: _W) -> _W:
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
 
 
-def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
+def _w_sub(u: _W, v: _W) -> _W:
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3])
+
+
+def _w_mul(u: _W, v: _W) -> _W:
+    a1, b1, c1, d1 = u
+    a2, b2, c2, d2 = v
+    return (a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2,
+            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+            a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2,
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+
+
+def _w_rot(u: _W, m: int) -> _W:
+    """u * w^m."""
+    a, b, c, d = u
+    for _ in range(m % 8):
+        a, b, c, d = -d, a, b, c
+    return (a, b, c, d)
+
+
+def _w_divisible(u: _W) -> bool:
+    """sqrt2 | u iff a = c and b = d (mod 2)."""
+    return not ((u[0] ^ u[2]) | (u[1] ^ u[3])) & 1
+
+
+def _w_div_sqrt2(u: _W) -> _W:
+    a, b, c, d = u
+    return ((b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1)
+
+
+def _strip(m: List[_W], k: int) -> Tuple[List[_W], int]:
+    while k > 0 and all(_w_divisible(x) for x in m):
+        m = [_w_div_sqrt2(x) for x in m]
+        k -= 1
+    return m, k
+
+
+def _reduce_column(u: _W, t: _W, k: int) -> List[int]:
     """j-sequence of H T^{-j} steps taking the unit column (u,t)/sqrt2^k
     down to denominator exponent 0.
 
@@ -244,15 +310,17 @@ def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
             continue
         seen.add(key)
         opts = []
-        for j in range(4):
-            s = u + t.mul_omega(8 - j)
-            if not zo_sqrt2_divisible(s):
+        ta, tb, tc, td = t
+        # t * w^(8-j) for j = 0..3
+        for j, tw in enumerate(((ta, tb, tc, td), (tb, tc, td, -ta),
+                                (tc, td, -ta, -tb), (td, -ta, -tb, -tc))):
+            s = _w_add(u, tw)
+            if not _w_divisible(s):
                 continue
-            d = u - t.mul_omega(8 - j)
             # divisibility of the sum implies it for the difference (= 2u - s)
-            u2, t2, k2 = zo_div_sqrt2(s), zo_div_sqrt2(d), k
-            while k2 > 0 and zo_sqrt2_divisible(u2) and zo_sqrt2_divisible(t2):
-                u2, t2, k2 = zo_div_sqrt2(u2), zo_div_sqrt2(t2), k2 - 1
+            u2, t2, k2 = _w_div_sqrt2(s), _w_div_sqrt2(_w_sub(u, tw)), k
+            while k2 > 0 and _w_divisible(u2) and _w_divisible(t2):
+                u2, t2, k2 = _w_div_sqrt2(u2), _w_div_sqrt2(t2), k2 - 1
             opts.append((k2, j, u2, t2))
         # push worst option first so the lowest exponent is explored next
         for k2, j, u2, t2 in sorted(opts, reverse=True):
@@ -262,37 +330,35 @@ def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
 
 def exact_synthesize(mat: RingMatrix) -> List[str]:
     """Gate tags (temporal order) realizing mat up to global phase."""
+    m00, m01, m10, m11 = ((x.a, x.b, x.c, x.d)
+                          for x in (mat.m00, mat.m01, mat.m10, mat.m11))
     # reduce the first column by H T^{-j} steps, accumulating G exactly
-    u, t, k = mat.m00, mat.m10, mat.k
-    while k > 0 and zo_sqrt2_divisible(u) and zo_sqrt2_divisible(t):
-        u, t, k = zo_div_sqrt2(u), zo_div_sqrt2(t), k - 1
+    (u, t), k = _strip([m00, m10], mat.k)
     seq = _reduce_column(u, t, k)
     # apply the recorded steps to the full matrix exactly to get the residual
-    g = RingMatrix(ZO_ONE, ZO_ZERO, ZO_ZERO, ZO_ONE, 0)
+    g00, g01, g10, g11 = _W_ONE, _W_ZERO, _W_ZERO, _W_ONE
     for j in seq:
-        w = ZO_ONE.mul_omega(8 - j)
-        r0 = (g.m00 + w * g.m10, g.m01 + w * g.m11)
-        r1 = (g.m00 - w * g.m10, g.m01 - w * g.m11)
-        g = RingMatrix(r0[0], r0[1], r1[0], r1[1], g.k + 1)
-    res = RingMatrix(
-        g.m00 * mat.m00 + g.m01 * mat.m10,
-        g.m00 * mat.m01 + g.m01 * mat.m11,
-        g.m10 * mat.m00 + g.m11 * mat.m10,
-        g.m10 * mat.m01 + g.m11 * mat.m11,
-        g.k + mat.k)
-    res = _strip_matrix(res)
-    if res.k != 0:
+        w10, w11 = _w_rot(g10, 8 - j), _w_rot(g11, 8 - j)
+        g00, g01, g10, g11 = (_w_add(g00, w10), _w_add(g01, w11),
+                              _w_sub(g00, w10), _w_sub(g01, w11))
+    res, k = _strip([
+        _w_add(_w_mul(g00, m00), _w_mul(g01, m10)),
+        _w_add(_w_mul(g00, m01), _w_mul(g01, m11)),
+        _w_add(_w_mul(g10, m00), _w_mul(g11, m10)),
+        _w_add(_w_mul(g10, m01), _w_mul(g11, m11))], len(seq) + mat.k)
+    if k != 0:
         raise SynthesisError("residual is not a Clifford phase matrix")
+    r00, r01, r10, r11 = res
     gates: List[str] = []
-    if res.m00.is_zero():
-        a = res.m01.unit_log()
-        c = res.m10.unit_log()
-        gates += _T_WORD[(a - c) % 8]   # diag part of X * res
-        gates.append("PauliX")
-    else:
-        a = res.m00.unit_log()
-        c = res.m11.unit_log()
-        gates += _T_WORD[(c - a) % 8]
+    try:
+        if r00 == _W_ZERO:
+            # diag part of X * res
+            gates += _T_WORD[(_W_UNIT_LOG[r01] - _W_UNIT_LOG[r10]) % 8]
+            gates.append("PauliX")
+        else:
+            gates += _T_WORD[(_W_UNIT_LOG[r11] - _W_UNIT_LOG[r00]) % 8]
+    except KeyError as e:
+        raise SynthesisError(f"{e} is not a power of omega") from None
     for j in reversed(seq):
         gates.append("Hadamard")
         gates += {0: [], 1: ["T"], 2: ["S"], 3: ["S", "T"]}[j]
@@ -300,66 +366,398 @@ def exact_synthesize(mat: RingMatrix) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
+# Grid operators (Ross & Selinger, arXiv:1403.2975, appendix A)
+#
+# A grid operator G is a real-linear map of the plane (x + iy ~ (x, y)) with
+# G(Z[omega]) = Z[omega].  Its entries lie in Z[1/sqrt2], so it is stored
+# exactly as the entries (g11, g12, g21, g22) of sqrt2*G, which lie in
+# Z[sqrt2].  The Galois conjugate G* (entrywise sqrt2 -> -sqrt2) satisfies
+# (G u)* = G* u*.
+#
+# A state is a pair of ellipses (D, Delta), each a symmetric positive
+# definite matrix [[e lambda^-z, b], [b, e lambda^z]] up to scale; its skew
+# b^2 + beta^2 (of the determinant-1 normalizations) measures how far the
+# ellipses are from upright.  A grid operator G acts by
+# (D, Delta) -> (G^T D G, G*^T Delta G*).
+
+_Op = Tuple[ZSqrt2, ZSqrt2, ZSqrt2, ZSqrt2]
+_Sym = Tuple[mp.mpf, mp.mpf, mp.mpf]             # (p, q, r) ~ [[p, q], [q, r]]
+
+_R2 = ZSqrt2(0, 1)
+_OP_I: _Op = (_R2, ZS_ZERO, ZS_ZERO, _R2)
+_OP_R: _Op = (ZS_ONE, -ZS_ONE, ZS_ONE, ZS_ONE)   # rotation by pi/4
+_OP_K: _Op = (ZSqrt2(1, -1), -ZS_ONE, ZSqrt2(1, 1), ZS_ONE)  # [[-1/l, -1], [l, 1]]/sqrt2
+_OP_K_CONJ: _Op = (ZSqrt2(-1, -1), ZS_ONE, ZSqrt2(-1, 1), -ZS_ONE)  # K*, l = lambda
+_OP_X: _Op = (ZS_ZERO, _R2, _R2, ZS_ZERO)       # swap x and y
+_OP_Z: _Op = (_R2, ZS_ZERO, ZS_ZERO, -_R2)      # complex conjugation
+_SKEW_UPRIGHT = 15
+
+
+def _op_a(n: int) -> _Op:
+    """A^n = [[1, -2n], [0, 1]]."""
+    return (_R2, ZSqrt2(0, -2 * n), ZS_ZERO, _R2)
+
+
+def _op_b(n: int) -> _Op:
+    """B^n = [[1, n sqrt2], [0, 1]]."""
+    return (_R2, ZSqrt2(2 * n, 0), ZS_ZERO, _R2)
+
+
+def _div_sqrt2(x: ZSqrt2) -> ZSqrt2:
+    if x.a & 1:
+        raise SynthesisError(f"{x} is not divisible by sqrt2")
+    return ZSqrt2(x.b, x.a >> 1)
+
+
+def _op_mul(g: _Op, h: _Op) -> _Op:
+    g11, g12, g21, g22 = g
+    h11, h12, h21, h22 = h
+    return (_div_sqrt2(g11 * h11 + g12 * h21), _div_sqrt2(g11 * h12 + g12 * h22),
+            _div_sqrt2(g21 * h11 + g22 * h21), _div_sqrt2(g21 * h12 + g22 * h22))
+
+
+def _op_shift(g: _Op, k: int) -> _Op:
+    """sigma^k G sigma^k with sigma = diag(lambda^1/2, lambda^-1/2).
+
+    Acting on a state it does what G does on the state shifted by k (the
+    shift moves the bias by 2k and keeps the skew), and it is again a grid
+    operator when G is one of the step-lemma operators.
+    """
+    g11, g12, g21, g22 = g
+    return (g11 * zs_lambda_power(k), g12, g21, g22 * zs_lambda_power(-k))
+
+
+def _op_value(g: _Op, conj: bool = False) -> Tuple[mp.mpf, ...]:
+    """Entries of G (or of G*) in mpmath at the working precision."""
+    r2 = -mp.sqrt(2) if conj else mp.sqrt(2)
+    return tuple((x.a + x.b * r2) / r2 for x in g)
+
+
+def _congruence(m: _Sym, g: Sequence, shift: Optional[int] = None) -> _Sym:
+    """G^T M G, in mpmath or (with `shift`) on fixed-point integers that
+    carry `shift` fraction bits."""
+    p, q, r = m
+    g11, g12, g21, g22 = g
+    rows = (p * g11 + q * g21, p * g12 + q * g22, q * g11 + r * g21, q * g12 + r * g22)
+    if shift is not None:
+        rows = tuple(x >> shift for x in rows)
+    a11, a12, a21, a22 = rows
+    out = (g11 * a11 + g21 * a21, g11 * a12 + g21 * a22, g12 * a12 + g22 * a22)
+    return out if shift is None else tuple(x >> shift for x in out)
+
+
+def _step(z: float, b: float, zeta: float, beta: float) -> _Op:
+    """Step lemma: a grid operator that cuts the skew of the state with
+    parameters (z, b), (zeta, beta) by at least 10 % when it is >= 15."""
+    # shift the bias zeta - z into (-1, 1]; an odd shift flips beta
+    k = math.floor((1 - zeta + z) / 2)
+    z, zeta = z - k, zeta + k
+    if k & 1:
+        beta = -beta
+    op = _OP_I
+    if beta < 0:
+        op, b = _OP_Z, -b
+    if z + zeta < 0:
+        op, z, zeta = _op_mul(op, _OP_X), -z, -zeta
+    if -0.8 <= z <= 0.8 and -0.8 <= zeta <= 0.8:
+        g = _OP_R
+    elif b < 0:
+        g = _op_b(max(1, math.floor(math.exp(min(z, zeta) * _LOG_LAMBDA) / SQRT2)))
+    elif z <= 0.3 and zeta >= 0.8:
+        g = _OP_K
+    elif z >= 0.3 and zeta >= 0.3:
+        g = _op_a(max(1, math.floor(math.exp(min(z, zeta) * _LOG_LAMBDA) / 2)))
+    else:                                        # z >= 0.8, zeta <= 0.3
+        g = _OP_K_CONJ
+    return _op_shift(_op_mul(op, g), k)
+
+
+def _upright_operator(d: _Sym, delta: _Sym, prec: int) -> _Op:
+    """Special grid operator H with skew(H^T D H, H*^T Delta H*) < 15.
+
+    The states run on fixed-point integers (value * 2^prec): the skew
+    falls from ~eps^-2 to O(1), so its updates cancel ~2b bits, which
+    prec covers; the step decisions only need float accuracy.
+    """
+    one = 1 << prec
+    r2 = math.isqrt(2 << (2 * prec))                 # sqrt2 * 2^prec
+
+    def entries(g: _Op, sign: int):
+        # (a + b sqrt2) / sqrt2 = b + a sqrt2 / 2; the conjugate flips sqrt2
+        return [(x.b << prec) + sign * ((x.a * r2) >> 1) for x in g]
+
+    def params(m):
+        p, q, r = m
+        return math.log(r / p) / (2 * _LOG_LAMBDA), q / math.isqrt(p * r - q * q)
+
+    d, delta = ([int(mp.nint(x * one)) for x in m] for m in (d, delta))
+    h, steps = _OP_I, None
+    while True:
+        (z, b), (zeta, beta) = params(d), params(delta)
+        skew = b * b + beta * beta
+        if skew < _SKEW_UPRIGHT:
+            return h
+        if steps is None:
+            steps = int(math.log(skew) / -math.log(0.9)) + 1
+        elif steps == 0:
+            raise SynthesisError("grid operator search did not converge")
+        steps -= 1
+        g = _step(z, b, zeta, beta)
+        h = _op_mul(h, g)
+        d = _congruence(d, entries(g, 1), prec)
+        delta = _congruence(delta, entries(g, -1), prec)
+
+
+# ---------------------------------------------------------------------------
 # Candidate enumeration and the top-level Rz synthesis
 
 
-def _candidates(k: int, phi0: float, eps: float) -> List[ZOmega]:
-    R = SQRT2 ** k
-    c0, s0 = math.cos(phi0), math.sin(phi0)
-    slo = R * (1 - eps * eps / 2)
-    delta = math.acos(max(-1.0, 1 - eps * eps / 2))
-    ys = (R * math.sin(phi0 - delta), R * math.sin(phi0 + delta))
-    y_lo, y_hi = min(ys), max(ys)
-    out: List[Tuple[float, ZOmega]] = []
-    for Y in solve_grid_1d(SQRT2 * y_lo, SQRT2 * y_hi, -SQRT2 * R, SQRT2 * R):
-        yv = Y.value() / SQRT2
-        ycv = Y.conj().value() / SQRT2        # = -Im(u_galois)
-        rem = R * R - yv * yv
-        if rem < 0:
-            continue
-        x_hi = math.sqrt(rem)
-        x_lo = (slo - yv * s0) / c0
-        if x_lo > x_hi:
-            continue
-        remc = R * R - ycv * ycv
-        if remc < 0:
-            continue
-        bx = math.sqrt(remc)
-        p = Y.a & 1
-        g_lo = x_lo - p / SQRT2
-        g_hi = x_hi - p / SQRT2
-        gc = (p / SQRT2 + bx, p / SQRT2 - bx)
-        for gam in solve_grid_1d(g_lo, g_hi, min(gc), max(gc)):
-            e = p + 2 * gam.b
-            aa = gam.a
-            f, cc = Y.a, Y.b
-            if (e - f) % 2:
-                continue
-            u = ZOmega(aa, (e + f) // 2, cc, (f - e) // 2)
-            # cheap float prefilter on the quality constraint (margin for
-            # float error; survivors are re-verified in high precision)
-            half = SQRT2 / 2
-            ur = aa + (u.b - u.d) * half
-            ui = cc + (u.b + u.d) * half
-            q = (ur * c0 + ui * s0) / R
-            if q < (1 - eps * eps / 2) - 1e-11 * (1 + abs(q)):
-                continue
-            out.append((q, u))
-    # exact feasibility and high-precision quality check
-    verified: List[Tuple[float, ZOmega]] = []
-    with mp.workdps(30 + 2 * k):
-        zc = mp.exp(mp.mpc(0, -1) * mp.mpf(phi0))
-        Rm = mp.sqrt(2) ** k
-        thr = 1 - mp.mpf(eps) ** 2 / 2
-        for _, u in out:
-            xi = ZSqrt2(1 << k, 0) - u.abs_sq()
-            if xi.sign() < 0 or xi.conj().sign() < 0:
-                continue
-            q = mp.re(zc * u.mpvalue(mp)) / Rm
-            if q >= thr:
-                verified.append((float(q), u))
-    verified.sort(key=lambda t: -t[0])
-    return [u for _, u in verified]
+def _zs_values(x: ZSqrt2) -> Tuple[float, float]:
+    """x and x* as floats, both to full relative precision (the one that
+    cancels is recomputed as norm / the other)."""
+    a, b = x.a, x.b
+    if a * b >= 0:
+        p = a + b * SQRT2
+        return p, ((a * a - 2 * b * b) / p if p else 0.0)
+    m = a - b * SQRT2
+    return (a * a - 2 * b * b) / m, m
+
+
+_INNER_MAX = 512      # expected 1D solutions above which an axis is walked
+_CHUNK = 32           # expected solutions in the first chunk of a walk
+
+
+class _Axis1D:
+    """The 1D grid problem of one coordinate of v for one coset, translated
+    by a lattice point base = a0 + b0 sqrt2 near its centre so the float
+    kernel only sees intervals around O(1).  Offsets are measured from the
+    centres of the two ellipses; wa, wb are the bounding-box half widths."""
+
+    def __init__(self, centre: mp.mpf, shift: mp.mpf, r2: mp.mpf,
+                 wa: float, wb: float):
+        ca, cb = centre - shift, shift   # alpha = v - o/sqrt2, alpha* = v* + o/sqrt2
+        self.a0 = int(mp.nint((ca + cb) / 2))
+        self.b0 = int(mp.nint((ca - cb) / (2 * r2)))
+        self.ra = float(ca - self.a0 - self.b0 * r2)
+        self.rb = float(cb - self.a0 + self.b0 * r2)
+        self.wa, self.wb = wa, wb
+
+    def expected(self) -> float:
+        return 2 * self.wa * self.wb / SQRT2
+
+    def solve(self, lo_a: float, hi_a: float, lo_b: float, hi_b: float):
+        """(alpha, offset in the ellipse, offset in the disk) for every
+        alpha with offsets in [lo_a, hi_a] and [lo_b, hi_b]."""
+        out = []
+        # endpoints are O(1) with a few ulps of error: pad by ~500 ulps, far
+        # less than the default, which would swamp widths below 1e-10
+        for x in solve_grid_1d(self.ra + lo_a, self.ra + hi_a,
+                               self.rb + lo_b, self.rb + hi_b, pad=1e-13):
+            va, vb = _zs_values(x)
+            out.append((ZSqrt2(self.a0 + x.a, self.b0 + x.b), va - self.ra, vb - self.rb))
+        return out
+
+    def solve_all(self):
+        return self.solve(-self.wa, self.wa, -self.wb, self.wb)
+
+
+def _chord(form: Tuple[float, float, float], t: float, lim: float):
+    """Inner offsets s with p t^2 + 2 q t s + r s^2 <= lim, or None."""
+    p, q, r = form
+    disc = q * q * t * t - r * (p * t * t - lim)
+    if disc < 0:
+        return None
+    sq = math.sqrt(disc)
+    return (-q * t - sq) / r, (-q * t + sq) / r
+
+
+class _EpsRegion:
+    """The grid problem of one angle, for every denominator exponent k.
+
+    Candidates u in Z[omega] lie in the eps-region, the circular segment
+    |u| <= R, Re(e^{-i phi0} u) >= R (1 - eps^2/2) with R = sqrt2^k, and
+    their conjugates u* in the disk |u*| <= R.  The segment is enclosed in
+    an ellipse (centre a third of the segment height above the chord,
+    semi-axes 2h/3 radially and 2s/sqrt3 along the chord, which passes
+    through the chord ends) and the disk is its own ellipse.  A grid
+    operator H makes the pair (H^-1 ellipse, H*^-1 disk) upright.  Scaling
+    by sqrt2^k commutes with H and keeps uprightness, so H is found once;
+    each k enumerates the bounding boxes of the scaled upright pair as
+    v = alpha + i beta + o w with alpha, beta in Z[sqrt2], o in {0, 1}
+    (one 1D grid problem per coordinate and coset), keeps the v inside both
+    ellipses, and maps them back to u = H v.
+
+    The outer axis is the one with fewer expected 1D solutions.  When the
+    inner axis has many (the angle points along a lattice element, as the
+    W-state angle 2 arccos(1/sqrt3) does, and the solutions come in long
+    rows of nearly equal quality), each outer solution walks the part of
+    its line inside the segment (found in mpmath) from the end where the
+    quality grows, in chunks of doubling width, until it has `limit`
+    verified candidates: quality is affine along the line, so those are
+    its best.
+
+    Geometry runs in mpmath at a precision that grows with b: the upright
+    ellipse is ~eps^1.5 R wide at ~eps^-1.5 R from the origin, and in
+    float64 1 - eps^2/2 rounds to 1 from b = 27 on.
+    """
+
+    def __init__(self, phi0, eps: float):
+        self.phi0, self.eps = phi0, eps
+        self.prec = 4 * max(1, math.ceil(-math.log2(eps))) + 100
+        with mp.workprec(self.prec):
+            cos_d = 1 - mp.mpf(eps) ** 2 / 2
+            h = 1 - cos_d
+            grow = 1 + mp.mpf(2) ** -20
+            pr = (2 * h / 3 * grow) ** -2                           # radial
+            pt = (2 * mp.sqrt(1 - cos_d * cos_d) / mp.sqrt(3) * grow) ** -2
+            c, s = mp.cos(phi0), mp.sin(phi0)
+            d = (pr * c * c + pt * s * s, (pr - pt) * c * s, pr * s * s + pt * c * c)
+            disk = (mp.mpf(1), mp.mpf(0), mp.mpf(1))
+            self.op = _upright_operator(d, disk, self.prec)
+            g11, g12, g21, g22 = g = _op_value(self.op)
+            self.ell = (_congruence(d, g), _congruence(disk, _op_value(self.op, True)))
+            # centre of the segment's ellipse in v coordinates: H^-1 centre
+            rc = cos_d + h / 3
+            det = g11 * g22 - g12 * g21
+            self.centre = ((g22 * c - g12 * s) * rc / det,
+                           (g11 * s - g21 * c) * rc / det)
+            # bounding-box half widths (x, y) of both ellipses at k = 0
+            self.half = [[float(mp.sqrt(x / (p * r - q * q))) for x in (r, p)]
+                         for p, q, r in self.ell]
+            self.forms = [[float(x) for x in m] for m in self.ell]
+            self.r2 = mp.sqrt(2)
+        ha, hb = self.half
+        self.outer = 0 if ha[0] * hb[0] <= ha[1] * hb[1] else 1
+        if self.outer:                   # forms in (outer, inner) coordinates
+            self.forms = [f[::-1] for f in self.forms]
+        # u-space directions of v's outer and inner axes: columns of H
+        cols = ((g11, g21), (g12, g22))
+        self.dirs = (cols[self.outer], cols[1 - self.outer])
+        self.seg = (c, s, rc, h)
+
+    def _lift(self, outer: ZSqrt2, inner: ZSqrt2, o: int) -> ZOmega:
+        """u = H v for v = alpha + i beta + o w."""
+        alpha, beta = (outer, inner) if self.outer == 0 else (inner, outer)
+        vx = ZSqrt2(2 * alpha.b + o, alpha.a)      # sqrt2 Re v
+        vy = ZSqrt2(2 * beta.b + o, beta.a)        # sqrt2 Im v
+        h11, h12, h21, h22 = self.op
+        ux = _div_sqrt2(h11 * vx + h12 * vy)       # sqrt2 Re u
+        uy = _div_sqrt2(h21 * vx + h22 * vy)
+        return ZOmega(ux.b, (ux.a + uy.a) >> 1, uy.b, (uy.a - ux.a) >> 1)
+
+    def candidates(self, k: int, limit: Optional[int] = None) -> List[ZOmega]:
+        """The best `limit` (default all) verified candidates at exponent
+        k, best quality first."""
+        found = {}
+        # both ellipses at scale sqrt2^k: forms / 2^k, half widths * sqrt2^k
+        forms = [[x / 2.0 ** k for x in f] for f in self.forms]
+        half = [[w * SQRT2 ** k for w in hw] for hw in self.half]
+        # slack for float error in the offsets (~1e-15 absolute)
+        lim = 1 + 1e-6 + 1e-11 / min(min(hw) for hw in half)
+        with mp.workprec(self.prec):
+            scale = self.r2 ** k
+
+            def axis(a, o):
+                return _Axis1D(self.centre[a] * scale, o / self.r2, self.r2,
+                               half[0][a], half[1][a])
+
+            for o in (0, 1):
+                xs = axis(self.outer, o).solve_all()
+                if not xs:
+                    continue
+                inner = axis(1 - self.outer, o)
+                if inner.expected() <= _INNER_MAX:
+                    ys = inner.solve_all()
+                    cands = [self._lift(x, y, o)
+                             for x, xa, xb in xs for y, ya, yb in ys
+                             if _inside(forms[0], xa, ya, lim)
+                             and _inside(forms[1], xb, yb, lim)]
+                    found.update(self._verify(k, cands))
+                    continue
+                for x, _, xb in xs:
+                    offset = (x.a + x.b * self.r2 + o / self.r2
+                              - self.centre[self.outer] * scale)
+                    found.update(self._walk(k, x, o, inner,
+                                            self._segment_chord(scale, offset),
+                                            _chord(forms[1], xb, lim), limit))
+        best = sorted(found, key=found.get, reverse=True)
+        return best if limit is None else best[:limit]
+
+    def _segment_chord(self, scale: mp.mpf, offset: mp.mpf):
+        """Inner offsets (from the ellipse centre) of the line at the given
+        outer offset inside the scaled segment, in mpmath, or None.
+
+        With u = C + u1 + t d (C the segment ellipse's centre, u1 and d the
+        outer and inner directions), |u| <= R is a quadratic in t and the
+        quality bound is linear; all terms are of the segment's size."""
+        c, s, rc, h = self.seg
+        (o1, o2), (d1, d2) = self.dirs
+        u1, u2 = offset * o1, offset * o2
+        p1, p2 = scale * rc * c + u1, scale * rc * s + u2
+        a = d1 * d1 + d2 * d2
+        b = p1 * d1 + p2 * d2
+        cc = (scale ** 2 * (rc - 1) * (rc + 1)
+              + 2 * scale * rc * (c * u1 + s * u2) + u1 * u1 + u2 * u2)
+        disc = b * b - a * cc
+        if disc < 0:
+            return None
+        lo, hi = (-b - mp.sqrt(disc)) / a, (-b + mp.sqrt(disc)) / a
+        # quality: t (dir . d) >= -scale h / 3 - dir . u1
+        slope, rhs = c * d1 + s * d2, -scale * h / 3 - (c * u1 + s * u2)
+        if slope > 0:
+            lo = max(lo, rhs / slope)
+        elif slope < 0:
+            hi = min(hi, rhs / slope)
+        elif rhs > 0:
+            return None
+        return (float(lo), float(hi)) if lo <= hi else None
+
+    def _walk(self, k, x, o, axis, ca, cb, limit):
+        """Verified candidates on the inner chord of outer solution x, best
+        first in chunks, until `limit` are found or the chord is done."""
+        if ca is None or cb is None:
+            return {}
+        lo, hi = ca
+        step = _CHUNK * 2 * SQRT2 / (cb[1] - cb[0])
+        (c, s, _, _), (d1, d2) = self.seg, self.dirs[1]
+        rising = c * d1 + s * d2 >= 0
+        got, done = {}, False
+        while not done and (limit is None or len(got) < limit):
+            if rising:
+                c_lo, c_hi = max(lo, hi - step), hi
+                hi, done = c_lo, c_lo <= lo
+            else:
+                c_lo, c_hi = lo, min(hi, lo + step)
+                lo, done = c_hi, c_hi >= hi
+            ys = axis.solve(c_lo, c_hi, cb[0], cb[1])
+            got.update(self._verify(k, [self._lift(x, y, o) for y, _, _ in ys]))
+            step *= 2
+        return got
+
+    def _verify(self, k: int, cands: Sequence[ZOmega]) -> dict:
+        """{u: quality} for the candidates with xi = 2^k - |u|^2 totally
+        >= 0 and quality Re(e^{-i phi0} u) / sqrt2^k >= 1 - eps^2/2, both
+        checked exactly or in high precision."""
+        out = {}
+        if not cands:
+            return out
+        with mp.workdps(30 + 2 * k):
+            zc = mp.exp(mp.mpc(0, -1) * mp.mpf(self.phi0))
+            Rm = mp.sqrt(2) ** k
+            thr = 1 - mp.mpf(self.eps) ** 2 / 2
+            for u in cands:
+                xi = ZSqrt2(1 << k, 0) - u.abs_sq()
+                if xi.sign() < 0 or xi.conj().sign() < 0:
+                    continue
+                q = mp.re(zc * u.mpvalue(mp)) / Rm
+                if q >= thr:
+                    out[u] = q
+        return out
+
+
+def _inside(form: Tuple[float, float, float], s: float, t: float, lim: float) -> bool:
+    p, q, r = form
+    return p * s * s + 2 * q * s * t + r * t * t <= lim
 
 
 def synthesize_rz_tags(theta: float, eps: float,
@@ -367,29 +765,42 @@ def synthesize_rz_tags(theta: float, eps: float,
     """Clifford+T tag sequence U with min_phi ||U - e^{i phi} Rz(theta)|| <= eps.
 
     Exact pi/4 multiples return the minimal S/T word with zero error.
+    Raises SynthesisError, naming theta and eps, if no word is found.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     eps = min(eps, 1.0)
-    theta = math.remainder(theta, 4 * math.pi)
-    mth = round(theta / (math.pi / 4))
-    if abs(theta - mth * (math.pi / 4)) <= 1e-12:
-        return list(_T_WORD[mth % 8])
-    theta_p = theta - mth * (math.pi / 4)
-    phi0 = -theta_p / 2
     k = max(0, int(1.5 * math.log2(1 / eps)) - 2)
     k_cap = int(3 * math.log2(1 / eps)) + 40
-    while k <= k_cap:
-        for u in _candidates(k, phi0, eps)[:max_attempts_per_k]:
-            xi = ZSqrt2(1 << k, 0) - u.abs_sq()
-            t = solve_diophantine(xi)
-            if t is None:
-                continue
-            matu = RingMatrix(u, -t.conj(), t, u.conj(), k)
-            gates = exact_synthesize(matu)
-            return gates + _T_WORD[mth % 8]
-        k += 1
-    raise SynthesisError(f"no candidate found up to k={k_cap}")
+    # octant reduction in high precision: in floats it errs by ~1e-16,
+    # which exceeds eps from b ~ 50 on
+    with mp.workdps(30 + 2 * k_cap):
+        th = mp.mpf(theta)
+        th -= 4 * mp.pi * mp.nint(th / (4 * mp.pi))
+        mth = int(mp.nint(th / (mp.pi / 4)))
+        theta_p = th - mth * mp.pi / 4
+        phi0 = -theta_p / 2
+    # (near-)multiples of pi/4 get their exact S/T word; snapping moves the
+    # rotation by |theta_p| / 2, so the tolerance never exceeds 2 eps
+    if abs(theta_p) <= min(1e-12, 2 * eps):
+        return list(_T_WORD[mth % 8])
+    try:
+        region = _EpsRegion(phi0, eps)
+        while k <= k_cap:
+            for u in region.candidates(k, max_attempts_per_k):
+                xi = ZSqrt2(1 << k, 0) - u.abs_sq()
+                t = solve_diophantine(xi)
+                if t is None:
+                    continue
+                matu = RingMatrix(u, -t.conj(), t, u.conj(), k)
+                gates = exact_synthesize(matu)
+                return gates + _T_WORD[mth % 8]
+            k += 1
+        raise SynthesisError(f"no candidate found up to k={k_cap}")
+    except SynthesisError as e:
+        raise SynthesisError(
+            f"Rz synthesis failed for theta={theta!r} at eps={eps!r} "
+            f"(b={-math.log2(eps):g}): {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""Reference Rz candidate enumeration: the nested-1D strip scan.
+
+This is the candidate search gridsynth used before the 2D grid solver: it
+scans every row Y of a thin strip in y and solves one 1D grid problem per
+row, so its work grows like 2^(b/2).  It is kept only as a test oracle for
+small b; `candidates(k, phi0, eps)` returns the verified candidate list in
+the order gridsynth tries them.
+"""
+import math
+from typing import List, Tuple
+
+import mpmath as mp
+
+from qsprep.gridsynth import solve_grid_1d
+from qsprep.rings import ZOmega, ZSqrt2
+
+SQRT2 = math.sqrt(2.0)
+
+
+def candidates(k: int, phi0: float, eps: float) -> List[ZOmega]:
+    R = SQRT2 ** k
+    c0, s0 = math.cos(phi0), math.sin(phi0)
+    slo = R * (1 - eps * eps / 2)
+    delta = math.acos(max(-1.0, 1 - eps * eps / 2))
+    ys = (R * math.sin(phi0 - delta), R * math.sin(phi0 + delta))
+    y_lo, y_hi = min(ys), max(ys)
+    out: List[Tuple[float, ZOmega]] = []
+    for Y in solve_grid_1d(SQRT2 * y_lo, SQRT2 * y_hi, -SQRT2 * R, SQRT2 * R):
+        yv = Y.value() / SQRT2
+        ycv = Y.conj().value() / SQRT2        # = -Im(u_galois)
+        rem = R * R - yv * yv
+        if rem < 0:
+            continue
+        x_hi = math.sqrt(rem)
+        x_lo = (slo - yv * s0) / c0
+        if x_lo > x_hi:
+            continue
+        remc = R * R - ycv * ycv
+        if remc < 0:
+            continue
+        bx = math.sqrt(remc)
+        p = Y.a & 1
+        g_lo = x_lo - p / SQRT2
+        g_hi = x_hi - p / SQRT2
+        gc = (p / SQRT2 + bx, p / SQRT2 - bx)
+        for gam in solve_grid_1d(g_lo, g_hi, min(gc), max(gc)):
+            e = p + 2 * gam.b
+            aa = gam.a
+            f, cc = Y.a, Y.b
+            if (e - f) % 2:
+                continue
+            u = ZOmega(aa, (e + f) // 2, cc, (f - e) // 2)
+            # cheap float prefilter on the quality constraint
+            half = SQRT2 / 2
+            ur = aa + (u.b - u.d) * half
+            ui = cc + (u.b + u.d) * half
+            q = (ur * c0 + ui * s0) / R
+            if q < (1 - eps * eps / 2) - 1e-11 * (1 + abs(q)):
+                continue
+            out.append((q, u))
+    # exact feasibility and high-precision quality check
+    verified: List[Tuple[float, ZOmega]] = []
+    with mp.workdps(30 + 2 * k):
+        zc = mp.exp(mp.mpc(0, -1) * mp.mpf(phi0))
+        Rm = mp.sqrt(2) ** k
+        thr = 1 - mp.mpf(eps) ** 2 / 2
+        for _, u in out:
+            xi = ZSqrt2(1 << k, 0) - u.abs_sq()
+            if xi.sign() < 0 or xi.conj().sign() < 0:
+                continue
+            q = mp.re(zc * u.mpvalue(mp)) / Rm
+            if q >= thr:
+                verified.append((float(q), u))
+    verified.sort(key=lambda t: -t[0])
+    return [u for _, u in verified]

@@ -1,9 +1,12 @@
 import csv
 import io
+import json
 import math
+import os
 
 import pytest
 
+from qsprep import cli_bench, cliffordt_compile, gridsynth
 from qsprep.benchmark_states import BenchmarkSpec
 from qsprep.circuit_core import deserialize
 from qsprep.cli_bench import (
@@ -112,6 +115,38 @@ def test_exit_codes():
     assert main(["estimate", "--family", "dicke", "--n", "3", "--k", "9",
                  "--method", "dense"]) == 3
     assert main(["nonsense-subcommand"]) == 2
+
+
+def test_estimate_at_b30_exits_zero(capsys):
+    assert main(["estimate", "--family", "w", "--n", "3", "--method", "dense",
+                 "--b", "30"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["compiled_T"] > 0
+
+
+def test_rz_synthesis_failure_is_a_capacity_error(monkeypatch, capsys):
+    # a grid solver that finds nothing exhausts every k and must surface as
+    # exit 4 naming the layer, the angle and the precision
+    monkeypatch.setattr(gridsynth._EpsRegion, "candidates",
+                        lambda self, k, limit=None: [])
+    monkeypatch.setattr(cliffordt_compile, "_MEMO", {})
+    assert main(["estimate", "--family", "w", "--n", "3", "--method", "dense",
+                 "--b", "12"]) == 4
+    err = capsys.readouterr().err
+    assert "Rz synthesis" in err and "theta=" in err and "b=12" in err
+
+
+def test_verify_finds_the_suite_from_any_directory(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli_bench.subprocess, "call",
+                        lambda cmd, cwd=None: calls.append((cmd, cwd)) or 0)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "-k", "cost_identity"]) == 0
+    (cmd, cwd), = calls
+    suite = cmd[cmd.index("pytest") + 1]
+    assert os.path.isabs(suite) and os.path.isfile(suite)
+    assert suite.endswith(os.path.join("tests", "test_acceptance.py"))
+    assert cmd[-2:] == ["-k", "cost_identity"]
 
 
 def test_magnus_default_b_values():

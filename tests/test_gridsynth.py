@@ -1,16 +1,21 @@
+import json
 import math
+import os
 import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_scan
+from qsprep import gridsynth
 from qsprep.gridsynth import (
-    GRID_BACKEND, RingMatrix, SynthesisError, exact_synthesize,
-    exactly_preparable, set_grid_backend, solve_diophantine, solve_grid_1d,
-    synthesize_rz_tags,
+    RingMatrix, SynthesisError, _EpsRegion, _op_value, exact_synthesize,
+    exactly_preparable,
+    solve_diophantine, solve_grid_1d, synthesize_rz_tags,
 )
-from qsprep.rings import ZO_ZERO, ZOmega, ZSqrt2
-from util import phase_dist_1q, rz_matrix, tags_to_unitary
+from qsprep.rings import ZO_ZERO, ZOmega, ZSqrt2, zo_from_zsqrt2, zs_lambda_power
+from util import phase_dist_1q, phase_dist_1q_mp, rz_matrix, tags_to_unitary
 
 SQRT2 = math.sqrt(2)
 
@@ -41,24 +46,6 @@ def test_grid_solver_matches_brute_force(c1, w1, c2, w2):
         assert c2 - slop <= x.conj().value() <= c2 + w2 + slop
 
 
-def test_grid_backends_agree():
-    rng = random.Random(5)
-    try:
-        for _ in range(50):
-            c1 = rng.uniform(-30, 30)
-            c2 = rng.uniform(-30, 30)
-            w1 = rng.uniform(0.01, 2)
-            w2 = rng.uniform(0.5, 50)
-            set_grid_backend("python")
-            a = {(x.a, x.b) for x in solve_grid_1d(c1, c1 + w1, c2, c2 + w2)}
-            if GRID_BACKEND == "cython":
-                set_grid_backend("cython")
-                b = {(x.a, x.b) for x in solve_grid_1d(c1, c1 + w1, c2, c2 + w2)}
-                assert a == b
-    finally:
-        set_grid_backend(GRID_BACKEND)
-
-
 # ---------------------------------------------------------------------------
 # Diophantine solver: t with t^dagger t = xi
 
@@ -76,6 +63,20 @@ def test_diophantine_known_values():
     assert solve_diophantine(ZSqrt2(-1, 0)) is None      # not totally positive
     assert solve_diophantine(ZSqrt2(1, -1)) is None      # 1 - sqrt2 < 0
     assert solve_diophantine(ZSqrt2(0, 0)) == ZO_ZERO
+
+
+@pytest.mark.parametrize("m", [-24, -12, 12, 24])
+def test_diophantine_unbalanced_norms(m):
+    # xi and its conjugate differ by lambda^(4m), as for high-b candidates
+    # (xi ~ 2^k eps^2, xi* ~ 2^k); the unit fix must not round through floats
+    rng = random.Random(m)
+    for _ in range(10):
+        t0 = ZOmega(*[rng.randint(-20, 20) for _ in range(4)])
+        if t0.is_zero():
+            continue
+        xi = (t0 * zo_from_zsqrt2(zs_lambda_power(m))).abs_sq()
+        t = solve_diophantine(xi)
+        assert t is not None and t.abs_sq() == xi
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,3 +183,80 @@ def test_exactly_preparable_examples():
 def test_exactly_preparable_rejects_unnormalized():
     with pytest.raises(ValueError):
         exactly_preparable(1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The 2D grid solver against golden words and the nested-1D reference scan
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "rz_golden.json")
+
+
+def test_rz_words_match_golden():
+    # words recorded with the nested-1D candidate scan, b in {4,8,12,14,16}
+    with open(_GOLDEN, encoding="utf-8") as f:
+        cases = json.load(f)["cases"]
+    assert len(cases) == 100
+    for c in cases:
+        theta = float.fromhex(c["theta"])
+        got = " ".join(synthesize_rz_tags(theta, 2.0 ** -c["b"]))
+        assert got == c["tags"], (c["b"], theta)
+
+
+def test_rz_words_ignore_the_global_mpmath_precision():
+    with open(_GOLDEN, encoding="utf-8") as f:
+        cases = json.load(f)["cases"][::10]
+    with mp.workprec(300):
+        for c in cases:
+            got = synthesize_rz_tags(float.fromhex(c["theta"]), 2.0 ** -c["b"])
+            assert " ".join(got) == c["tags"]
+
+
+@pytest.mark.parametrize("b", [1, 3, 6, 8, 10])
+def test_grid_solver_matches_reference_scan(b):
+    rng = random.Random(700 + b)
+    eps = 2.0 ** -b
+    k0 = max(0, int(1.5 * b) - 2)
+    for _ in range(6):
+        phi0 = rng.uniform(-math.pi / 16, math.pi / 16)
+        region = _EpsRegion(phi0, eps)
+        for k in range(k0, k0 + 5):
+            assert region.candidates(k) == reference_scan.candidates(k, phi0, eps), (phi0, k)
+
+
+@pytest.mark.parametrize("b", [12, 30, 60])
+def test_grid_operator_makes_the_pair_upright(b):
+    rng = random.Random(b)
+    for _ in range(4):
+        region = _EpsRegion(rng.uniform(-math.pi / 16, math.pi / 16), 2.0 ** -b)
+        with mp.workprec(region.prec):
+            # skew: squared off-diagonals of the determinant-1 ellipses
+            assert sum(q * q / (p * r - q * q) for p, q, r in region.ell) < 15
+            # a special grid operator has determinant +-1
+            g11, g12, g21, g22 = _op_value(region.op)
+            assert abs(abs(g11 * g22 - g12 * g21) - 1) < 1e-30
+
+
+@pytest.mark.parametrize("b", [30, 40])
+def test_rz_synthesis_high_b(b):
+    rng = random.Random(3000 + b)
+    eps = mp.mpf(2) ** -b
+    for _ in range(5):
+        theta = rng.uniform(-math.pi, math.pi)
+        tags = synthesize_rz_tags(theta, 2.0 ** -b)
+        assert phase_dist_1q_mp(tags, theta) <= eps, theta
+        assert sum(t in ("T", "Tdg") for t in tags) <= 3 * b + 20
+
+
+@pytest.mark.parametrize("theta", [2 * math.acos(1 / math.sqrt(3)),
+                                   2 * math.acos(math.sqrt(0.2)), 0.7, -2.1])
+def test_chord_walk_matches_full_enumeration(theta, monkeypatch):
+    # lattice-aligned angles (the first two) put many candidates on each
+    # line of the inner axis; walking those lines from the best end must
+    # give the same best 16 as enumerating every pair
+    b, mth = 14, round(theta / (math.pi / 4))
+    region = _EpsRegion(-(theta - mth * math.pi / 4) / 2, 2.0 ** -b)
+    for k in range(int(1.5 * b) - 2, int(1.5 * b) + 6):
+        monkeypatch.setattr(gridsynth, "_INNER_MAX", math.inf)
+        full = region.candidates(k, 16)
+        monkeypatch.setattr(gridsynth, "_INNER_MAX", 0)
+        assert region.candidates(k, 16) == full, k

@@ -73,3 +73,28 @@ def phase_dist(a: np.ndarray, b: np.ndarray) -> float:
         else:
             lo = m1
     return at((lo + hi) / 2)
+
+
+def phase_dist_1q_mp(tags, theta, dps=80):
+    """min_phi ||U - e^{i phi} Rz(theta)|| of a tag word, in mpmath.
+
+    For W = Rz(theta)^dagger U with eigenphases a, b the distance is
+    2 sin(|a - b| / 4) = sqrt(2 (1 - c)) with c = |Re(tr W / sqrt(det W))|.
+    """
+    import mpmath as mp
+    with mp.workdps(dps):
+        h = 1 / mp.sqrt(2)
+        t = mp.expjpi(mp.mpf(1) / 4)
+        gate = {
+            "Hadamard": mp.matrix([[h, h], [h, -h]]),
+            "T": mp.diag([1, t]), "Tdg": mp.diag([1, mp.conj(t)]),
+            "S": mp.diag([1, 1j]), "Sdg": mp.diag([1, -1j]),
+            "PauliX": mp.matrix([[0, 1], [1, 0]]),
+        }
+        u = mp.eye(2)
+        for tag in tags:
+            u = gate[tag] * u
+        half = mp.mpf(theta) / 2
+        w = mp.diag([mp.expj(half), mp.expj(-half)]) * u
+        c = abs(mp.re((w[0, 0] + w[1, 1]) / mp.sqrt(mp.det(w))))
+        return mp.sqrt(2 * max(0, 1 - c))
