@@ -5,15 +5,18 @@ median and worst wall time per angle and the mean T-count.  The 2D grid
 solver keeps the time roughly flat in b; a solver whose work grows like
 2^(b/2) shows up here first.
 
-Run:  PYTHONPATH=src python3 benchmarks/rz_bench.py [--angles N] [--b 10,20,30,40]
+Run:  PYTHONPATH=src python3 benchmarks/rz_bench.py
 """
-import argparse
 import math
 import random
 import statistics
 import time
 
 from qsprep.gridsynth import synthesize_rz_tags
+
+N_ANGLES = 20
+B_VALUES = (10, 20, 30, 40)
+SEED = 12345
 
 
 def bench(b: int, angles) -> dict:
@@ -28,15 +31,10 @@ def bench(b: int, angles) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--angles", type=int, default=20, help="angles per b")
-    ap.add_argument("--b", default="10,20,30,40", help="comma-separated b values")
-    ap.add_argument("--seed", type=int, default=12345)
-    args = ap.parse_args()
-    rng = random.Random(args.seed)
-    angles = [rng.uniform(-math.pi, math.pi) for _ in range(args.angles)]
-    print(f"{'b':>3} {'median ms/angle':>16} {'max ms':>9} {'mean T':>7}  ({args.angles} angles)")
-    for b in (int(x) for x in args.b.split(",")):
+    rng = random.Random(SEED)
+    angles = [rng.uniform(-math.pi, math.pi) for _ in range(N_ANGLES)]
+    print(f"{'b':>3} {'median ms/angle':>16} {'max ms':>9} {'mean T':>7}  ({N_ANGLES} angles)")
+    for b in B_VALUES:
         r = bench(b, angles)
         print(f"{r['b']:>3} {r['median_ms']:>16.1f} {r['max_ms']:>9.1f} {r['mean_T']:>7.1f}")
 

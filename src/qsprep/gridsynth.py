@@ -41,7 +41,9 @@ _GRID_ROW_LIMIT = 2_000_000
 
 
 class SynthesisError(RuntimeError):
-    pass
+    """No word meets the precision within the search limits: the
+    denominator exponent cap or the 1D enumeration size.  Broken internal
+    invariants raise a plain RuntimeError instead."""
 
 
 def solve_grid_1d(l1: float, u1: float, l2: float, u2: float,
@@ -325,7 +327,7 @@ def _reduce_column(u: _W, t: _W, k: int) -> List[int]:
         # push worst option first so the lowest exponent is explored next
         for k2, j, u2, t2 in sorted(opts, reverse=True):
             stack.append((u2, t2, k2, seq + [j]))
-    raise SynthesisError("column reduction failed (input not unitary?)")
+    raise RuntimeError("column reduction failed (input not unitary?)")
 
 
 def exact_synthesize(mat: RingMatrix) -> List[str]:
@@ -347,7 +349,7 @@ def exact_synthesize(mat: RingMatrix) -> List[str]:
         _w_add(_w_mul(g10, m00), _w_mul(g11, m10)),
         _w_add(_w_mul(g10, m01), _w_mul(g11, m11))], len(seq) + mat.k)
     if k != 0:
-        raise SynthesisError("residual is not a Clifford phase matrix")
+        raise RuntimeError("residual is not a Clifford phase matrix")
     r00, r01, r10, r11 = res
     gates: List[str] = []
     try:
@@ -358,7 +360,7 @@ def exact_synthesize(mat: RingMatrix) -> List[str]:
         else:
             gates += _T_WORD[(_W_UNIT_LOG[r11] - _W_UNIT_LOG[r00]) % 8]
     except KeyError as e:
-        raise SynthesisError(f"{e} is not a power of omega") from None
+        raise RuntimeError(f"{e} is not a power of omega") from None
     for j in reversed(seq):
         gates.append("Hadamard")
         gates += {0: [], 1: ["T"], 2: ["S"], 3: ["S", "T"]}[j]
@@ -405,7 +407,7 @@ def _op_b(n: int) -> _Op:
 
 def _div_sqrt2(x: ZSqrt2) -> ZSqrt2:
     if x.a & 1:
-        raise SynthesisError(f"{x} is not divisible by sqrt2")
+        raise RuntimeError(f"{x} is not divisible by sqrt2")
     return ZSqrt2(x.b, x.a >> 1)
 
 
@@ -500,7 +502,7 @@ def _upright_operator(d: _Sym, delta: _Sym, prec: int) -> _Op:
         if steps is None:
             steps = int(math.log(skew) / -math.log(0.9)) + 1
         elif steps == 0:
-            raise SynthesisError("grid operator search did not converge")
+            raise RuntimeError("grid operator search did not converge")
         steps -= 1
         g = _step(z, b, zeta, beta)
         h = _op_mul(h, g)
@@ -523,6 +525,9 @@ def _zs_values(x: ZSqrt2) -> Tuple[float, float]:
     return (a * a - 2 * b * b) / m, m
 
 
+# Below _INNER_MAX the full product of the two axes is cheaper than walking
+# every line; above it (lattice-aligned angles) the product would hold
+# ~2^(b/2) points per line.
 _INNER_MAX = 512      # expected 1D solutions above which an axis is walked
 _CHUNK = 32           # expected solutions in the first chunk of a walk
 
@@ -765,7 +770,8 @@ def synthesize_rz_tags(theta: float, eps: float,
     """Clifford+T tag sequence U with min_phi ||U - e^{i phi} Rz(theta)|| <= eps.
 
     Exact pi/4 multiples return the minimal S/T word with zero error.
-    Raises SynthesisError, naming theta and eps, if no word is found.
+    Raises SynthesisError, naming theta and eps, if no word is found, and
+    RuntimeError, naming them too, if an internal invariant breaks.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -797,10 +803,11 @@ def synthesize_rz_tags(theta: float, eps: float,
                 return gates + _T_WORD[mth % 8]
             k += 1
         raise SynthesisError(f"no candidate found up to k={k_cap}")
-    except SynthesisError as e:
-        raise SynthesisError(
-            f"Rz synthesis failed for theta={theta!r} at eps={eps!r} "
-            f"(b={-math.log2(eps):g}): {e}") from None
+    except RuntimeError as e:
+        where = f"theta={theta!r} at eps={eps!r} (b={-math.log2(eps):g})"
+        if isinstance(e, SynthesisError):
+            raise SynthesisError(f"Rz synthesis failed for {where}: {e}") from None
+        raise RuntimeError(f"internal error in Rz synthesis for {where}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

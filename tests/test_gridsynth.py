@@ -191,11 +191,19 @@ def test_exactly_preparable_rejects_unnormalized():
 _GOLDEN = os.path.join(os.path.dirname(__file__), "rz_golden.json")
 
 
-def test_rz_words_match_golden():
-    # words recorded with the nested-1D candidate scan, b in {4,8,12,14,16}
-    with open(_GOLDEN, encoding="utf-8") as f:
+@pytest.mark.parametrize("name, count", [
+    # random angles, words recorded with the nested-1D candidate scan,
+    # b in {4,8,12,14,16}
+    ("rz_golden.json", 100),
+    # W/Dicke angles 2 arccos(sqrt(j/n)), n <= 9, b in {4,8,12,14,30,40}:
+    # their candidates tie in float quality, so these words follow the
+    # exact quality; same_as_nested_scan marks (b <= 14) the words the
+    # nested-1D scan also gave
+    ("rz_golden_lattice.json", 162)])
+def test_rz_words_match_golden(name, count):
+    with open(os.path.join(os.path.dirname(__file__), name), encoding="utf-8") as f:
         cases = json.load(f)["cases"]
-    assert len(cases) == 100
+    assert len(cases) == count
     for c in cases:
         theta = float.fromhex(c["theta"])
         got = " ".join(synthesize_rz_tags(theta, 2.0 ** -c["b"]))
@@ -234,6 +242,16 @@ def test_grid_operator_makes_the_pair_upright(b):
             # a special grid operator has determinant +-1
             g11, g12, g21, g22 = _op_value(region.op)
             assert abs(abs(g11 * g22 - g12 * g21) - 1) < 1e-30
+
+
+def test_invariant_failure_is_not_a_synthesis_error(monkeypatch):
+    # a wrong column reduction is a program bug, not an unmeetable b, so it
+    # must not surface as the capacity error SynthesisError
+    monkeypatch.setattr(gridsynth, "_reduce_column", lambda u, t, k: [])
+    with pytest.raises(RuntimeError, match="internal error in Rz synthesis") as e:
+        synthesize_rz_tags(0.3, 2.0 ** -8)
+    assert not isinstance(e.value, SynthesisError)
+    assert "theta=0.3" in str(e.value) and "b=8" in str(e.value)
 
 
 @pytest.mark.parametrize("b", [30, 40])
