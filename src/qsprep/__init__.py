@@ -26,7 +26,6 @@ from .cliffordt_compile import (
     cost_model_t_count, exactly_preparable, lower_mcx, lower_toffoli,
     rewrite_ry, synthesize_rz,
 )
-from .cli_bench import SweepRow, rows_to_csv, run_sweep
 from .gridsynth import SynthesisError, synthesize_rz_tags
 from .rotation_synthesis import (
     AngleTable, StateValidationError, TargetState, build_angle_table,

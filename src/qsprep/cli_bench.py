@@ -193,8 +193,10 @@ def _spec_from(args) -> BenchmarkSpec:
 
 
 def _cfg_from(args) -> SynthesisConfig:
+    if args.b < 1:
+        raise UsageError("b must be >= 1")
     return SynthesisConfig(
-        b=getattr(args, "b", None) or 10,
+        b=args.b,
         toffoli_mode=args.backend_mode,
         rz_mode="cost-model" if args.fallback_cost_model else "gridsynth")
 
@@ -275,9 +277,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    cfg = _cfg_from(args)
     with open(args.circuit, encoding="utf-8") as f:
         circ = deserialize(f.read())
-    cfg = _cfg_from(args)
     compiled, rep = compile_circuit(circ, cfg)
     _write_out(serialize(compiled), args.out)
     sys.stdout.write(_report_json(rep))

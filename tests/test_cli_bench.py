@@ -3,9 +3,13 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsprep
 from qsprep import cli_bench, cliffordt_compile, gridsynth
 from qsprep.benchmark_states import BenchmarkSpec
 from qsprep.circuit_core import deserialize
@@ -115,6 +119,30 @@ def test_exit_codes():
     assert main(["estimate", "--family", "dicke", "--n", "3", "--k", "9",
                  "--method", "dense"]) == 3
     assert main(["nonsense-subcommand"]) == 2
+
+
+@pytest.mark.parametrize("b", [0, -1])
+@pytest.mark.parametrize("cmd", ["estimate", "compile"])
+def test_b_below_one_is_a_usage_error(cmd, b, tmp_path, capsys):
+    qc = tmp_path / "c.qc"
+    assert main(["synth", "--family", "w", "--n", "3", "--method", "dense",
+                 "--out", str(qc)]) == 0
+    argv = (["estimate", "--family", "dense_random", "--n", "3", "--method",
+             "dense"] if cmd == "estimate" else ["compile", str(qc)])
+    assert main(argv + ["--b", str(b)]) == 2
+    assert "usage error: b must be >= 1" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    src = str(Path(qsprep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qsprep.cli_bench", "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "usage: qsprep" in proc.stdout
 
 
 def test_estimate_at_b30_exits_zero(capsys):

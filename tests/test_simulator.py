@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qsprep.circuit_core import Circuit, Gate
+import reference_sim
+from qsprep.circuit_core import TAGS, Circuit, Gate
 from qsprep.simulator import (
-    CapacityError, address_marginal, classical_simulate, fidelity_prob,
-    fidelity_state, simulate,
+    CapacityError, address_marginal, apply_gate, classical_simulate,
+    fidelity_prob, fidelity_state, simulate,
 )
 from util import circuit_unitary
 
@@ -108,3 +111,90 @@ def test_address_marginal_orders_msb_first():
     assert m[0b10] == pytest.approx(1.0)
     m = address_marginal(psi, [2, 0], 3)
     assert m[0b01] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# slice kernels against the dense per-gate oracle (tests/reference_sim.py)
+
+_ARITY = {"CNOT": 2, "Swap": 2, "Toffoli": 3, "ControlledSwap": 3, "ANDU": 3}
+_angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@st.composite
+def _gate(draw, n):
+    tag = draw(st.sampled_from([t for t in TAGS if _ARITY.get(t, 1) <= n
+                                and not (t == "MultiControlledRy" and n < 2)]))
+    order = draw(st.permutations(range(n)))      # unsorted, non-adjacent operands
+    if tag == "MultiControlledRy":
+        k = draw(st.integers(1, n - 1))
+        mask = tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+        return Gate(tag, tuple(order[:k + 1]), angle=draw(_angle), mask=mask)
+    if tag == "UniformlyControlledRy":
+        k = draw(st.integers(0, n - 1))
+        angles = draw(st.lists(_angle, min_size=1 << k, max_size=1 << k))
+        return Gate(tag, tuple(order[:k + 1]), angles=tuple(angles))
+    angle = draw(_angle) if tag in ("Rz", "Ry") else None
+    return Gate(tag, tuple(order[:_ARITY.get(tag, 1)]), angle=angle)
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 6))
+    return Circuit(n, draw(st.lists(_gate(n), max_size=25)))
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return psi / np.linalg.norm(psi)
+
+
+def _check_against_oracle(circ, seed):
+    psi0 = _random_state(circ.n_qubits, seed)
+    before = psi0.copy()
+    got = simulate(circ, initial=psi0)
+    assert np.array_equal(psi0, before)            # the caller's state is untouched
+    want = reference_sim.simulate(circ, initial=psi0)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(_circuits(), st.integers(0, 2**32 - 1))
+def test_kernel_matches_dense_oracle(circ, seed):
+    _check_against_oracle(circ, seed)
+
+
+@pytest.mark.parametrize("gates", [
+    [Gate("CNOT", (3, 0)), Gate("Hadamard", (3,)), Gate("CNOT", (0, 3))],
+    [Gate("Hadamard", (1,)), Gate("Toffoli", (2, 0, 1)), Gate("T", (1,))],
+    [Gate("Ry", (2,), angle=0.4), Gate("ControlledSwap", (4, 0, 2))],
+    [Gate("MultiControlledRy", (4, 1, 3, 0), angle=1.3, mask=(1, 0, 1)),
+     Gate("MultiControlledRy", (0, 2), angle=-0.7, mask=(0,))],
+    [Gate("UniformlyControlledRy", (4, 2, 1, 0),
+          angles=tuple(0.1 * (i + 1) for i in range(8)))],
+    [Gate("Swap", (4, 1)), Gate("ANDU", (3, 1, 0)), Gate("Rz", (2,), angle=2.1)],
+])
+def test_kernel_matches_dense_oracle_on_scattered_operands(gates):
+    _check_against_oracle(Circuit(5, gates), seed=7)
+
+
+def test_andu_permutes_basis_states_exactly_as_toffoli():
+    n = 4
+    for a, b, t in itertools.permutations(range(n), 3):
+        andu = Circuit(n, [Gate("ANDU", (a, b, t))])
+        toffoli = Circuit(n, [Gate("Toffoli", (a, b, t))])
+        for x in range(1 << n):
+            e = np.zeros(1 << n, dtype=complex)
+            e[x] = 1.0
+            want = np.zeros(1 << n, dtype=complex)
+            want[classical_simulate(toffoli, x)] = 1.0
+            assert np.array_equal(simulate(andu, initial=e), want)
+            assert np.array_equal(simulate(toffoli, initial=e), want)
+
+
+def test_apply_gate_updates_a_complex_state_in_place():
+    psi = _random_state(3, seed=1)
+    want = reference_sim.apply_gate(psi.copy(), Gate("Hadamard", (1,)), 3)
+    out = apply_gate(psi, Gate("Hadamard", (1,)), 3)
+    assert np.shares_memory(out, psi)
+    assert np.max(np.abs(psi - want)) <= 1e-15

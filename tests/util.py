@@ -25,7 +25,7 @@ def tags_to_unitary(tags):
 
 
 def circuit_unitary(circ: Circuit) -> np.ndarray:
-    """Column-by-column dense unitary (independent of gate_matrix layout)."""
+    """Column-by-column dense unitary, one simulated basis state per column."""
     n = circ.n_qubits
     N = 1 << n
     cols = []
