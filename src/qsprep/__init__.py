@@ -22,11 +22,10 @@ from .circuit_core import (
     deserialize, is_pi4_multiple, serialize,
 )
 from .cliffordt_compile import (
-    CompileError, RingElement, SynthesisConfig, compile_circuit,
-    cost_model_t_count, exactly_preparable, lower_mcx, lower_toffoli,
-    rewrite_ry, synthesize_rz,
+    CompileError, SynthesisConfig, compile_circuit, cost_model_t_count,
+    lower_mcx, lower_toffoli,
 )
-from .gridsynth import SynthesisError, synthesize_rz_tags
+from .gridsynth import SynthesisError, exactly_preparable, synthesize_rz_tags
 from .rotation_synthesis import (
     AngleTable, StateValidationError, TargetState, build_angle_table,
     choose_pivot, demux_ucry, prune_constant_controls, synthesize_dense,

@@ -21,7 +21,7 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -135,10 +135,7 @@ def run_sweep(spec: BenchmarkSpec, methods: Sequence[str], bs: Sequence[int],
     rows: List[SweepRow] = []
     for method in sorted(methods, key=METHODS.index):
         for b in sorted(bs):
-            c = SynthesisConfig(b=b,
-                                toffoli_mode=(cfg.toffoli_mode if cfg else
-                                              "gidney_and_measured"),
-                                rz_mode=(cfg.rz_mode if cfg else "gridsynth"))
+            c = replace(cfg or SynthesisConfig(), b=b)
             if method in ROTATION_METHODS:
                 rep, infid, kind, ms = _rotation_row(state, method, b, c, budget)
             else:
@@ -193,12 +190,14 @@ def _spec_from(args) -> BenchmarkSpec:
 
 
 def _cfg_from(args) -> SynthesisConfig:
-    if args.b < 1:
-        raise UsageError("b must be >= 1")
-    return SynthesisConfig(
-        b=args.b,
+    cfg = SynthesisConfig(
         toffoli_mode=args.backend_mode,
         rz_mode="cost-model" if args.fallback_cost_model else "gridsynth")
+    if args.b is None:                   # bench: run_sweep sets b per row
+        return cfg
+    if args.b < 1:
+        raise UsageError("b must be >= 1")
+    return replace(cfg, b=args.b)
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -303,16 +302,10 @@ def _cmd_estimate(args) -> int:
 def _cmd_bench(args) -> int:
     methods = args.methods or list(METHODS)
     bs = _parse_b_values(args)
-    rows = run_sweep(_spec_from(args), methods, bs, cfg=_cfg_from_bench(args),
+    rows = run_sweep(_spec_from(args), methods, bs, cfg=_cfg_from(args),
                      budget=args.budget_qubits)
     _write_out(rows_to_csv(rows), args.out)
     return 0
-
-
-def _cfg_from_bench(args) -> SynthesisConfig:
-    return SynthesisConfig(
-        toffoli_mode=args.backend_mode,
-        rz_mode="cost-model" if args.fallback_cost_model else "gridsynth")
 
 
 def _cmd_verify(args) -> int:

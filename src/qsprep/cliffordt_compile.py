@@ -1,12 +1,16 @@
 """Lowering of logical circuits to explicit Clifford+T gate streams.
 
-Rotations route through exact synthesis when the angle is a multiple of
-pi/4 (minimal S/T word, zero error) and through grid-based approximate
-synthesis otherwise.  Ry rewrites to an Rz conjugated by the Clifford
-S.H basis change; controlled rotations use the standard two-rotation
-split; Toffolis and multi-controlled gates lower through temporary-AND
-ancilla chains (4 T each in the measured-uncompute model, 7 in the
-textbook decomposition).
+`compile_circuit` is the one path from a logical gate to Clifford+T
+gates; `_Lowerer` emits every gate of the output stream.
+
+- Rz: a multiple of pi/4 becomes its minimal S/T word (zero error); any
+  other angle becomes a grid-synthesized word within eps = 2^-b.  Every
+  word comes from `synthesize_rz_tags`, memoized per (theta, eps).
+- Ry is an Rz conjugated by the Clifford S.H basis change; a controlled
+  Ry is the standard two-rotation split around a pair of CNOTs.
+- Toffolis and multi-controlled gates share one V-chain: a ladder of
+  temporary ANDs into ancillas (Gidney, arXiv:1709.06648; 4 T each and
+  a measured uncompute) or of textbook 7-T Toffolis.
 
 A documented fallback ("cost-model") keeps large resource sweeps cheap:
 instead of synthesizing, each residual Rz stays in the output as a
@@ -17,15 +21,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circuit_core import (
-    Circuit, CircuitError, Gate, ResourceReport, count_resources,
-    is_pi4_multiple,
+    Circuit, Gate, ResourceReport, count_resources, is_pi4_multiple,
 )
-from .gridsynth import exactly_preparable as _exactly_preparable_floats
 from .gridsynth import synthesize_rz_tags
-from .rings import ZOmega
 from .rotation_synthesis import AngleTable, demux_ucry
 
 
@@ -62,80 +63,7 @@ def cost_model_t_count(eps: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Ring elements of Z[i, 1/sqrt2]
-
-
-def _gcd_pow2_sqrt2(a: int, b: int, c: int, d: int, k: int) -> Tuple[int, ...]:
-    # divide (a + b sqrt2 + i c + i d sqrt2)/sqrt2^k by sqrt2/sqrt2 while k>0:
-    # needs a, c even; quotient coefficients (b, a/2, d, c/2)
-    while k > 0 and a % 2 == 0 and c % 2 == 0:
-        a, b, c, d, k = b, a // 2, d, c // 2, k - 1
-    return a, b, c, d, k
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """(a + b*sqrt2 + i*c + i*d*sqrt2) / sqrt2^k, canonicalized."""
-    a: int
-    b: int
-    c: int
-    d: int
-    k: int = 0
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise CompileError("denominator exponent must be >= 0")
-        a, b, c, d, k = _gcd_pow2_sqrt2(self.a, self.b, self.c, self.d, self.k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "k", k)
-
-    @property
-    def is_real(self) -> bool:
-        return self.c == 0 and self.d == 0
-
-    def value(self) -> complex:
-        s = math.sqrt(2.0)
-        num = complex(self.a + self.b * s, self.c + self.d * s)
-        return num / s ** self.k
-
-    def numerator_zomega(self) -> ZOmega:
-        return ZOmega(self.a, self.b + self.d, self.c, self.d - self.b)
-
-    @staticmethod
-    def from_zomega(u: ZOmega, k: int = 0) -> "RingElement":
-        # u = a' + (b'-d')/sqrt2 + i c' + i (b'+d')/sqrt2; rescale by sqrt2
-        # when the omega/omega^3 parts do not split over integer sqrt2 coeffs
-        if (u.b - u.d) % 2:
-            from .rings import ZO_SQRT2
-            u = u * ZO_SQRT2
-            k += 1
-        return RingElement(u.a, (u.b - u.d) // 2, u.c, (u.b + u.d) // 2, k)
-
-
-def exactly_preparable(alpha0: Union[float, RingElement],
-                       alpha1: Union[float, RingElement],
-                       k_max: int = 32) -> Tuple[bool, Optional[int]]:
-    """Ancilla-free Clifford+T preparability of a real two-amplitude pair.
-
-    Ring-form inputs are members by construction (phase class 0); float
-    inputs are matched against ring candidates at denominator exponent
-    <= k_max under phases e^{i j pi/8}.
-    """
-    if isinstance(alpha0, RingElement) and isinstance(alpha1, RingElement):
-        if not (alpha0.is_real and alpha1.is_real):
-            raise CompileError("ring inputs must be real")
-        v0, v1 = alpha0.value().real, alpha1.value().real
-        if abs(v0 * v0 + v1 * v1 - 1.0) > 1e-9:
-            raise CompileError("state must be normalized")
-        return True, 0
-    return _exactly_preparable_floats(float(alpha0), float(alpha1), k_max)
-
-
-# ---------------------------------------------------------------------------
-# Single-rotation synthesis
+# Rz words
 
 # memo shared across compile calls; guarded for concurrent use
 _MEMO: Dict[Tuple[float, float], Tuple[str, ...]] = {}
@@ -152,31 +80,6 @@ def _rz_tags(theta: float, eps: float) -> Tuple[str, ...]:
     with _MEMO_LOCK:
         _MEMO[key] = tags
     return tags
-
-
-def synthesize_rz(theta: float, eps: float, mode: str = "gridsynth") -> Circuit:
-    """Single-qubit Clifford+T circuit within eps of Rz(theta) (up to phase).
-
-    Exact pi/4 multiples emit the minimal S/T word with zero error.  In
-    "cost-model" mode non-exact angles stay as an Rz placeholder gate.
-    """
-    if not (0 < eps <= 1):
-        raise CompileError("eps must be in (0, 1]")
-    if mode not in RZ_MODES:
-        raise CompileError(f"unknown rz mode {mode!r}")
-    if mode == "cost-model" and not is_pi4_multiple(theta):
-        return Circuit(1, [Gate("Rz", (0,), angle=theta)])
-    gates = [Gate(tag, (0,)) for tag in _rz_tags(theta, eps)]
-    return Circuit(1, gates)
-
-
-def rewrite_ry(theta: float, eps: float, mode: str = "gridsynth") -> Circuit:
-    """Ry(theta) as the Clifford conjugation S.H * Rz(theta) * H.Sdg."""
-    rz = synthesize_rz(theta, eps, mode)
-    gates = [Gate("Sdg", (0,)), Gate("Hadamard", (0,))]
-    gates += rz.gates
-    gates += [Gate("Hadamard", (0,)), Gate("S", (0,))]
-    return Circuit(1, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -206,60 +109,47 @@ def _toffoli_7t(a: int, b: int, t: int) -> List[Gate]:
     ]
 
 
-def lower_toffoli(a: int, b: int, t: int, anc: int,
-                  mode: str = "gidney_and_measured") -> List[Gate]:
-    """One Toffoli as explicit gates; gidney mode borrows ancilla `anc`."""
-    if mode == "textbook_7T":
-        return _toffoli_7t(a, b, t)
-    if mode == "gidney_and_measured":
-        return (_and_compute(a, b, anc)
-                + [Gate("CNOT", (anc, t)), Gate("ANDU", (a, b, anc))])
-    raise CompileError(f"unknown toffoli mode {mode!r}")
+def _v_chain(controls: Sequence[int], ancillas: Sequence[int], mode: str
+             ) -> Tuple[List[Gate], Optional[int], List[Gate]]:
+    """AND of all `controls` into one qubit via len(controls)-1 ANDs.
+
+    Returns (compute, top, uncompute): after `compute` the qubit `top`
+    holds the AND, and `uncompute` returns the ancillas to |0>.  One
+    control is its own top; no controls give top None.
+    """
+    if mode not in TOFFOLI_MODES:
+        raise CompileError(f"unknown toffoli mode {mode!r}")
+    if len(ancillas) < len(controls) - 1:
+        raise CompileError("V-chain needs len(controls)-1 ancillas")
+    compute: List[Gate] = []
+    uncompute: List[Gate] = []
+    top = controls[0] if controls else None
+    for b, anc in zip(controls[1:], ancillas):
+        if mode == "gidney_and_measured":
+            compute += _and_compute(top, b, anc)
+            uncompute = [Gate("ANDU", (top, b, anc))] + uncompute
+        else:
+            compute += _toffoli_7t(top, b, anc)
+            uncompute = _toffoli_7t(top, b, anc) + uncompute
+        top = anc
+    return compute, top, uncompute
 
 
 def lower_mcx(controls: Sequence[int], target: int, ancillas: Sequence[int],
               mode: str = "gidney_and_measured") -> List[Gate]:
     """Multi-controlled X via a V-chain of len(controls)-1 temporary ANDs."""
-    c = len(controls)
-    if c == 0:
+    compute, top, uncompute = _v_chain(controls, ancillas, mode)
+    if top is None:
         return [Gate("PauliX", (target,))]
-    if c == 1:
-        return [Gate("CNOT", (controls[0], target))]
-    if len(ancillas) < c - 1:
-        raise CompileError("V-chain needs len(controls)-1 ancillas")
-    gates: List[Gate] = []
-    pairs = []                       # (a, b, anc) in compute order
-    top = controls[0]
-    for i in range(c - 1):
-        anc = ancillas[i]
-        pairs.append((top, controls[i + 1], anc))
-        top = anc
-    for a, b, anc in pairs[:-1]:
-        gates += _chain_and(a, b, anc, mode)
-    a, b, anc = pairs[-1]
-    if mode == "gidney_and_measured":
-        gates += _and_compute(a, b, anc)
-        gates.append(Gate("CNOT", (anc, target)))
-        gates.append(Gate("ANDU", (a, b, anc)))
-    else:
-        gates += _toffoli_7t(a, b, anc)
-        gates.append(Gate("CNOT", (anc, target)))
-        gates += _toffoli_7t(a, b, anc)
-    for a, b, anc in reversed(pairs[:-1]):
-        gates += _chain_unand(a, b, anc, mode)
-    return gates
+    return compute + [Gate("CNOT", (top, target))] + uncompute
 
 
-def _chain_and(a: int, b: int, anc: int, mode: str) -> List[Gate]:
-    if mode == "gidney_and_measured":
-        return _and_compute(a, b, anc)
-    return _toffoli_7t(a, b, anc)
-
-
-def _chain_unand(a: int, b: int, anc: int, mode: str) -> List[Gate]:
-    if mode == "gidney_and_measured":
-        return [Gate("ANDU", (a, b, anc))]
-    return _toffoli_7t(a, b, anc)
+def lower_toffoli(a: int, b: int, t: int, anc: Optional[int],
+                  mode: str = "gidney_and_measured") -> List[Gate]:
+    """One Toffoli as explicit gates; gidney mode borrows ancilla `anc`."""
+    if mode == "textbook_7T":
+        return _toffoli_7t(a, b, t)
+    return lower_mcx((a, b), t, (anc,), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -309,34 +199,18 @@ class _Lowerer:
         self.emit_ry(t, theta / 2)
 
     def emit_toffoli(self, a: int, b: int, t: int) -> None:
-        if self.cfg.toffoli_mode == "gidney_and_measured":
-            anc = self.ancillas(1)[0]
-            self.gates += lower_toffoli(a, b, t, anc, self.cfg.toffoli_mode)
-        else:
-            self.gates += _toffoli_7t(a, b, t)
+        mode = self.cfg.toffoli_mode
+        anc = self.ancillas(1)[0] if mode == "gidney_and_measured" else None
+        self.gates += lower_toffoli(a, b, t, anc, mode)
 
     def emit_mcry(self, controls: Sequence[int], target: int,
                   mask: Sequence[int], theta: float) -> None:
-        flips = [q for q, m in zip(controls, mask) if m == 0]
-        for q in flips:
-            self.gates.append(Gate("PauliX", (q,)))
-        c = len(controls)
-        if c == 1:
-            self.emit_cry(controls[0], target, theta)
-        else:
-            ancs = self.ancillas(c - 1)
-            pairs = []
-            top = controls[0]
-            for i in range(c - 1):
-                pairs.append((top, controls[i + 1], ancs[i]))
-                top = ancs[i]
-            for a, b, anc in pairs:
-                self.gates += _chain_and(a, b, anc, self.cfg.toffoli_mode)
-            self.emit_cry(top, target, theta)
-            for a, b, anc in reversed(pairs):
-                self.gates += _chain_unand(a, b, anc, self.cfg.toffoli_mode)
-        for q in flips:
-            self.gates.append(Gate("PauliX", (q,)))
+        flips = [Gate("PauliX", (q,)) for q, m in zip(controls, mask) if m == 0]
+        compute, top, uncompute = _v_chain(
+            controls, self.ancillas(len(controls) - 1), self.cfg.toffoli_mode)
+        self.gates += flips + compute
+        self.emit_cry(top, target, theta)
+        self.gates += uncompute + flips
 
     def lower(self, g: Gate) -> None:
         tag = g.tag

@@ -182,12 +182,6 @@ class ZOmega:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
-    def mul_omega(self, j: int = 1) -> "ZOmega":
-        out = self
-        for _ in range(j % 8):
-            out = ZOmega(-out.d, out.a, out.b, out.c)
-        return out
-
     def abs_sq(self) -> ZSqrt2:
         """u.conj()*u as an element of Z[sqrt2] (always real)."""
         p = self.conj() * self
@@ -208,15 +202,6 @@ class ZOmega:
         w = mp.mpc(h, h)
         return self.a + self.b * w + self.c * mp.mpc(0, 1) + self.d * w * mp.mpc(0, 1)
 
-    def unit_log(self) -> int:
-        """j with self = w^j; error if self is not a power of omega."""
-        u = ZOmega(1, 0, 0, 0)
-        for j in range(8):
-            if self == u:
-                return j
-            u = u.mul_omega()
-        raise RingError(f"{self} is not a power of omega")
-
 
 ZO_ZERO = ZOmega(0, 0, 0, 0)
 ZO_ONE = ZOmega(1, 0, 0, 0)
@@ -226,18 +211,6 @@ ZO_DELTA = ZOmega(1, 1, 0, 0)     # 1 + w; delta.conj()*delta = sqrt2 * lambda
 
 def zo_from_zsqrt2(x: ZSqrt2) -> ZOmega:
     return ZOmega(x.a, x.b, 0, -x.b)
-
-
-def zo_div_sqrt2(u: ZOmega) -> ZOmega:
-    """u / sqrt2; exists iff a = c (mod 2) and b = d (mod 2)."""
-    if (u.a - u.c) % 2 or (u.b - u.d) % 2:
-        raise RingError("not divisible by sqrt2")
-    return ZOmega((u.b - u.d) // 2, (u.a + u.c) // 2,
-                  (u.b + u.d) // 2, (u.c - u.a) // 2)
-
-
-def zo_sqrt2_divisible(u: ZOmega) -> bool:
-    return (u.a - u.c) % 2 == 0 and (u.b - u.d) % 2 == 0
 
 
 def zo_div_exact(u: ZOmega, v: ZOmega) -> ZOmega:

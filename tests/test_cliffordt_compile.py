@@ -6,12 +6,10 @@ import pytest
 
 from qsprep.circuit_core import Circuit, Gate, count_resources
 from qsprep.cliffordt_compile import (
-    CompileError, RingElement, SynthesisConfig, compile_circuit,
-    cost_model_t_count, exactly_preparable, lower_mcx, lower_toffoli,
-    rewrite_ry, synthesize_rz,
+    TOFFOLI_MODES, CompileError, SynthesisConfig, compile_circuit,
+    cost_model_t_count, lower_mcx, lower_toffoli,
 )
-from qsprep.rings import ZOmega
-from qsprep.simulator import simulate
+from qsprep.gridsynth import exactly_preparable
 from util import circuit_unitary, phase_dist, ry_matrix, rz_matrix, tags_to_unitary
 
 TOFFOLI = np.eye(8, dtype=complex)
@@ -24,6 +22,12 @@ def _anc_zero_block(u, n_data, n_anc):
     """Action on the subspace where trailing ancillas are |0>."""
     idx = [b << n_anc for b in range(1 << n_data)]
     return u[np.ix_(idx, idx)]
+
+
+def _compile_1q(tag, theta, b):
+    """One Rz/Ry gate through compile_circuit at eps = 2^-b."""
+    circ = Circuit(1, [Gate(tag, (0,), angle=theta)])
+    return compile_circuit(circ, SynthesisConfig(b=b))
 
 
 # ---------------------------------------------------------------------------
@@ -41,36 +45,33 @@ def test_config_validation():
 
 
 def test_synthesize_rz_identity_and_t():
-    assert len(synthesize_rz(0.0, 0.5)) == 0
-    c = synthesize_rz(math.pi / 4, 0.5)
+    c, _ = _compile_1q("Rz", 0.0, 1)
+    assert len(c) == 0
+    c, _ = _compile_1q("Rz", math.pi / 4, 1)
     assert [g.tag for g in c.gates] == ["T"]
-    with pytest.raises(CompileError):
-        synthesize_rz(0.1, 0.0)
-    with pytest.raises(CompileError):
-        synthesize_rz(0.1, 1.5)
 
 
 def test_synthesize_rz_budget_and_distance():
-    c = synthesize_rz(0.1, 2.0 ** -10)
+    c, rep = _compile_1q("Rz", 0.1, 10)
     u = circuit_unitary(c)
     assert phase_dist(u, rz_matrix(0.1)) <= 2.0 ** -10
-    assert count_resources(c).compiled_T <= 4 * 10 + 20
+    assert rep.compiled_T <= 4 * 10 + 20
 
 
 def test_rewrite_ry_matrix_checks():
     # theta = 0: pure Clifford identity
-    c = rewrite_ry(0.0, 0.5)
+    c, _ = _compile_1q("Ry", 0.0, 1)
     assert [g.tag for g in c.gates] == ["Sdg", "Hadamard", "Hadamard", "S"]
     assert phase_dist(circuit_unitary(c), np.eye(2, dtype=complex)) < 1e-12
     # theta = pi: exact up to phase
-    c = rewrite_ry(math.pi, 2.0 ** -10)
+    c, _ = _compile_1q("Ry", math.pi, 10)
     assert phase_dist(circuit_unitary(c), ry_matrix(math.pi)) < 1e-12
     # theta = pi/2: Rz(pi/2) routes to the exact S word, zero T
-    c = rewrite_ry(math.pi / 2, 2.0 ** -10)
-    assert count_resources(c).compiled_T == 0
+    c, rep = _compile_1q("Ry", math.pi / 2, 10)
+    assert rep.compiled_T == 0
     assert phase_dist(circuit_unitary(c), ry_matrix(math.pi / 2)) < 1e-12
     # generic angle within synthesis error
-    c = rewrite_ry(1.2345, 2.0 ** -12)
+    c, _ = _compile_1q("Ry", 1.2345, 12)
     assert phase_dist(circuit_unitary(c), ry_matrix(1.2345)) <= 2.0 ** -12 + 1e-14
 
 
@@ -112,6 +113,12 @@ def test_lower_mcx_requires_enough_ancillas():
         lower_mcx([0, 1, 2], 3, [4])
 
 
+@pytest.mark.parametrize("controls", [[], [0], [0, 1, 2]])
+def test_lower_mcx_rejects_unknown_mode(controls):
+    with pytest.raises(CompileError):
+        lower_mcx(controls, 3, [4, 5], mode="nope")
+
+
 # ---------------------------------------------------------------------------
 # Whole-circuit compilation
 
@@ -139,29 +146,42 @@ def test_output_alphabet_is_clifford_t():
     assert rep.n_rz_synth >= 5          # 0.3, +-0.25, demux pair, -1.0
 
 
-def test_compile_preserves_unitary_within_budget():
+_ARITY = {"CNOT": 2, "Swap": 2, "Toffoli": 3, "ControlledSwap": 3}
+
+
+def _random_logical_gate(rng, n):
+    kind = rng.choice(["Ry", "Rz", "Hadamard", "MultiControlledRy",
+                       "UniformlyControlledRy", *_ARITY])
+    if kind in ("Ry", "Rz"):
+        return Gate(kind, (rng.randrange(n),), angle=rng.uniform(-3, 3))
+    if kind == "Hadamard":
+        return Gate(kind, (rng.randrange(n),))
+    if kind == "MultiControlledRy":
+        c = rng.randint(1, 3)
+        return Gate(kind, tuple(rng.sample(range(n), c + 1)),
+                    angle=rng.uniform(-3, 3),
+                    mask=tuple(rng.randrange(2) for _ in range(c)))
+    if kind == "UniformlyControlledRy":
+        c = rng.randint(1, 2)
+        return Gate(kind, tuple(rng.sample(range(n), c + 1)),
+                    angles=tuple(rng.uniform(-3, 3) for _ in range(1 << c)))
+    return Gate(kind, tuple(rng.sample(range(n), _ARITY[kind])))
+
+
+@pytest.mark.parametrize("mode", TOFFOLI_MODES)
+def test_compile_preserves_unitary_within_budget(mode):
     rng = random.Random(7)
-    b = 12
-    for _ in range(4):
-        gates = []
-        for _ in range(5):
-            kind = rng.choice(["Ry", "Rz", "CNOT", "Hadamard", "Toffoli"])
-            if kind in ("Ry", "Rz"):
-                gates.append(Gate(kind, (rng.randrange(3),),
-                                  angle=rng.uniform(-3, 3)))
-            elif kind == "CNOT":
-                q = rng.sample(range(3), 2)
-                gates.append(Gate("CNOT", tuple(q)))
-            elif kind == "Toffoli":
-                gates.append(Gate("Toffoli", tuple(rng.sample(range(3), 3))))
-            else:
-                gates.append(Gate("Hadamard", (rng.randrange(3),)))
-        circ = Circuit(3, gates)
-        out, rep = compile_circuit(circ, SynthesisConfig(b=b))
-        anc = out.n_qubits - 3
-        got = _anc_zero_block(circuit_unitary(out), 3, anc)
+    n, b = 4, 12
+    seen = set()
+    for _ in range(6):
+        circ = Circuit(n, [_random_logical_gate(rng, n) for _ in range(5)])
+        seen |= {g.tag for g in circ.gates}
+        out, rep = compile_circuit(circ, SynthesisConfig(b=b, toffoli_mode=mode))
+        anc = out.n_qubits - n
+        got = _anc_zero_block(circuit_unitary(out), n, anc)
         want = circuit_unitary(circ)
         assert phase_dist(got, want) <= rep.n_rz_synth * 2.0 ** -b + 1e-9
+    assert len(seen) == 9                  # the draw reached every gate kind
 
 
 def test_ucry_lowering_compiles_each_demuxed_rotation():
@@ -205,39 +225,7 @@ def test_cost_model_fallback():
 
 
 # ---------------------------------------------------------------------------
-# Ring elements + preparability
-
-
-def test_ring_element_canonical_form():
-    r = RingElement(2, 0, 2, 0, 2)            # (2 + 2i)/2
-    assert (r.a, r.b, r.c, r.d, r.k) == (1, 0, 1, 0, 0)
-    assert abs(r.value() - (1 + 1j)) < 1e-12
-    r = RingElement(1, 0, 1, 0, 1)            # (1+i)/sqrt2 = omega: minimal
-    assert r.k == 1
-    with pytest.raises(CompileError):
-        RingElement(1, 0, 0, 0, -1)
-
-
-def test_ring_element_zomega_round_trip():
-    rng = random.Random(3)
-    for _ in range(50):
-        u = ZOmega(*(rng.randrange(-9, 10) for _ in range(4)))
-        k = rng.randrange(0, 5)
-        r = RingElement.from_zomega(u, k)
-        assert abs(r.value() - u.value() / math.sqrt(2) ** k) < 1e-9
-        # numerator maps back to an associate scaling of u
-        assert abs(r.numerator_zomega().value() / math.sqrt(2) ** r.k
-                   - u.value() / math.sqrt(2) ** k) < 1e-9
-
-
-def test_exactly_preparable_ring_inputs():
-    half = RingElement(1, 0, 0, 0, 1)          # 1/sqrt2
-    ok, j = exactly_preparable(half, half)
-    assert ok and j == 0
-    with pytest.raises(CompileError):
-        exactly_preparable(RingElement(1, 0, 0, 0), RingElement(1, 0, 0, 0))
-    with pytest.raises(CompileError):
-        exactly_preparable(RingElement(0, 0, 1, 0), RingElement(1, 0, 0, 0))
+# Preparability
 
 
 def test_exactly_preparable_agrees_with_word_search():

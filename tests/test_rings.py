@@ -1,13 +1,12 @@
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsprep.gridsynth import _W_UNIT_LOG, _w_div_sqrt2, _w_divisible, _w_rot
 from qsprep.rings import (
-    ZO_DELTA, ZO_ONE, ZO_SQRT2, ZS_LAMBDA, ZS_LAMBDA_INV, ZS_ONE,
-    ZOmega, ZSqrt2, zo_div_exact, zo_div_sqrt2, zo_gcd, zo_mod,
-    zo_sqrt2_divisible, zs_divides, zs_gcd, zs_lambda_power,
+    ZO_DELTA, ZO_SQRT2, ZS_LAMBDA, ZS_LAMBDA_INV, ZS_ONE, ZOmega, ZSqrt2,
+    zo_div_exact, zo_gcd, zo_mod, zs_divides, zs_gcd, zs_lambda_power,
     zs_sqrt2_valuation,
 )
 
@@ -16,6 +15,10 @@ _zs = st.builds(ZSqrt2, _i, _i)
 _zo = st.builds(ZOmega, _i, _i, _i, _i)
 
 _W = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+
+
+def _tup(x):
+    return (x.a, x.b, x.c, x.d)
 
 
 def _val(x):
@@ -106,9 +109,9 @@ def test_sqrt2_constants():
 
 @given(_zo)
 def test_div_sqrt2_inverts_mul(x):
-    y = x * ZO_SQRT2
-    assert zo_sqrt2_divisible(y)
-    assert zo_div_sqrt2(y) == x
+    y = _tup(x * ZO_SQRT2)
+    assert _w_divisible(y)
+    assert _w_div_sqrt2(y) == _tup(x)
 
 
 @given(_zo, _zo)
@@ -147,14 +150,14 @@ def test_zo_gcd_divides_both(x, y):
 
 @given(_zo, st.integers(0, 15))
 def test_mul_omega_rotates_value(x, j):
-    y = x.mul_omega(j)
+    y = ZOmega(*_w_rot(_tup(x), j))
     assert abs(_val(y) - _val(x) * _W ** (j % 8)) < 1e-8
 
 
 def test_unit_log():
-    u = ZO_ONE
+    u = (1, 0, 0, 0)
     for j in range(8):
-        assert u.unit_log() == j
-        u = u.mul_omega()
-    with pytest.raises(ArithmeticError):
-        ZOmega(2, 0, 0, 0).unit_log()
+        assert _W_UNIT_LOG[u] == j
+        u = _w_rot(u, 1)
+    assert u == (1, 0, 0, 0)
+    assert len(_W_UNIT_LOG) == 8 and (2, 0, 0, 0) not in _W_UNIT_LOG
