@@ -13,13 +13,14 @@ uncomputed; only the address-register marginal is contractual.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .circuit_core import Circuit, CircuitError, Gate, ResourceReport, count_resources
+from .circuit_core import (
+    Circuit, CircuitError, Gate, ResourceReport, count_resources, remap_gate,
+)
 
 
 class ValidationError(ValueError):
@@ -401,13 +402,9 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
     for q in addr:
         gates.append(Gate("Hadamard", (q,)))
     stage("lookup_alias")
-    gates.extend(Gate(g.tag, tuple(alias_map[q] for q in g.qubits),
-                      angle=g.angle, mask=g.mask, angles=g.angles)
-                 for g in alias_lk.gates)
+    gates.extend(remap_gate(g, alias_map) for g in alias_lk.gates)
     stage("lookup_keep")
-    gates.extend(Gate(g.tag, tuple(keep_map[q] for q in g.qubits),
-                      angle=g.angle, mask=g.mask, angles=g.angles)
-                 for g in keep_lk.gates)
+    gates.extend(remap_gate(g, keep_map) for g in keep_lk.gates)
     stage("random")
     for q in sigma:
         gates.append(Gate("Hadamard", (q,)))

@@ -86,6 +86,8 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "registers", dict(self.registers))
+        if self.n_qubits < 0:
+            raise CircuitError(f"qubit count {self.n_qubits} is negative")
         for g in self.gates:
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise CircuitError(f"gate {g.tag} operand out of range for {self.n_qubits} qubits")

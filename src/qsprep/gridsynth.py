@@ -29,9 +29,11 @@ from sympy import factorint
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from .rings import (
-    RingError, ZI, ZOmega, ZRootM2, ZSqrt2,
-    ZO_DELTA, ZO_ONE, ZO_ZERO, ZS_ONE, ZS_ZERO,
-    zi_gcd, zi_to_zomega, zm2_gcd, zm2_to_zomega, zo_gcd, zo_from_zsqrt2,
+    RingError, ZOmega, ZSqrt2,
+    ZO_DELTA, ZO_ONE, ZO_UNIT_LOG, ZO_ZERO, ZS_ONE, ZS_ZERO,
+    zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2, zo_from_zmd,
+    zo_from_zsqrt2, zo_galois, zo_gcd, zo_mpvalue, zo_mul, zo_pow, zo_rot,
+    zo_sqrt2_divisible, zo_sub, zo_value,
     zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_sqrt2_valuation,
 )
 
@@ -97,16 +99,6 @@ def solve_grid_1d(l1: float, u1: float, l2: float, u2: float,
 # Diophantine: t.conj * t = xi over Z[omega], xi in Z[sqrt2] totally >= 0
 
 
-def _zo_pow(u: ZOmega, e: int) -> ZOmega:
-    out = ZO_ONE
-    while e:
-        if e & 1:
-            out = out * u
-        u = u * u
-        e >>= 1
-    return out
-
-
 def _zs_valuation(x: ZSqrt2, p: ZSqrt2) -> Tuple[int, ZSqrt2]:
     v = 0
     while zs_divides(p, x):
@@ -126,13 +118,10 @@ def _split_prime_1mod8(pi: ZSqrt2, p: int) -> Optional[ZOmega]:
         if y0 is None:
             continue
         for y in (y0, p - y0):
-            cand = zo_gcd(pio, ZOmega(-y, 1, 0, 0))   # gcd(pi, w - y)
-            if cand.is_zero():
+            cand = zo_gcd(pio, (-y, 1, 0, 0))   # gcd(pi, w - y)
+            if cand == ZO_ZERO:
                 continue
-            try:
-                q = cand.abs_sq()
-            except RingError:
-                continue
+            q = zo_abs_sq(cand)
             if abs(q.norm()) != abs(pi.norm()):
                 continue
             if zs_divides(pi, q) and zs_divides(q, pi):
@@ -146,7 +135,7 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
     if not xi.totally_positive():
         return None
     m, xi0 = zs_sqrt2_valuation(xi)
-    t = _zo_pow(ZO_DELTA, m)
+    t = zo_pow(ZO_DELTA, m)
     # norm can be negative (odd sqrt2 valuation); sign lands in the unit fix
     N = abs(xi0.norm())
     for p, f in factorint(N).items():
@@ -166,35 +155,27 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
                 tp = _split_prime_1mod8(pi, p)
                 if tp is None:
                     return None
-                t = t * _zo_pow(tp, v1) * _zo_pow(tp.galois(), v2)
+                t = zo_mul(zo_mul(t, zo_pow(tp, v1)), zo_pow(zo_galois(tp), v2))
             else:  # r == 7: pi contributes only in even powers
                 if v1 % 2 or v2 % 2:
                     return None
-                t = t * _zo_pow(zo_from_zsqrt2(pi), v1 // 2)
-                t = t * _zo_pow(zo_from_zsqrt2(pi.conj()), v2 // 2)
+                t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi), v1 // 2))
+                t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi.conj()), v2 // 2))
         else:  # p inert in Z[sqrt2]
             if f % 2:
                 return None
-            v = f // 2
-            if r == 5:
-                c0 = sqrt_mod(p - 1, p)
-                if c0 is None:
-                    return None
-                eta = zi_gcd(ZI(p, 0), ZI(c0, -1))
-                if eta.norm() != p:
-                    return None
-                t = t * _zo_pow(zi_to_zomega(eta), v)
-            else:  # r == 3
-                c0 = sqrt_mod(p - 2, p)
-                if c0 is None:
-                    return None
-                eta = zm2_gcd(ZRootM2(p, 0), ZRootM2(c0, -1))
-                if eta.norm() != p:
-                    return None
-                t = t * _zo_pow(zm2_to_zomega(eta), v)
+            # p = x^2 + d y^2 splits in Z[sqrt(-d)]: d = 1 for r = 5, 2 for r = 3
+            d = 1 if r == 5 else 2
+            c0 = sqrt_mod(p - d, p)
+            if c0 is None:
+                return None
+            x, y = eta = zmd_gcd((p, 0), (c0, -1), d)
+            if x * x + d * y * y != p:
+                return None
+            t = zo_mul(t, zo_pow(zo_from_zmd(eta, d), f // 2))
     # fix the remaining totally positive unit lambda^{2m'}
     try:
-        s = zs_div_exact(xi, t.abs_sq())
+        s = zs_div_exact(xi, zo_abs_sq(t))
     except RingError:
         return None
     if abs(s.norm()) != 1 or not s.totally_positive():
@@ -206,32 +187,22 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
         mm = -mm
     for cand in (mm, mm - 1, mm + 1, mm - 2, mm + 2):
         if zs_lambda_power(2 * cand) == s:
-            t = t * zo_from_zsqrt2(zs_lambda_power(cand))
+            t = zo_mul(t, zo_from_zsqrt2(zs_lambda_power(cand)))
             break
     else:
         return None
-    if t.abs_sq() != xi:
+    if zo_abs_sq(t) != xi:
         return None
     return t
 
 
 # ---------------------------------------------------------------------------
 # Exact synthesis of ring unitaries into gate tags (temporal order)
-#
-# The arithmetic runs on plain (a, b, c, d) int tuples for a + b w + c w^2
-# + d w^3, which is several times faster than the ZOmega dataclass.
 
 _T_WORD = {
     0: [], 1: ["T"], 2: ["S"], 3: ["S", "T"],
     4: ["S", "S"], 5: ["Sdg", "Tdg"], 6: ["Sdg"], 7: ["Tdg"],
 }
-
-_W = Tuple[int, int, int, int]
-_W_ZERO: _W = (0, 0, 0, 0)
-_W_ONE: _W = (1, 0, 0, 0)
-_W_UNIT_LOG = {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2,
-               (0, 0, 0, 1): 3, (-1, 0, 0, 0): 4, (0, -1, 0, 0): 5,
-               (0, 0, -1, 0): 6, (0, 0, 0, -1): 7}
 
 
 @dataclass(frozen=True)
@@ -246,53 +217,18 @@ class RingMatrix:
     def value(self):
         import numpy as np
         s = SQRT2 ** self.k
-        return np.array([[self.m00.value(), self.m01.value()],
-                         [self.m10.value(), self.m11.value()]], dtype=complex) / s
+        return np.array([[zo_value(self.m00), zo_value(self.m01)],
+                         [zo_value(self.m10), zo_value(self.m11)]], dtype=complex) / s
 
 
-def _w_add(u: _W, v: _W) -> _W:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
-
-
-def _w_sub(u: _W, v: _W) -> _W:
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3])
-
-
-def _w_mul(u: _W, v: _W) -> _W:
-    a1, b1, c1, d1 = u
-    a2, b2, c2, d2 = v
-    return (a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2,
-            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2,
-            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
-
-
-def _w_rot(u: _W, m: int) -> _W:
-    """u * w^m."""
-    a, b, c, d = u
-    for _ in range(m % 8):
-        a, b, c, d = -d, a, b, c
-    return (a, b, c, d)
-
-
-def _w_divisible(u: _W) -> bool:
-    """sqrt2 | u iff a = c and b = d (mod 2)."""
-    return not ((u[0] ^ u[2]) | (u[1] ^ u[3])) & 1
-
-
-def _w_div_sqrt2(u: _W) -> _W:
-    a, b, c, d = u
-    return ((b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1)
-
-
-def _strip(m: List[_W], k: int) -> Tuple[List[_W], int]:
-    while k > 0 and all(_w_divisible(x) for x in m):
-        m = [_w_div_sqrt2(x) for x in m]
+def _strip(m: List[ZOmega], k: int) -> Tuple[List[ZOmega], int]:
+    while k > 0 and all(zo_sqrt2_divisible(x) for x in m):
+        m = [zo_div_sqrt2(x) for x in m]
         k -= 1
     return m, k
 
 
-def _reduce_column(u: _W, t: _W, k: int) -> List[int]:
+def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
     """j-sequence of H T^{-j} steps taking the unit column (u,t)/sqrt2^k
     down to denominator exponent 0.
 
@@ -316,13 +252,13 @@ def _reduce_column(u: _W, t: _W, k: int) -> List[int]:
         # t * w^(8-j) for j = 0..3
         for j, tw in enumerate(((ta, tb, tc, td), (tb, tc, td, -ta),
                                 (tc, td, -ta, -tb), (td, -ta, -tb, -tc))):
-            s = _w_add(u, tw)
-            if not _w_divisible(s):
+            s = zo_add(u, tw)
+            if not zo_sqrt2_divisible(s):
                 continue
             # divisibility of the sum implies it for the difference (= 2u - s)
-            u2, t2, k2 = _w_div_sqrt2(s), _w_div_sqrt2(_w_sub(u, tw)), k
-            while k2 > 0 and _w_divisible(u2) and _w_divisible(t2):
-                u2, t2, k2 = _w_div_sqrt2(u2), _w_div_sqrt2(t2), k2 - 1
+            u2, t2, k2 = zo_div_sqrt2(s), zo_div_sqrt2(zo_sub(u, tw)), k
+            while k2 > 0 and zo_sqrt2_divisible(u2) and zo_sqrt2_divisible(t2):
+                u2, t2, k2 = zo_div_sqrt2(u2), zo_div_sqrt2(t2), k2 - 1
             opts.append((k2, j, u2, t2))
         # push worst option first so the lowest exponent is explored next
         for k2, j, u2, t2 in sorted(opts, reverse=True):
@@ -332,33 +268,32 @@ def _reduce_column(u: _W, t: _W, k: int) -> List[int]:
 
 def exact_synthesize(mat: RingMatrix) -> List[str]:
     """Gate tags (temporal order) realizing mat up to global phase."""
-    m00, m01, m10, m11 = ((x.a, x.b, x.c, x.d)
-                          for x in (mat.m00, mat.m01, mat.m10, mat.m11))
+    m00, m01, m10, m11 = mat.m00, mat.m01, mat.m10, mat.m11
     # reduce the first column by H T^{-j} steps, accumulating G exactly
     (u, t), k = _strip([m00, m10], mat.k)
     seq = _reduce_column(u, t, k)
     # apply the recorded steps to the full matrix exactly to get the residual
-    g00, g01, g10, g11 = _W_ONE, _W_ZERO, _W_ZERO, _W_ONE
+    g00, g01, g10, g11 = ZO_ONE, ZO_ZERO, ZO_ZERO, ZO_ONE
     for j in seq:
-        w10, w11 = _w_rot(g10, 8 - j), _w_rot(g11, 8 - j)
-        g00, g01, g10, g11 = (_w_add(g00, w10), _w_add(g01, w11),
-                              _w_sub(g00, w10), _w_sub(g01, w11))
+        w10, w11 = zo_rot(g10, 8 - j), zo_rot(g11, 8 - j)
+        g00, g01, g10, g11 = (zo_add(g00, w10), zo_add(g01, w11),
+                              zo_sub(g00, w10), zo_sub(g01, w11))
     res, k = _strip([
-        _w_add(_w_mul(g00, m00), _w_mul(g01, m10)),
-        _w_add(_w_mul(g00, m01), _w_mul(g01, m11)),
-        _w_add(_w_mul(g10, m00), _w_mul(g11, m10)),
-        _w_add(_w_mul(g10, m01), _w_mul(g11, m11))], len(seq) + mat.k)
+        zo_add(zo_mul(g00, m00), zo_mul(g01, m10)),
+        zo_add(zo_mul(g00, m01), zo_mul(g01, m11)),
+        zo_add(zo_mul(g10, m00), zo_mul(g11, m10)),
+        zo_add(zo_mul(g10, m01), zo_mul(g11, m11))], len(seq) + mat.k)
     if k != 0:
         raise RuntimeError("residual is not a Clifford phase matrix")
     r00, r01, r10, r11 = res
     gates: List[str] = []
     try:
-        if r00 == _W_ZERO:
+        if r00 == ZO_ZERO:
             # diag part of X * res
-            gates += _T_WORD[(_W_UNIT_LOG[r01] - _W_UNIT_LOG[r10]) % 8]
+            gates += _T_WORD[(ZO_UNIT_LOG[r01] - ZO_UNIT_LOG[r10]) % 8]
             gates.append("PauliX")
         else:
-            gates += _T_WORD[(_W_UNIT_LOG[r11] - _W_UNIT_LOG[r00]) % 8]
+            gates += _T_WORD[(ZO_UNIT_LOG[r11] - ZO_UNIT_LOG[r00]) % 8]
     except KeyError as e:
         raise RuntimeError(f"{e} is not a power of omega") from None
     for j in reversed(seq):
@@ -648,7 +583,7 @@ class _EpsRegion:
         h11, h12, h21, h22 = self.op
         ux = _div_sqrt2(h11 * vx + h12 * vy)       # sqrt2 Re u
         uy = _div_sqrt2(h21 * vx + h22 * vy)
-        return ZOmega(ux.b, (ux.a + uy.a) >> 1, uy.b, (uy.a - ux.a) >> 1)
+        return (ux.b, (ux.a + uy.a) >> 1, uy.b, (uy.a - ux.a) >> 1)
 
     def candidates(self, k: int, limit: Optional[int] = None) -> List[ZOmega]:
         """The best `limit` (default all) verified candidates at exponent
@@ -751,10 +686,10 @@ class _EpsRegion:
             Rm = mp.sqrt(2) ** k
             thr = 1 - mp.mpf(self.eps) ** 2 / 2
             for u in cands:
-                xi = ZSqrt2(1 << k, 0) - u.abs_sq()
+                xi = ZSqrt2(1 << k, 0) - zo_abs_sq(u)
                 if xi.sign() < 0 or xi.conj().sign() < 0:
                     continue
-                q = mp.re(zc * u.mpvalue(mp)) / Rm
+                q = mp.re(zc * zo_mpvalue(u, mp)) / Rm
                 if q >= thr:
                     out[u] = q
         return out
@@ -794,11 +729,12 @@ def synthesize_rz_tags(theta: float, eps: float,
         region = _EpsRegion(phi0, eps)
         while k <= k_cap:
             for u in region.candidates(k, max_attempts_per_k):
-                xi = ZSqrt2(1 << k, 0) - u.abs_sq()
+                xi = ZSqrt2(1 << k, 0) - zo_abs_sq(u)
                 t = solve_diophantine(xi)
                 if t is None:
                     continue
-                matu = RingMatrix(u, -t.conj(), t, u.conj(), k)
+                # [[u, -conj t], [t, conj u]]; w^4 = -1
+                matu = RingMatrix(u, zo_rot(zo_conj(t), 4), t, zo_conj(u), k)
                 gates = exact_synthesize(matu)
                 return gates + _T_WORD[mth % 8]
             k += 1
@@ -859,20 +795,18 @@ def exactly_preparable(alpha0: float, alpha1: float,
                 for Y0 in cands[1]:
                     if (X0.a - Y0.a) % 2:
                         continue
-                    u0 = ZOmega(X0.b, (X0.a + Y0.a) // 2,
-                                Y0.b, (Y0.a - X0.a) // 2)
+                    u0 = (X0.b, (X0.a + Y0.a) // 2, Y0.b, (Y0.a - X0.a) // 2)
                     for X1 in cands[2]:
                         for Y1 in cands[3]:
                             if (X1.a - Y1.a) % 2:
                                 continue
-                            u1 = ZOmega(X1.b, (X1.a + Y1.a) // 2,
-                                        Y1.b, (Y1.a - X1.a) // 2)
-                            if u0.abs_sq() + u1.abs_sq() != ZSqrt2(1 << k, 0):
+                            u1 = (X1.b, (X1.a + Y1.a) // 2, Y1.b, (Y1.a - X1.a) // 2)
+                            if zo_abs_sq(u0) + zo_abs_sq(u1) != ZSqrt2(1 << k, 0):
                                 continue
                             with mp.workdps(40 + k):
                                 s = mp.sqrt(2) ** k
-                                d0 = abs(u0.mpvalue(mp) / s - mp.mpc(w0))
-                                d1 = abs(u1.mpvalue(mp) / s - mp.mpc(w1))
+                                d0 = abs(zo_mpvalue(u0, mp) / s - mp.mpc(w0))
+                                d1 = abs(zo_mpvalue(u1, mp) / s - mp.mpc(w1))
                                 if d0 < 1e-12 and d1 < 1e-12:
                                     return True, j
     return False, None

@@ -1,23 +1,26 @@
 """Exact arithmetic in the rings behind Clifford+T synthesis.
 
-ZSqrt2   : a + b*sqrt(2)                      (real quadratic ring)
-ZOmega   : a + b*w + c*w^2 + d*w^3, w=e^{i pi/4}   (8th cyclotomic integers)
-ZI       : Gaussian integers a + b*i
-ZRootM2  : a + b*sqrt(-2)
+ZSqrt2 : a + b*sqrt(2), a frozen dataclass             (real quadratic ring)
+ZOmega : a + b*w + c*w^2 + d*w^3 with w = e^{i pi/4}, the plain int tuple
+         (a, b, c, d) (8th cyclotomic integers); every operation on it is a
+         zo_* function here, so exact synthesis and the Diophantine solver
+         share one implementation
+Z[sqrt(-d)], d in {1, 2}: x + y*sqrt(-d) as the pair (x, y), used only by
+         zmd_gcd to split primes p = 3, 5 (mod 8)
 
-All four are norm-Euclidean, so gcds run by rounded division; ZOmega's
+All are norm-Euclidean, so gcds run by rounded division; ZOmega's
 coefficient-wise rounding is not always a Euclidean witness, so its mod step
 falls back to a small perturbation search around the rounded quotient.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 SQRT2 = math.sqrt(2.0)
-LAMBDA = 1.0 + SQRT2
 
 
 class RingError(ArithmeticError):
@@ -128,9 +131,6 @@ def zs_sqrt2_valuation(u: ZSqrt2) -> Tuple[int, ZSqrt2]:
     return m, u
 
 
-import functools
-
-
 @functools.lru_cache(maxsize=4096)
 def zs_lambda_power(m: int) -> ZSqrt2:
     base = ZS_LAMBDA if m >= 0 else ZS_LAMBDA_INV
@@ -141,94 +141,129 @@ def zs_lambda_power(m: int) -> ZSqrt2:
 
 
 # ---------------------------------------------------------------------------
-# Z[omega], omega = exp(i pi / 4); element a + b w + c w^2 + d w^3
+# Z[omega], omega = exp(i pi / 4); element a + b w + c w^2 + d w^3 as the
+# int tuple (a, b, c, d)
+
+ZOmega = Tuple[int, int, int, int]
+
+ZO_ZERO: ZOmega = (0, 0, 0, 0)
+ZO_ONE: ZOmega = (1, 0, 0, 0)
+ZO_SQRT2: ZOmega = (0, 1, 0, -1)   # w - w^3 = sqrt2
+ZO_DELTA: ZOmega = (1, 1, 0, 0)    # 1 + w; conj(delta) delta = sqrt2 * lambda
+# w^j -> j for the eight units w^j
+ZO_UNIT_LOG = {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2,
+               (0, 0, 0, 1): 3, (-1, 0, 0, 0): 4, (0, -1, 0, 0): 5,
+               (0, 0, -1, 0): 6, (0, 0, 0, -1): 7}
 
 
-@dataclass(frozen=True)
-class ZOmega:
-    a: int
-    b: int
-    c: int
-    d: int
+def zo_add(u: ZOmega, v: ZOmega) -> ZOmega:
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
 
-    def __add__(self, o: "ZOmega") -> "ZOmega":
-        return ZOmega(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
 
-    def __sub__(self, o: "ZOmega") -> "ZOmega":
-        return ZOmega(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+def zo_sub(u: ZOmega, v: ZOmega) -> ZOmega:
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3])
 
-    def __neg__(self) -> "ZOmega":
-        return ZOmega(-self.a, -self.b, -self.c, -self.d)
 
-    def __mul__(self, o: "ZOmega") -> "ZOmega":
-        # w^4 = -1
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return ZOmega(
-            a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2,
+def zo_mul(u: ZOmega, v: ZOmega) -> ZOmega:
+    # w^4 = -1
+    a1, b1, c1, d1 = u
+    a2, b2, c2, d2 = v
+    return (a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2,
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
             a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2,
-            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
-        )
-
-    def conj(self) -> "ZOmega":
-        """Complex conjugation: w -> w^{-1}."""
-        return ZOmega(self.a, -self.d, -self.c, -self.b)
-
-    def galois(self) -> "ZOmega":
-        """sqrt2 -> -sqrt2 (w -> w^5 = -w)."""
-        return ZOmega(self.a, -self.b, self.c, -self.d)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
-    def abs_sq(self) -> ZSqrt2:
-        """u.conj()*u as an element of Z[sqrt2] (always real)."""
-        p = self.conj() * self
-        if p.c != 0 or p.b + p.d != 0:
-            raise RingError("abs_sq not real")
-        return ZSqrt2(p.a, p.b)
-
-    def norm(self) -> int:
-        q = self.abs_sq()
-        return q.norm()
-
-    def value(self) -> complex:
-        w = complex(SQRT2 / 2, SQRT2 / 2)
-        return self.a + self.b * w + self.c * 1j + self.d * (w * 1j)
-
-    def mpvalue(self, mp) -> "object":
-        h = mp.sqrt(2) / 2
-        w = mp.mpc(h, h)
-        return self.a + self.b * w + self.c * mp.mpc(0, 1) + self.d * w * mp.mpc(0, 1)
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
 
 
-ZO_ZERO = ZOmega(0, 0, 0, 0)
-ZO_ONE = ZOmega(1, 0, 0, 0)
-ZO_SQRT2 = ZOmega(0, 1, 0, -1)    # w - w^3 = sqrt2
-ZO_DELTA = ZOmega(1, 1, 0, 0)     # 1 + w; delta.conj()*delta = sqrt2 * lambda
+def zo_pow(u: ZOmega, e: int) -> ZOmega:
+    out = ZO_ONE
+    while e:
+        if e & 1:
+            out = zo_mul(out, u)
+        u = zo_mul(u, u)
+        e >>= 1
+    return out
+
+
+def zo_conj(u: ZOmega) -> ZOmega:
+    """Complex conjugation: w -> w^{-1}."""
+    a, b, c, d = u
+    return (a, -d, -c, -b)
+
+
+def zo_galois(u: ZOmega) -> ZOmega:
+    """sqrt2 -> -sqrt2 (w -> w^5 = -w)."""
+    a, b, c, d = u
+    return (a, -b, c, -d)
+
+
+def zo_rot(u: ZOmega, m: int) -> ZOmega:
+    """u * w^m."""
+    a, b, c, d = u
+    for _ in range(m % 8):
+        a, b, c, d = -d, a, b, c
+    return (a, b, c, d)
+
+
+def zo_sqrt2_divisible(u: ZOmega) -> bool:
+    """sqrt2 | u iff a = c and b = d (mod 2)."""
+    return not ((u[0] ^ u[2]) | (u[1] ^ u[3])) & 1
+
+
+def zo_div_sqrt2(u: ZOmega) -> ZOmega:
+    """u / sqrt2 for u with zo_sqrt2_divisible(u)."""
+    a, b, c, d = u
+    return ((b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1)
+
+
+def zo_abs_sq(u: ZOmega) -> ZSqrt2:
+    """conj(u) u as an element of Z[sqrt2].
+
+    Its w^2 coefficient is always 0 and its w^3 coefficient minus its w
+    one, so it is (a^2 + b^2 + c^2 + d^2) + (ab + bc + cd - da) sqrt2."""
+    a, b, c, d = u
+    return ZSqrt2(a * a + b * b + c * c + d * d, a * b + b * c + c * d - d * a)
+
+
+def zo_norm(u: ZOmega) -> int:
+    return zo_abs_sq(u).norm()
+
+
+def zo_value(u: ZOmega) -> complex:
+    a, b, c, d = u
+    w = complex(SQRT2 / 2, SQRT2 / 2)
+    return a + b * w + c * 1j + d * (w * 1j)
+
+
+def zo_mpvalue(u: ZOmega, mp) -> "object":
+    a, b, c, d = u
+    h = mp.sqrt(2) / 2
+    w = mp.mpc(h, h)
+    return a + b * w + c * mp.mpc(0, 1) + d * w * mp.mpc(0, 1)
 
 
 def zo_from_zsqrt2(x: ZSqrt2) -> ZOmega:
-    return ZOmega(x.a, x.b, 0, -x.b)
+    return (x.a, x.b, 0, -x.b)
+
+
+def _zo_norm_cofactor(v: ZOmega) -> ZOmega:
+    """conj(v) v* conj(v*), so v times it is the integer zo_norm(v)."""
+    g = zo_galois(v)
+    return zo_mul(zo_mul(zo_conj(v), g), zo_conj(g))
 
 
 def zo_div_exact(u: ZOmega, v: ZOmega) -> ZOmega:
-    n = v.norm()
+    n = zo_norm(v)
     if n == 0:
         raise ZeroDivisionError("ZOmega division by zero")
-    vt = v.conj() * v.galois() * v.galois().conj()
-    w = u * vt
-    if w.a % n or w.b % n or w.c % n or w.d % n:
+    w = zo_mul(u, _zo_norm_cofactor(v))
+    if any(x % n for x in w):
         raise RingError("inexact ZOmega division")
-    return ZOmega(w.a // n, w.b // n, w.c // n, w.d // n)
+    return tuple(x // n for x in w)
 
 
 def zo_mod(u: ZOmega, v: ZOmega) -> ZOmega:
-    n = v.norm()
-    vt = v.conj() * v.galois() * v.galois().conj()
-    w = u * vt
-    q0 = [round(Fraction(x, n)) for x in (w.a, w.b, w.c, w.d)]
+    n = zo_norm(v)
+    q0 = [round(Fraction(x, n)) for x in zo_mul(u, _zo_norm_cofactor(v))]
     best = None
     nv = abs(n)
     # coefficient rounding may miss the Euclidean witness; search nearby
@@ -236,9 +271,9 @@ def zo_mod(u: ZOmega, v: ZOmega) -> ZOmega:
         for db in (0, -1, 1):
             for dc in (0, -1, 1):
                 for dd in (0, -1, 1):
-                    q = ZOmega(q0[0] + da, q0[1] + db, q0[2] + dc, q0[3] + dd)
-                    r = u - v * q
-                    nr = abs(r.norm())
+                    q = (q0[0] + da, q0[1] + db, q0[2] + dc, q0[3] + dd)
+                    r = zo_sub(u, zo_mul(v, q))
+                    nr = abs(zo_norm(r))
                     if best is None or nr < best[0]:
                         best = (nr, r)
                     if nr == 0:
@@ -251,81 +286,30 @@ def zo_mod(u: ZOmega, v: ZOmega) -> ZOmega:
 
 
 def zo_gcd(u: ZOmega, v: ZOmega) -> ZOmega:
-    while not v.is_zero():
+    while v != ZO_ZERO:
         u, v = v, zo_mod(u, v)
     return u
 
 
 # ---------------------------------------------------------------------------
-# Z[i] and Z[sqrt(-2)], used by the Diophantine prime splitting
+# Z[sqrt(-d)] for d in {1, 2}, element x + y sqrt(-d) as the pair (x, y);
+# used by the Diophantine solver to split primes p = 5 (d = 1) and p = 3
+# (d = 2) mod 8
 
 
-@dataclass(frozen=True)
-class ZI:
-    a: int
-    b: int
-
-    def __mul__(self, o: "ZI") -> "ZI":
-        return ZI(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a)
-
-    def __sub__(self, o: "ZI") -> "ZI":
-        return ZI(self.a - o.a, self.b - o.b)
-
-    def norm(self) -> int:
-        return self.a * self.a + self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-
-def zi_mod(u: ZI, v: ZI) -> ZI:
-    n = v.norm()
-    w = u * ZI(v.a, -v.b)
-    q = ZI(round(Fraction(w.a, n)), round(Fraction(w.b, n)))
-    return u - v * q
-
-
-def zi_gcd(u: ZI, v: ZI) -> ZI:
-    while not v.is_zero():
-        u, v = v, zi_mod(u, v)
+def zmd_gcd(u: Tuple[int, int], v: Tuple[int, int], d: int) -> Tuple[int, int]:
+    """Euclidean gcd in Z[sqrt(-d)], quotients rounded coefficient-wise."""
+    while v != (0, 0):
+        (a, b), (c, e) = u, v
+        n = c * c + d * e * e
+        # u conj(v) / n, rounded
+        qa = round(Fraction(a * c + d * b * e, n))
+        qb = round(Fraction(b * c - a * e, n))
+        u, v = v, (a - c * qa + d * e * qb, b - c * qb - e * qa)
     return u
 
 
-@dataclass(frozen=True)
-class ZRootM2:
-    a: int
-    b: int   # a + b * sqrt(-2)
-
-    def __mul__(self, o: "ZRootM2") -> "ZRootM2":
-        return ZRootM2(self.a * o.a - 2 * self.b * o.b,
-                       self.a * o.b + self.b * o.a)
-
-    def __sub__(self, o: "ZRootM2") -> "ZRootM2":
-        return ZRootM2(self.a - o.a, self.b - o.b)
-
-    def norm(self) -> int:
-        return self.a * self.a + 2 * self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-
-def zm2_mod(u: ZRootM2, v: ZRootM2) -> ZRootM2:
-    n = v.norm()
-    w = u * ZRootM2(v.a, -v.b)
-    q = ZRootM2(round(Fraction(w.a, n)), round(Fraction(w.b, n)))
-    return u - v * q
-
-
-def zm2_gcd(u: ZRootM2, v: ZRootM2) -> ZRootM2:
-    while not v.is_zero():
-        u, v = v, zm2_mod(u, v)
-    return u
-
-
-def zi_to_zomega(u: ZI) -> ZOmega:
-    return ZOmega(u.a, 0, u.b, 0)           # i = w^2
-
-
-def zm2_to_zomega(u: ZRootM2) -> ZOmega:
-    return ZOmega(u.a, u.b, 0, u.b)         # sqrt(-2) = w + w^3
+def zo_from_zmd(u: Tuple[int, int], d: int) -> ZOmega:
+    """Embed x + y sqrt(-d): i = w^2 and sqrt(-2) = w + w^3."""
+    x, y = u
+    return (x, 0, y, 0) if d == 1 else (x, y, 0, y)

@@ -168,10 +168,9 @@ def synthesize_dense(state: TargetState, prune: bool = True) -> Circuit:
 
     while len(s) > 1:
         varying = _varying_qubits(s, n)
+        # two distinct indices differ on some qubit, so varying is nonempty
+        # and the pivot exists
         pivot = choose_pivot(list(s), n, varying)
-        if pivot is None:
-            # defensive: cannot happen for |s| > 1, fall back to sparse
-            return _dense_with_residual(state, tables, s)
         table = _table_from_dict(s, n, pivot, [q for q in varying if q != pivot])
         emitted = prune_constant_controls(table) if prune else table
         tables.append(emitted)
@@ -218,15 +217,6 @@ def _merge_pivot(s: Dict[int, float], n: int, pivot: int,
         a1 = s.get(base | mask, 0.0)
         out[base] = math.hypot(a0, a1)
     return out
-
-
-def _dense_with_residual(state: TargetState, tables: List[AngleTable],
-                         s: Dict[int, float]) -> Circuit:
-    resid = synthesize_sparse(TargetState(state.n, s))
-    gates = list(resid.gates)
-    for table in reversed(tables):
-        gates.extend(demux_ucry(table))
-    return Circuit(state.n, gates)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from typing import List, Tuple
 import mpmath as mp
 
 from qsprep.gridsynth import solve_grid_1d
-from qsprep.rings import ZOmega, ZSqrt2
+from qsprep.rings import ZOmega, ZSqrt2, zo_abs_sq, zo_mpvalue
 
 SQRT2 = math.sqrt(2.0)
 
@@ -49,11 +49,11 @@ def candidates(k: int, phi0: float, eps: float) -> List[ZOmega]:
             f, cc = Y.a, Y.b
             if (e - f) % 2:
                 continue
-            u = ZOmega(aa, (e + f) // 2, cc, (f - e) // 2)
+            u = (aa, (e + f) // 2, cc, (f - e) // 2)
             # cheap float prefilter on the quality constraint
             half = SQRT2 / 2
-            ur = aa + (u.b - u.d) * half
-            ui = cc + (u.b + u.d) * half
+            ur = aa + (u[1] - u[3]) * half
+            ui = cc + (u[1] + u[3]) * half
             q = (ur * c0 + ui * s0) / R
             if q < (1 - eps * eps / 2) - 1e-11 * (1 + abs(q)):
                 continue
@@ -65,10 +65,10 @@ def candidates(k: int, phi0: float, eps: float) -> List[ZOmega]:
         Rm = mp.sqrt(2) ** k
         thr = 1 - mp.mpf(eps) ** 2 / 2
         for _, u in out:
-            xi = ZSqrt2(1 << k, 0) - u.abs_sq()
+            xi = ZSqrt2(1 << k, 0) - zo_abs_sq(u)
             if xi.sign() < 0 or xi.conj().sign() < 0:
                 continue
-            q = mp.re(zc * u.mpvalue(mp)) / Rm
+            q = mp.re(zc * zo_mpvalue(u, mp)) / Rm
             if q >= thr:
                 verified.append((float(q), u))
     verified.sort(key=lambda t: -t[0])

@@ -33,6 +33,14 @@ def test_angle_and_mask_validation():
         Gate("UniformlyControlledRy", (0, 1), angles=(0.1,))  # needs 2
 
 
+def test_negative_qubit_count_is_rejected():
+    with pytest.raises(CircuitError, match="negative"):
+        Circuit(-3)
+    with pytest.raises(CircuitError, match="negative"):
+        deserialize("qubits -3\n")
+    assert Circuit(0).n_qubits == 0
+
+
 def test_register_ranges_must_be_disjoint():
     with pytest.raises(CircuitError):
         Circuit(4, [], {"a": (0, 2), "b": (1, 3)})

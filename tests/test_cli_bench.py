@@ -121,6 +121,15 @@ def test_exit_codes():
     assert main(["nonsense-subcommand"]) == 2
 
 
+def test_compile_rejects_negative_qubit_count(tmp_path, capsys):
+    qc = tmp_path / "neg.qc"
+    qc.write_text("qubits -3\n")
+    out = tmp_path / "out.qc"
+    assert main(["compile", str(qc), "--out", str(out)]) == 3
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("b", [0, -1])
 @pytest.mark.parametrize("cmd", ["estimate", "compile"])
 def test_b_below_one_is_a_usage_error(cmd, b, tmp_path, capsys):

@@ -14,7 +14,10 @@ from qsprep.gridsynth import (
     exactly_preparable,
     solve_diophantine, solve_grid_1d, synthesize_rz_tags,
 )
-from qsprep.rings import ZO_ZERO, ZOmega, ZSqrt2, zo_from_zsqrt2, zs_lambda_power
+from qsprep.rings import (
+    ZO_ONE, ZO_ZERO, ZSqrt2, zo_abs_sq, zo_add, zo_from_zsqrt2, zo_mul,
+    zs_lambda_power,
+)
 from util import phase_dist_1q, phase_dist_1q_mp, rz_matrix, tags_to_unitary
 
 SQRT2 = math.sqrt(2)
@@ -52,14 +55,14 @@ def test_grid_solver_matches_brute_force(c1, w1, c2, w2):
 
 def test_diophantine_known_values():
     t = solve_diophantine(ZSqrt2(2, 0))
-    assert t is not None and t.abs_sq() == ZSqrt2(2, 0)
+    assert t is not None and zo_abs_sq(t) == ZSqrt2(2, 0)
     # 3 = (1 - i sqrt2)(1 + i sqrt2) splits over Z[omega]
     t = solve_diophantine(ZSqrt2(3, 0))
-    assert t is not None and t.abs_sq() == ZSqrt2(3, 0)
+    assert t is not None and zo_abs_sq(t) == ZSqrt2(3, 0)
     # 7 = 7 mod 8 is inert with odd exponent: unsolvable
     assert solve_diophantine(ZSqrt2(7, 0)) is None
     t = solve_diophantine(ZSqrt2(49, 0))
-    assert t is not None and t.abs_sq() == ZSqrt2(49, 0)
+    assert t is not None and zo_abs_sq(t) == ZSqrt2(49, 0)
     assert solve_diophantine(ZSqrt2(-1, 0)) is None      # not totally positive
     assert solve_diophantine(ZSqrt2(1, -1)) is None      # 1 - sqrt2 < 0
     assert solve_diophantine(ZSqrt2(0, 0)) == ZO_ZERO
@@ -71,12 +74,12 @@ def test_diophantine_unbalanced_norms(m):
     # (xi ~ 2^k eps^2, xi* ~ 2^k); the unit fix must not round through floats
     rng = random.Random(m)
     for _ in range(10):
-        t0 = ZOmega(*[rng.randint(-20, 20) for _ in range(4)])
-        if t0.is_zero():
+        t0 = tuple(rng.randint(-20, 20) for _ in range(4))
+        if t0 == ZO_ZERO:
             continue
-        xi = (t0 * zo_from_zsqrt2(zs_lambda_power(m))).abs_sq()
+        xi = zo_abs_sq(zo_mul(t0, zo_from_zsqrt2(zs_lambda_power(m))))
         t = solve_diophantine(xi)
-        assert t is not None and t.abs_sq() == xi
+        assert t is not None and zo_abs_sq(t) == xi
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,13 +87,13 @@ def test_diophantine_unbalanced_norms(m):
        st.integers(-9, 9), st.integers(-9, 9))
 def test_diophantine_solves_all_norms(a, b, c, d):
     # xi = t^dagger t is solvable by construction; solver must find some root
-    t0 = ZOmega(a, b, c, d)
-    if t0.is_zero():
+    t0 = (a, b, c, d)
+    if t0 == ZO_ZERO:
         return
-    xi = t0.abs_sq()
+    xi = zo_abs_sq(t0)
     t = solve_diophantine(xi)
     assert t is not None
-    assert t.abs_sq() == xi
+    assert zo_abs_sq(t) == xi
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +103,24 @@ _CLIFFT = ["Hadamard", "S", "T", "PauliX"]
 
 _RING_GATE = {
     # exact ring forms with denominator exponent: H has k=1, rest k=0
-    "Hadamard": (ZOmega(1, 0, 0, 0), ZOmega(1, 0, 0, 0),
-                 ZOmega(1, 0, 0, 0), ZOmega(-1, 0, 0, 0), 1),
-    "S": (ZOmega(1, 0, 0, 0), ZO_ZERO, ZO_ZERO, ZOmega(0, 0, 1, 0), 0),
-    "T": (ZOmega(1, 0, 0, 0), ZO_ZERO, ZO_ZERO, ZOmega(0, 1, 0, 0), 0),
-    "PauliX": (ZO_ZERO, ZOmega(1, 0, 0, 0), ZOmega(1, 0, 0, 0), ZO_ZERO, 0),
+    "Hadamard": (ZO_ONE, ZO_ONE, ZO_ONE, (-1, 0, 0, 0), 1),
+    "S": (ZO_ONE, ZO_ZERO, ZO_ZERO, (0, 0, 1, 0), 0),
+    "T": (ZO_ONE, ZO_ZERO, ZO_ZERO, (0, 1, 0, 0), 0),
+    "PauliX": (ZO_ZERO, ZO_ONE, ZO_ONE, ZO_ZERO, 0),
 }
 
 
 def _word_matrix(word):
-    m = RingMatrix(ZOmega(1, 0, 0, 0), ZO_ZERO, ZO_ZERO, ZOmega(1, 0, 0, 0), 0)
+    def dot(x, y, z, w):
+        return zo_add(zo_mul(x, y), zo_mul(z, w))
+
+    m = RingMatrix(ZO_ONE, ZO_ZERO, ZO_ZERO, ZO_ONE, 0)
     for tag in word:
         a, b, c, d, k = _RING_GATE[tag]
         g = RingMatrix(a, b, c, d, k)
         m = RingMatrix(
-            g.m00 * m.m00 + g.m01 * m.m10, g.m00 * m.m01 + g.m01 * m.m11,
-            g.m10 * m.m00 + g.m11 * m.m10, g.m10 * m.m01 + g.m11 * m.m11,
+            dot(g.m00, m.m00, g.m01, m.m10), dot(g.m00, m.m01, g.m01, m.m11),
+            dot(g.m10, m.m00, g.m11, m.m10), dot(g.m10, m.m01, g.m11, m.m11),
             g.k + m.k)
     return m
 
@@ -252,6 +257,21 @@ def test_invariant_failure_is_not_a_synthesis_error(monkeypatch):
         synthesize_rz_tags(0.3, 2.0 ** -8)
     assert not isinstance(e.value, SynthesisError)
     assert "theta=0.3" in str(e.value) and "b=8" in str(e.value)
+
+
+def test_mp_phase_distance_matches_float():
+    # guards the oracle of test_rz_synthesis_high_b: it must agree with the
+    # float distance where floats suffice, and see a word that is one T off
+    rng = random.Random(910)
+    eps = 2.0 ** -10
+    for _ in range(5):
+        theta = rng.uniform(-math.pi, math.pi)
+        tags = synthesize_rz_tags(theta, eps)
+        d = float(phase_dist_1q_mp(tags, theta))
+        assert 0 < d <= eps
+        assert math.isclose(d, phase_dist_1q(tags_to_unitary(tags), rz_matrix(theta)),
+                            rel_tol=1e-6, abs_tol=1e-12)
+        assert phase_dist_1q_mp(tags + ["T"], theta) > eps
 
 
 @pytest.mark.parametrize("b", [30, 40])

@@ -2,29 +2,28 @@ import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from sympy import primerange
+from sympy.ntheory.residue_ntheory import sqrt_mod
 
-from qsprep.gridsynth import _W_UNIT_LOG, _w_div_sqrt2, _w_divisible, _w_rot
 from qsprep.rings import (
-    ZO_DELTA, ZO_SQRT2, ZS_LAMBDA, ZS_LAMBDA_INV, ZS_ONE, ZOmega, ZSqrt2,
-    zo_div_exact, zo_gcd, zo_mod, zs_divides, zs_gcd, zs_lambda_power,
-    zs_sqrt2_valuation,
+    ZO_DELTA, ZO_SQRT2, ZO_UNIT_LOG, ZO_ZERO, ZS_LAMBDA, ZS_LAMBDA_INV, ZS_ONE,
+    ZSqrt2, zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_exact, zo_div_sqrt2,
+    zo_from_zmd, zo_galois, zo_gcd, zo_mod, zo_mul, zo_rot, zo_sqrt2_divisible,
+    zo_sub, zs_divides, zs_gcd, zs_lambda_power, zs_sqrt2_valuation,
 )
 
 _i = st.integers(-50, 50)
 _zs = st.builds(ZSqrt2, _i, _i)
-_zo = st.builds(ZOmega, _i, _i, _i, _i)
+_zo = st.tuples(_i, _i, _i, _i)
 
 _W = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-
-
-def _tup(x):
-    return (x.a, x.b, x.c, x.d)
 
 
 def _val(x):
     if isinstance(x, ZSqrt2):
         return x.a + x.b * math.sqrt(2)
-    return x.a + x.b * _W + x.c * _W ** 2 + x.d * _W ** 3
+    a, b, c, d = x
+    return a + b * _W + c * _W ** 2 + d * _W ** 3
 
 
 @given(_zs, _zs)
@@ -79,85 +78,107 @@ def test_zs_gcd_divides_both(x, y):
 
 @given(_zo, _zo)
 def test_zomega_mul_matches_floats(x, y):
-    assert abs(_val(x * y) - _val(x) * _val(y)) <= 1e-5 * (1 + abs(_val(x) * _val(y)))
+    assert abs(_val(zo_mul(x, y)) - _val(x) * _val(y)) <= 1e-5 * (1 + abs(_val(x) * _val(y)))
 
 
 @given(_zo)
 def test_conj_is_complex_conjugate(x):
-    assert abs(_val(x.conj()) - _val(x).conjugate()) < 1e-9
+    assert abs(_val(zo_conj(x)) - _val(x).conjugate()) < 1e-9
 
 
 @given(_zo)
 def test_abs_sq_matches_float_modulus(x):
-    a2 = x.abs_sq()
+    a2 = zo_abs_sq(x)
     assert math.isclose(_val(a2), abs(_val(x)) ** 2, rel_tol=1e-9, abs_tol=1e-6)
-    if not x == ZOmega(0, 0, 0, 0):
+    if x != ZO_ZERO:
         assert a2.totally_positive()
+
+
+@given(_zo)
+def test_abs_sq_is_conj_times_self(x):
+    # conj(u) u always lies in Z[sqrt2]: no w^2 part, w and w^3 parts cancel
+    a2 = zo_abs_sq(x)
+    assert zo_mul(zo_conj(x), x) == (a2.a, a2.b, 0, -a2.b)
 
 
 @given(_zo, _zo)
 def test_galois_ring_automorphism(x, y):
-    assert (x * y).galois() == x.galois() * y.galois()
+    assert zo_galois(zo_mul(x, y)) == zo_mul(zo_galois(x), zo_galois(y))
 
 
 def test_sqrt2_constants():
     assert abs(_val(ZO_SQRT2) - math.sqrt(2)) < 1e-12
-    d2 = ZO_DELTA.conj() * ZO_DELTA
+    d2 = zo_mul(zo_conj(ZO_DELTA), ZO_DELTA)
     # delta^dagger delta = sqrt2 * lambda
     assert abs(_val(d2) - math.sqrt(2) * (1 + math.sqrt(2))) < 1e-9
 
 
 @given(_zo)
 def test_div_sqrt2_inverts_mul(x):
-    y = _tup(x * ZO_SQRT2)
-    assert _w_divisible(y)
-    assert _w_div_sqrt2(y) == _tup(x)
+    y = zo_mul(x, ZO_SQRT2)
+    assert zo_sqrt2_divisible(y)
+    assert zo_div_sqrt2(y) == x
 
 
 @given(_zo, _zo)
 def test_zo_div_exact_inverts_mul(x, y):
-    if y == ZOmega(0, 0, 0, 0):
+    if y == ZO_ZERO:
         return
-    assert zo_div_exact(x * y, y) == x
+    assert zo_div_exact(zo_mul(x, y), y) == x
 
 
 @settings(max_examples=60)
 @given(_zo, _zo)
 def test_zo_mod_is_euclidean(x, y):
-    if y == ZOmega(0, 0, 0, 0):
+    if y == ZO_ZERO:
         return
     r = zo_mod(x, y)
     # x - r divisible by y, and |r| < |y| in the field norm N(u) = |u|^2 |u_gal|^2
-    q = zo_div_exact(x - r, y)
-    assert q * y + r == x
-    ny = Fraction(y.abs_sq().norm())
-    nr = Fraction(r.abs_sq().norm())
+    q = zo_div_exact(zo_sub(x, r), y)
+    assert zo_add(zo_mul(q, y), r) == x
+    ny = Fraction(zo_abs_sq(y).norm())
+    nr = Fraction(zo_abs_sq(r).norm())
     assert nr < ny
 
 
 @settings(max_examples=60)
 @given(_zo, _zo)
 def test_zo_gcd_divides_both(x, y):
-    if x == ZOmega(0, 0, 0, 0) and y == ZOmega(0, 0, 0, 0):
+    if x == ZO_ZERO and y == ZO_ZERO:
         return
     g = zo_gcd(x, y)
-    assert g != ZOmega(0, 0, 0, 0)
+    assert g != ZO_ZERO
     for z in (x, y):
-        if z == ZOmega(0, 0, 0, 0):
+        if z == ZO_ZERO:
             continue
-        assert zo_div_exact(z, g) * g == z
+        assert zo_mul(zo_div_exact(z, g), g) == z
 
 
 @given(_zo, st.integers(0, 15))
 def test_mul_omega_rotates_value(x, j):
-    y = ZOmega(*_w_rot(_tup(x), j))
+    y = zo_rot(x, j)
     assert abs(_val(y) - _val(x) * _W ** (j % 8)) < 1e-8
 
 
 def test_unit_log():
     u = (1, 0, 0, 0)
     for j in range(8):
-        assert _W_UNIT_LOG[u] == j
-        u = _w_rot(u, 1)
+        assert ZO_UNIT_LOG[u] == j
+        u = zo_rot(u, 1)
     assert u == (1, 0, 0, 0)
-    assert len(_W_UNIT_LOG) == 8 and (2, 0, 0, 0) not in _W_UNIT_LOG
+    assert len(ZO_UNIT_LOG) == 8 and (2, 0, 0, 0) not in ZO_UNIT_LOG
+
+
+def test_zmd_gcd_splits_primes():
+    # p = 5 (mod 8) splits in Z[i], p = 3 (mod 8) in Z[sqrt(-2)]: the gcd of
+    # p and sqrt(-d) mod p - sqrt(-d) is a prime x + y sqrt(-d) over p
+    checked = {1: 0, 2: 0}
+    for p in primerange(3, 5000):
+        d = {5: 1, 3: 2}.get(p % 8)
+        if d is None:
+            continue
+        x, y = eta = zmd_gcd((p, 0), (sqrt_mod(p - d, p), -1), d)
+        assert x * x + d * y * y == p, (p, eta)
+        assert zo_abs_sq(zo_from_zmd(eta, d)) == ZSqrt2(p, 0)
+        checked[d] += 1
+    assert checked[1] > 100 and checked[2] > 100

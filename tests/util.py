@@ -79,7 +79,8 @@ def phase_dist_1q_mp(tags, theta, dps=80):
     """min_phi ||U - e^{i phi} Rz(theta)|| of a tag word, in mpmath.
 
     For W = Rz(theta)^dagger U with eigenphases a, b the distance is
-    2 sin(|a - b| / 4) = sqrt(2 (1 - c)) with c = |Re(tr W / sqrt(det W))|.
+    2 sin(|a - b| / 4) = sqrt(2 (1 - c)) with c = |Re(tr W / sqrt(det W))| / 2
+    = |cos((a - b) / 2)|.
     """
     import mpmath as mp
     with mp.workdps(dps):
@@ -96,5 +97,5 @@ def phase_dist_1q_mp(tags, theta, dps=80):
             u = gate[tag] * u
         half = mp.mpf(theta) / 2
         w = mp.diag([mp.expj(half), mp.expj(-half)]) * u
-        c = abs(mp.re((w[0, 0] + w[1, 1]) / mp.sqrt(mp.det(w))))
+        c = abs(mp.re((w[0, 0] + w[1, 1]) / mp.sqrt(mp.det(w)))) / 2
         return mp.sqrt(2 * max(0, 1 - c))
