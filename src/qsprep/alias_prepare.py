@@ -10,6 +10,13 @@ lookups (alias words of width n, keep words of width b), Hadamards on the
 b-bit sigma register, a ripple comparator writing sigma >= keep into a flag,
 and n flag-controlled swaps between address and alias.  Nothing is
 uncomputed; only the address-register marginal is contractual.
+
+Both lookups come from one emitter, _emit_lookup, written straight onto the
+pipeline's qubits: lambda = 1 is unary-iteration QROM, lambda > 1 is
+SelectSwap.  Under the selectswap backend each lookup's lambda is the power
+of two minimizing its exact proxy cost 4 * (max(0, 2L/lambda - 4) +
+(lambda - 1) * w), ties to the smaller lambda; nothing is built to choose
+it.  optimal_lambda is the separate textbook cost model.
 """
 from __future__ import annotations
 
@@ -18,9 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .circuit_core import (
-    Circuit, CircuitError, Gate, ResourceReport, count_resources, remap_gate,
-)
+from .circuit_core import Circuit, CircuitError, Gate, ResourceReport, count_resources
 
 
 class ValidationError(ValueError):
@@ -54,8 +59,12 @@ class LookupSpec:
         if any(d < 0 or d >= (1 << self.w) for d in self.data):
             raise CircuitError("data word exceeds width")
         if self.backend == "selectswap":
-            if self.lam < 1 or self.lam > self.L or self.lam & (self.lam - 1):
-                raise ValidationError("lambda must be a power of two in [1, L]")
+            _check_lambda(self.lam, self.L)
+
+
+def _check_lambda(lam: int, L: int) -> None:
+    if lam < 1 or lam > L or lam & (lam - 1):
+        raise ValidationError("lambda must be a power of two in [1, L]")
 
 
 def _pad_pow2(p: Sequence[Fraction]) -> List[Fraction]:
@@ -208,72 +217,77 @@ def _word_load(gates: List[Gate], word: int, w: int, out: Sequence[int],
                 gates.append(Gate("CNOT", (ctrl, out[i])))
 
 
-def build_qrom(spec: LookupSpec) -> Circuit:
-    """|j>|z> -> |j>|z xor D_j> via unary iteration + CNOT fanout loads."""
-    n = spec.L.bit_length() - 1
-    addr = list(range(n))
-    out = list(range(n, n + spec.w))
-    anc = list(range(n + spec.w, n + spec.w + max(0, n - 1)))
-    gates: List[Gate] = []
-    _emit_unary_loads(gates, addr, anc,
-                      lambda j, c: _word_load(gates, spec.data[j], spec.w, out, c))
-    regs = {"address": (0, n), "output": (n, n + spec.w)}
-    if anc:
-        regs["work"] = (anc[0], anc[-1] + 1)
-    return Circuit(n + spec.w + len(anc), gates, regs)
+def _lookup_work(n: int, w: int, lam: int) -> int:
+    """Work qubits of a lookup over 2^n words: unary-iteration ancillas over
+    the quotient bits, then (for lam > 1) the lam temp words."""
+    nq = n - (lam.bit_length() - 1)
+    return max(0, nq - 1) + (lam * w if lam > 1 else 0)
 
 
-def build_selectswap(spec: LookupSpec) -> Circuit:
-    """SelectSwap lookup: quotient selects a block of lambda words into temp
-    registers, the remainder drives a controlled-swap network, and the routed
-    word is copied onto the output.  Temps are left dirty (no uncompute).
+def _lookup_t_proxy(L: int, w: int, lam: int) -> int:
+    """Exact t_proxy of _emit_lookup: two Toffolis per non-root node of the
+    unary tree over L/lam leaves, plus (lam - 1) * w CSWAPs."""
+    return 4 * (max(0, 2 * L // lam - 4) + (lam - 1) * w)
 
-    lambda = 1 is emitted structurally identical to build_qrom.
+
+def _emit_lookup(gates: List[Gate], data: Sequence[int], w: int, lam: int,
+                 addr: Sequence[int], out: Sequence[int],
+                 work: Sequence[int]) -> None:
+    """Append |j>|z> -> |j>|z xor data[j]> onto the given qubits.
+
+    lam = 1 is QROM: unary iteration with CNOT fanout loads straight onto
+    `out`.  lam > 1 is SelectSwap: the quotient selects a block of lam words
+    into temp registers, the remainder drives a controlled-swap network, and
+    the routed word is copied onto `out`.  Ancillas return to zero; temps are
+    left dirty (no uncompute).  `work` holds _lookup_work(len(addr), w, lam)
+    qubits: the ancillas, then the temps.
     """
-    if spec.backend != "selectswap":
-        raise ValidationError("spec.backend must be 'selectswap'")
-    lam, L, w = spec.lam, spec.L, spec.w
-    if lam == 1:
-        return build_qrom(LookupSpec(L, w, spec.data, "qrom"))
-    n = L.bit_length() - 1
-    r = lam.bit_length() - 1            # remainder bits
-    nq = n - r                          # quotient bits
-    addr = list(range(n))
-    out = list(range(n, n + w))
-    cursor = n + w
-    anc = list(range(cursor, cursor + max(0, nq - 1)))
-    cursor += len(anc)
-    temps = [list(range(cursor + s * w, cursor + (s + 1) * w)) for s in range(lam)]
-    cursor += lam * w
-
-    gates: List[Gate] = []
+    nq = len(addr) - (lam.bit_length() - 1)     # quotient bits
+    anc = work[:max(0, nq - 1)]
+    temps = [out] if lam == 1 else [
+        work[len(anc) + s * w:len(anc) + (s + 1) * w] for s in range(lam)]
 
     def load_block(q: int, ctrl: Optional[int]) -> None:
-        for s in range(lam):
-            _word_load(gates, spec.data[q * lam + s], w, temps[s], ctrl)
+        for s, t in enumerate(temps):
+            _word_load(gates, data[q * lam + s], w, t, ctrl)
 
     _emit_unary_loads(gates, addr[:nq], anc, load_block)
+    if lam == 1:
+        return
 
     # route word `remainder` to temps[0]
     stride = lam >> 1
-    k = 0
-    while stride >= 1:
-        bit = addr[nq + k]              # remainder bit of weight `stride`
+    for bit in addr[nq:]:               # remainder bit of weight `stride`
         for s in range(stride):
             for i in range(w):
                 gates.append(Gate("ControlledSwap", (bit, temps[s][i], temps[s + stride][i])))
         stride >>= 1
-        k += 1
 
     for i in range(w):
         gates.append(Gate("CNOT", (temps[0][i], out[i])))
 
-    regs = {"address": (0, n), "output": (n, n + w), "work": (n + w, cursor)}
-    return Circuit(cursor, gates, regs)
+
+def _lookup_circuit(spec: LookupSpec, lam: int) -> Circuit:
+    n, w = spec.L.bit_length() - 1, spec.w
+    top = n + w + _lookup_work(n, w, lam)
+    gates: List[Gate] = []
+    _emit_lookup(gates, spec.data, w, lam, range(n), range(n, n + w), range(n + w, top))
+    regs = {"address": (0, n), "output": (n, n + w)}
+    if top > n + w:
+        regs["work"] = (n + w, top)
+    return Circuit(top, gates, regs)
 
 
-def build_lookup(spec: LookupSpec) -> Circuit:
-    return build_selectswap(spec) if spec.backend == "selectswap" else build_qrom(spec)
+def build_qrom(spec: LookupSpec) -> Circuit:
+    """|j>|z> -> |j>|z xor D_j> via unary iteration + CNOT fanout loads."""
+    return _lookup_circuit(spec, 1)
+
+
+def build_selectswap(spec: LookupSpec) -> Circuit:
+    """SelectSwap lookup with block size spec.lam; lam = 1 equals build_qrom."""
+    if spec.backend != "selectswap":
+        raise ValidationError("spec.backend must be 'selectswap'")
+    return _lookup_circuit(spec, spec.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +345,14 @@ class AliasPipeline:
     lam: Dict[str, int]     # chosen lambda per lookup ("alias", "keep")
 
 
-def _lookup_for(table_words: Sequence[int], w: int, backend: str,
-                lam: Optional[int]) -> Tuple[Circuit, int]:
-    L = len(table_words)
+def _lambda_for(L: int, w: int, backend: str, lam: Optional[int]) -> int:
     if backend == "qrom":
-        return build_qrom(LookupSpec(L, w, tuple(table_words), "qrom")), 1
+        return 1
     if lam is not None:
-        return build_selectswap(LookupSpec(L, w, tuple(table_words), "selectswap", lam)), lam
-    # scan all valid lambdas on actual built cost; ties toward smaller lambda
-    best = None
-    l = 1
-    while l <= L:
-        c = build_selectswap(LookupSpec(L, w, tuple(table_words), "selectswap", l))
-        t = count_resources(c).t_proxy
-        if best is None or t < best[1]:
-            best = (c, t, l)
-        l <<= 1
-    return best[0], best[2]
+        _check_lambda(lam, L)
+        return lam
+    # exact cost minimum; ties toward smaller lambda
+    return min((_lookup_t_proxy(L, w, 1 << r), 1 << r) for r in range(L.bit_length()))[1]
 
 
 def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
@@ -357,13 +362,12 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
     table = build_alias_table(p, b)
     L, n = table.L, table.L.bit_length() - 1
 
-    alias_words = list(table.alias)
+    alias_words = table.alias
     # keep = 2^b (self-alias) stores as all-ones; the swap branch is then
     # index-invariant so the off-by-one cannot change the marginal
     keep_words = [min(k, (1 << b) - 1) for k in table.keep]
-
-    alias_lk, lam_a = _lookup_for(alias_words, n, backend, lam)
-    keep_lk, lam_k = _lookup_for(keep_words, b, backend, lam)
+    lam_a = _lambda_for(L, n, backend, lam)
+    lam_k = _lambda_for(L, b, backend, lam)
 
     addr = list(range(n))
     alias_out = list(range(n, 2 * n))
@@ -371,26 +375,9 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
     sigma = list(range(2 * n + b, 2 * n + 2 * b))
     flag = 2 * n + 2 * b
     comp_work = list(range(flag + 1, flag + 1 + b))
-    cursor = flag + 1 + b
-
-    def lookup_map(lk: Circuit, out: Sequence[int]) -> Dict[int, int]:
-        nonlocal cursor
-        m: Dict[int, int] = {}
-        a0, a1 = lk.registers["address"]
-        for i, q in enumerate(range(a0, a1)):
-            m[q] = addr[i]
-        o0, o1 = lk.registers["output"]
-        for i, q in enumerate(range(o0, o1)):
-            m[q] = out[i]
-        if "work" in lk.registers:
-            w0, w1 = lk.registers["work"]
-            for q in range(w0, w1):
-                m[q] = cursor
-                cursor += 1
-        return m
-
-    alias_map = lookup_map(alias_lk, alias_out)
-    keep_map = lookup_map(keep_lk, keep_out)
+    alias_work = range(flag + 1 + b, flag + 1 + b + _lookup_work(n, n, lam_a))
+    keep_work = range(alias_work.stop, alias_work.stop + _lookup_work(n, b, lam_k))
+    cursor = keep_work.stop
 
     gates: List[Gate] = []
     marks: List[Tuple[str, int]] = []
@@ -402,9 +389,9 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
     for q in addr:
         gates.append(Gate("Hadamard", (q,)))
     stage("lookup_alias")
-    gates.extend(remap_gate(g, alias_map) for g in alias_lk.gates)
+    _emit_lookup(gates, alias_words, n, lam_a, addr, alias_out, alias_work)
     stage("lookup_keep")
-    gates.extend(remap_gate(g, keep_map) for g in keep_lk.gates)
+    _emit_lookup(gates, keep_words, b, lam_k, addr, keep_out, keep_work)
     stage("random")
     for q in sigma:
         gates.append(Gate("Hadamard", (q,)))

@@ -347,7 +347,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"capacity error: {e}", file=sys.stderr)
         return 4
     except (ValidationError, ParameterError, ParseError, CompileError,
-            CircuitError, StateValidationError, OSError) as e:
+            CircuitError, StateValidationError, OSError, UnicodeDecodeError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 3
 

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -12,7 +15,8 @@ from qsprep.alias_prepare import (
     optimal_lambda, prepare_alias_state, realized_marginal,
     reproduced_distribution, serialize_alias_table,
 )
-from qsprep.circuit_core import count_resources
+from qsprep.benchmark_states import BenchmarkSpec, make_state
+from qsprep.circuit_core import count_resources, serialize
 from qsprep.simulator import address_marginal, classical_simulate, fidelity_prob, simulate
 
 
@@ -154,6 +158,86 @@ def test_optimal_lambda_examples_and_brute_force():
                 lam <<= 1
             best = min(lams, key=lambda l: (4 * math.ceil(L / l) + 8 * l * w, l))
             assert optimal_lambda(L, w) == best
+
+
+def _pow2_upto(L):
+    lam = 1
+    while lam <= L:
+        yield lam
+        lam <<= 1
+
+
+def test_lookup_cost_closed_form_matches_built_circuits():
+    # two Toffolis per non-root node of the unary tree over L/lam leaves,
+    # plus (lam - 1) * w CSWAPs; the data words do not enter
+    rng = random.Random(11)
+    for log_l in range(11):
+        L = 1 << log_l
+        for w in (1, 2, 3, 7, 16):
+            data = tuple(rng.randrange(1 << w) for _ in range(L))
+            for lam in _pow2_upto(L):
+                built = count_resources(build_selectswap(
+                    LookupSpec(L, w, data, "selectswap", lam))).t_proxy
+                assert built == 4 * (max(0, 2 * L // lam - 4) + (lam - 1) * w), (L, w, lam)
+
+
+@pytest.mark.parametrize("L, b", [(2, 3), (8, 2), (16, 5), (64, 1), (256, 8)])
+def test_pipeline_lambda_is_argmin_of_built_cost(L, b):
+    # (8, 2): the keep lookup ties at lam = 2 and 4; the smaller one wins
+    n = L.bit_length() - 1
+    pipe = prepare_alias_state(_rand_dist(L, random.Random(L + b)), b,
+                               backend="selectswap")
+    for name, words, w in (("alias", pipe.table.alias, n),
+                           ("keep", [min(k, (1 << b) - 1) for k in pipe.table.keep], b)):
+        costs = [(count_resources(build_selectswap(
+            LookupSpec(L, w, tuple(words), "selectswap", lam))).t_proxy, lam)
+            for lam in _pow2_upto(L)]
+        assert pipe.lam[name] == min(costs)[1], (name, costs)
+
+
+@pytest.mark.parametrize("lam_of_L", [lambda L: 0, lambda L: 3, lambda L: 2 * L],
+                         ids=["0", "3", "2L"])
+def test_explicit_lambda_is_validated_and_ignored_under_qrom(lam_of_L):
+    p = [0.1, 0.2, 0.3, 0.4]
+    lam = lam_of_L(4)
+    with pytest.raises(ValidationError, match="lambda must be a power of two"):
+        prepare_alias_state(p, 4, backend="selectswap", lam=lam)
+    pipe = prepare_alias_state(p, 4, backend="qrom", lam=lam)
+    assert pipe.lam == {"alias": 1, "keep": 1}
+    assert serialize(pipe.circuit) == serialize(prepare_alias_state(p, 4).circuit)
+
+
+_PIPELINE_GOLDEN = os.path.join(os.path.dirname(__file__), "alias_pipeline_golden.json")
+_GOLDEN_SPECS = [
+    BenchmarkSpec("w", n=5), BenchmarkSpec("dicke", n=5, k=2),
+    BenchmarkSpec("dense_random", n=6, seed=1),
+    BenchmarkSpec("sparse_random", n=6, seed=2), BenchmarkSpec("magnus", k=3),
+]
+
+
+def _pipeline_records():
+    out = []
+    for spec in _GOLDEN_SPECS:
+        p = make_state(spec).probabilities()
+        for b in (4, 8, 12):
+            for backend in ("qrom", "selectswap"):
+                pipe = prepare_alias_state(p, b, backend=backend)
+                out.append({
+                    "family": spec.family, "n": spec.n, "k": spec.k,
+                    "seed": spec.seed, "b": b, "backend": backend,
+                    "sha1": hashlib.sha1(serialize(pipe.circuit).encode()).hexdigest(),
+                    "lam": pipe.lam,
+                    "stage_t_proxy": {s: r.t_proxy for s, r in pipe.stages.items()},
+                })
+    return out
+
+
+def test_pipeline_gate_streams_match_golden():
+    # recorded before the lookups were emitted straight onto pipeline qubits
+    with open(_PIPELINE_GOLDEN, encoding="utf-8") as f:
+        want = json.load(f)["cases"]
+    assert len(want) == 30
+    assert _pipeline_records() == want
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,16 @@ def test_compile_rejects_negative_qubit_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_utf8_input_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(["compile", str(bad)]) == 3
+    assert "validation error" in capsys.readouterr().err
+    assert main(["estimate", "--family", "thc_file", "--path", str(bad),
+                 "--method", "sparse"]) == 3
+    assert "validation error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("b", [0, -1])
 @pytest.mark.parametrize("cmd", ["estimate", "compile"])
 def test_b_below_one_is_a_usage_error(cmd, b, tmp_path, capsys):
