@@ -1,7 +1,11 @@
 """Alias-table construction and the coherent alias-sampling pipeline.
 
-Classical stage: Vose small/large worklists produce an exact (tau, alias)
-table in rational arithmetic, then quantize keep_j = floor(tau_j * 2^b).
+Classical stage: Vose small/large worklists in exact integers.  Float
+probabilities are dyadic, so p_j = a_j / A over one common denominator and
+tau_j = s_j / A with integer s_j; keep_j = floor(s_j * 2^b / A).  A zero bin
+takes its alias from the largest surplus (ties to the bin that entered the
+large list first) through a lazily pruned heap, any other small bin from the
+head of the large FIFO, so the build is O(L log L).
 Bins with tau_j = 1 self-alias (alias_j = j, keep_j = 2^b) so the comparator
 outcome is irrelevant for them and they contribute no quantization error.
 
@@ -20,12 +24,15 @@ it.  optimal_lambda is the separate textbook cost model.
 """
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .circuit_core import Circuit, CircuitError, Gate, ResourceReport, count_resources
+from .circuit_core import Circuit, CircuitError, Gate, ResourceReport, gate, tally_gates
 
 
 class ValidationError(ValueError):
@@ -67,50 +74,50 @@ def _check_lambda(lam: int, L: int) -> None:
         raise ValidationError("lambda must be a power of two in [1, L]")
 
 
-def _pad_pow2(p: Sequence[Fraction]) -> List[Fraction]:
-    L = 2
-    while L < len(p):
-        L <<= 1
-    return list(p) + [Fraction(0)] * (L - len(p))
-
-
 def build_alias_table(p: Sequence[float], b: int) -> AliasTable:
-    """Vose construction with exact rational thresholds, then b-bit keep."""
+    """Vose construction in exact integers, then b-bit keep thresholds."""
     if b < 1:
         raise ValidationError("b must be >= 1")
     if any(x < 0 for x in p):
         raise ValidationError("negative probability entry")
-    total = sum(Fraction(x) for x in p)
-    if abs(float(total) - 1.0) > 1e-12:
-        raise ValidationError(f"probabilities sum to {float(total)}, not 1")
-    probs = _pad_pow2([Fraction(x) / total for x in p])
-    L = len(probs)
+    fracs = [Fraction(x) for x in p]
+    den = math.lcm(*(f.denominator for f in fracs))
+    a = [f.numerator * (den // f.denominator) for f in fracs]
+    A = sum(a)       # p_j = a_j / A exactly
+    if abs(A / den - 1.0) > 1e-12:
+        raise ValidationError(f"probabilities sum to {A / den}, not 1")
+    L = max(2, 1 << (len(a) - 1).bit_length())
+    s = [x * L for x in a] + [0] * (L - len(a))    # scaled_j = s_j / A
 
-    scaled = [q * L for q in probs]
-    small: deque = deque()
-    large: deque = deque()
-    for j in range(L):
-        (small if scaled[j] < 1 else large).append(j)
+    # a large bin sits in a FIFO and in a max-heap at once; live[j] is its
+    # current entry, so the copy taken through the other list is skipped.
+    # The heap's seq breaks ties in FIFO order, as max() over the FIFO would.
+    small, large, heap, live = deque(), deque(), [], [None] * L
+    seq = count()
 
-    tau = [Fraction(1)] * L
-    alias = list(range(L))
-    while small and large:
-        s = small.popleft()
-        if scaled[s] == 0:
-            # padding / zero bins take their alias from the largest surplus
-            l = max(large, key=lambda j: scaled[j])
-            large.remove(l)
+    def file(j: int) -> None:
+        if s[j] < A:
+            small.append(j)
         else:
-            l = large.popleft()
-        tau[s] = scaled[s]
-        alias[s] = l
-        scaled[l] = scaled[l] + scaled[s] - 1
-        (small if scaled[l] < 1 else large).append(l)
-    # drained bins keep tau = 1 and self-alias
+            live[j] = e = (-s[j], next(seq), j)
+            large.append(e)
+            heapq.heappush(heap, e)
 
-    two_b = 1 << b
-    keep = tuple(int(t * two_b) if t < 1 else two_b for t in tau)  # floor for tau < 1
-    return AliasTable(L=L, b=b, keep=keep, alias=tuple(alias), tau=tuple(tau))
+    for j in range(L):
+        file(j)
+    tau, keep, alias = [Fraction(1)] * L, [1 << b] * L, list(range(L))
+    while small:        # exact sums keep `large` nonempty while `small` is
+        k = small.popleft()
+        # zero bins take their alias from the largest surplus, the others
+        # from the FIFO head; stale entries are popped and dropped
+        pop = large.popleft if s[k] else (lambda: heapq.heappop(heap))
+        l = next(e for e in iter(pop, None) if live[e[2]] is e)[2]
+        live[l] = None
+        tau[k], keep[k], alias[k] = Fraction(s[k], A), (s[k] << b) // A, l
+        s[l] += s[k] - A
+        file(l)
+    # bins left in `large` hold exactly 1: tau = 1, self-alias
+    return AliasTable(L=L, b=b, keep=tuple(keep), alias=tuple(alias), tau=tuple(tau))
 
 
 def reproduced_distribution(table: AliasTable) -> List[Fraction]:
@@ -191,18 +198,18 @@ def _emit_unary_loads(gates: List[Gate], addr: Sequence[int], anc: Sequence[int]
         bit = addr[depth]
         if ctrl is None:
             # root: the address bit itself selects; X-sandwich for the 0 branch
-            gates.append(Gate("PauliX", (bit,)))
+            gates.append(gate("PauliX", (bit,)))
             walk(lo, mid, depth + 1, bit)
-            gates.append(Gate("PauliX", (bit,)))
+            gates.append(gate("PauliX", (bit,)))
             walk(mid, hi, depth + 1, bit)
         else:
             a = anc[depth - 1]
-            gates.append(Gate("Toffoli", (ctrl, bit, a)))
-            gates.append(Gate("CNOT", (ctrl, a)))      # a = ctrl AND NOT bit
+            gates.append(gate("Toffoli", (ctrl, bit, a)))
+            gates.append(gate("CNOT", (ctrl, a)))      # a = ctrl AND NOT bit
             walk(lo, mid, depth + 1, a)
-            gates.append(Gate("CNOT", (ctrl, a)))      # a = ctrl AND bit
+            gates.append(gate("CNOT", (ctrl, a)))      # a = ctrl AND bit
             walk(mid, hi, depth + 1, a)
-            gates.append(Gate("Toffoli", (ctrl, bit, a)))  # a -> 0
+            gates.append(gate("Toffoli", (ctrl, bit, a)))  # a -> 0
 
     walk(0, 1 << n, 0, None)
 
@@ -212,9 +219,9 @@ def _word_load(gates: List[Gate], word: int, w: int, out: Sequence[int],
     for i in range(w):
         if (word >> (w - 1 - i)) & 1:
             if ctrl is None:
-                gates.append(Gate("PauliX", (out[i],)))
+                gates.append(gate("PauliX", (out[i],)))
             else:
-                gates.append(Gate("CNOT", (ctrl, out[i])))
+                gates.append(gate("CNOT", (ctrl, out[i])))
 
 
 def _lookup_work(n: int, w: int, lam: int) -> int:
@@ -260,11 +267,11 @@ def _emit_lookup(gates: List[Gate], data: Sequence[int], w: int, lam: int,
     for bit in addr[nq:]:               # remainder bit of weight `stride`
         for s in range(stride):
             for i in range(w):
-                gates.append(Gate("ControlledSwap", (bit, temps[s][i], temps[s + stride][i])))
+                gates.append(gate("ControlledSwap", (bit, temps[s][i], temps[s + stride][i])))
         stride >>= 1
 
     for i in range(w):
-        gates.append(Gate("CNOT", (temps[0][i], out[i])))
+        gates.append(gate("CNOT", (temps[0][i], out[i])))
 
 
 def _lookup_circuit(spec: LookupSpec, lam: int) -> Circuit:
@@ -302,19 +309,19 @@ def comparator_gates(x: Sequence[int], y: Sequence[int], flag: int,
     carry ancilla, inputs restored by CNOT/X sandwiches.  Exactly b Toffolis.
     """
     b = len(x)
-    gates: List[Gate] = [Gate("PauliX", (work[0],))]  # carry-in = 1
+    gates: List[Gate] = [gate("PauliX", (work[0],))]  # carry-in = 1
     carry = work[0]
     for i in range(b):
         xi, yi = x[b - 1 - i], y[b - 1 - i]           # LSB first
         nxt = flag if i == b - 1 else work[i + 1]
-        gates.append(Gate("PauliX", (xi,)))
-        gates.append(Gate("CNOT", (carry, yi)))
-        gates.append(Gate("CNOT", (carry, xi)))
-        gates.append(Gate("CNOT", (carry, nxt)))
-        gates.append(Gate("Toffoli", (yi, xi, nxt)))
-        gates.append(Gate("CNOT", (carry, yi)))
-        gates.append(Gate("CNOT", (carry, xi)))
-        gates.append(Gate("PauliX", (xi,)))
+        gates.append(gate("PauliX", (xi,)))
+        gates.append(gate("CNOT", (carry, yi)))
+        gates.append(gate("CNOT", (carry, xi)))
+        gates.append(gate("CNOT", (carry, nxt)))
+        gates.append(gate("Toffoli", (yi, xi, nxt)))
+        gates.append(gate("CNOT", (carry, yi)))
+        gates.append(gate("CNOT", (carry, xi)))
+        gates.append(gate("PauliX", (xi,)))
         carry = nxt
     return gates
 
@@ -387,19 +394,19 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
 
     stage("superposition")
     for q in addr:
-        gates.append(Gate("Hadamard", (q,)))
+        gates.append(gate("Hadamard", (q,)))
     stage("lookup_alias")
     _emit_lookup(gates, alias_words, n, lam_a, addr, alias_out, alias_work)
     stage("lookup_keep")
     _emit_lookup(gates, keep_words, b, lam_k, addr, keep_out, keep_work)
     stage("random")
     for q in sigma:
-        gates.append(Gate("Hadamard", (q,)))
+        gates.append(gate("Hadamard", (q,)))
     stage("comparator")
     gates.extend(comparator_gates(keep_out, sigma, flag, comp_work))
     stage("swap")
     for i in range(n):
-        gates.append(Gate("ControlledSwap", (flag, addr[i], alias_out[i])))
+        gates.append(gate("ControlledSwap", (flag, addr[i], alias_out[i])))
     marks.append(("end", len(gates)))
 
     regs = {
@@ -409,8 +416,7 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
     }
     circ = Circuit(cursor, gates, regs)
 
-    stages: Dict[str, ResourceReport] = {}
-    for (name, start), (_, stop) in zip(marks, marks[1:]):
-        stages[name] = count_resources(Circuit(cursor, gates[start:stop]))
+    stages = {name: tally_gates(gates[start:stop], cursor)
+              for (name, start), (_, stop) in zip(marks, marks[1:])}
     return AliasPipeline(circuit=circ, table=table, stages=stages,
                          lam={"alias": lam_a, "keep": lam_k})

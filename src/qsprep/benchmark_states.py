@@ -264,33 +264,37 @@ def load_thc_coefficients(path: str) -> TargetState:
     t: Dict[int, float] = {}
     xi: Dict[Tuple[int, int], float] = {}
     M = n_orb = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            try:
-                if M is None:
-                    M, n_orb = int(toks[0]), int(toks[1])
-                elif toks[0] == "t":
-                    l, v = int(toks[1]), float(toks[2])
-                    if l in t:
-                        raise ValueError(f"duplicate t index {l}")
-                    if not 0 <= l < n_orb // 2:
-                        raise ValueError(f"t index {l} out of range")
-                    t[l] = v
-                elif toks[0] == "xi":
-                    mu, nu, v = int(toks[1]), int(toks[2]), float(toks[3])
-                    if (mu, nu) in xi:
-                        raise ValueError(f"duplicate xi index {(mu, nu)}")
-                    if not (0 <= mu < M and 0 <= nu < M):
-                        raise ValueError(f"xi index {(mu, nu)} out of range")
-                    xi[(mu, nu)] = v
-                else:
-                    raise ValueError(f"unknown record {toks[0]!r}")
-            except (ValueError, IndexError) as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from e
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"THC coefficient file {path}: not UTF-8 text: {e}") from e
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.split()
+        try:
+            if M is None:
+                M, n_orb = int(toks[0]), int(toks[1])
+            elif toks[0] == "t":
+                l, v = int(toks[1]), float(toks[2])
+                if l in t:
+                    raise ValueError(f"duplicate t index {l}")
+                if not 0 <= l < n_orb // 2:
+                    raise ValueError(f"t index {l} out of range")
+                t[l] = v
+            elif toks[0] == "xi":
+                mu, nu, v = int(toks[1]), int(toks[2]), float(toks[3])
+                if (mu, nu) in xi:
+                    raise ValueError(f"duplicate xi index {(mu, nu)}")
+                if not (0 <= mu < M and 0 <= nu < M):
+                    raise ValueError(f"xi index {(mu, nu)} out of range")
+                xi[(mu, nu)] = v
+            else:
+                raise ValueError(f"unknown record {toks[0]!r}")
+        except (ValueError, IndexError) as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from e
     if M is None:
         raise ParseError(f"{path}: missing 'M n_orb' header")
     return _thc_state(M, n_orb, t, xi)
@@ -299,7 +303,7 @@ def load_thc_coefficients(path: str) -> TargetState:
 def save_thc_coefficients(path: str, M: int, n_orb: int,
                           t: Dict[int, float],
                           xi: Dict[Tuple[int, int], float]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{M} {n_orb}\n")
         for l in sorted(t):
             fh.write(f"t {l} {t[l]!r}\n")

@@ -10,7 +10,10 @@ model):  t_proxy = n_T + n_Tdg + 4 * n_CCX.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 # Gate tags. Rz/Ry carry an angle; MultiControlledRy additionally carries a
@@ -76,6 +79,13 @@ class Gate:
                 raise CircuitError("angle table entries must be finite")
 
 
+@lru_cache(maxsize=1 << 16)
+def gate(tag: str, qubits: Tuple[int, ...]) -> Gate:
+    """Gate(tag, qubits), built and checked once per distinct pair and then
+    shared; an invalid pair raises on every call (errors are not cached)."""
+    return Gate(tag, qubits)
+
+
 @dataclass(frozen=True)
 class Circuit:
     n_qubits: int
@@ -88,7 +98,8 @@ class Circuit:
         object.__setattr__(self, "registers", dict(self.registers))
         if self.n_qubits < 0:
             raise CircuitError(f"qubit count {self.n_qubits} is negative")
-        for g in self.gates:
+        # one check per distinct gate object: emitters share interned gates
+        for g in dict(zip(map(id, self.gates), self.gates)).values():
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise CircuitError(f"gate {g.tag} operand out of range for {self.n_qubits} qubits")
         spans: List[Tuple[int, int]] = []
@@ -124,30 +135,24 @@ class ResourceReport:
     n_rz_synth: int = 0
 
 
+def tally_gates(gates: Sequence[Gate], n_qubits: int) -> ResourceReport:
+    """Resource report of a gate list on n_qubits qubits; see count_resources."""
+    hist = dict(Counter(map(attrgetter("tag"), gates)))
+    n_t, n_tdg = hist.get("T", 0), hist.get("Tdg", 0)
+    n_ccx = hist.get("Toffoli", 0) + hist.get("ControlledSwap", 0)
+    return ResourceReport(
+        n_T=n_t, n_Tdg=n_tdg, n_CCX=n_ccx, t_proxy=n_t + n_tdg + 4 * n_ccx,
+        compiled_T=n_t + n_tdg, total_gates=len(gates), qubits=n_qubits,
+        histogram=hist)
+
+
 def count_resources(circuit: Circuit) -> ResourceReport:
     """Tally gate counts and the proxy T-count t_proxy = n_T + n_Tdg + 4*n_CCX.
 
     Toffoli and ControlledSwap (one Toffoli plus CNOT conjugation) each count
     as one CCX.  compiled_T counts only literal T/Tdg gates.
     """
-    hist: Dict[str, int] = {}
-    n_t = n_tdg = n_ccx = 0
-    for g in circuit.gates:
-        hist[g.tag] = hist.get(g.tag, 0) + 1
-        if g.tag == "T":
-            n_t += 1
-        elif g.tag == "Tdg":
-            n_tdg += 1
-        elif g.tag in ("Toffoli", "ControlledSwap"):
-            n_ccx += 1
-    return ResourceReport(
-        n_T=n_t, n_Tdg=n_tdg, n_CCX=n_ccx,
-        t_proxy=n_t + n_tdg + 4 * n_ccx,
-        compiled_T=n_t + n_tdg,
-        total_gates=len(circuit.gates),
-        qubits=circuit.n_qubits,
-        histogram=hist,
-    )
+    return tally_gates(circuit.gates, circuit.n_qubits)
 
 
 def remap_gate(g: Gate, mapping: Mapping[int, int]) -> Gate:

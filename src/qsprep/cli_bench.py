@@ -29,7 +29,7 @@ import numpy as np
 
 from .alias_prepare import ValidationError, prepare_alias_state, realized_marginal
 from .benchmark_states import BenchmarkSpec, ParameterError, ParseError, make_state
-from .circuit_core import Circuit, CircuitError, count_resources, deserialize, serialize
+from .circuit_core import Circuit, CircuitError, deserialize, serialize
 from .cliffordt_compile import CompileError, SynthesisConfig, compile_circuit
 from .gridsynth import SynthesisError
 from .rotation_synthesis import StateValidationError, TargetState, synthesize_dense, synthesize_sparse
@@ -277,8 +277,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_compile(args) -> int:
     cfg = _cfg_from(args)
-    with open(args.circuit, encoding="utf-8") as f:
-        circ = deserialize(f.read())
+    try:
+        with open(args.circuit, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise CircuitError(f"circuit file {args.circuit}: not UTF-8 text: {e}") from e
+    circ = deserialize(text)
     compiled, rep = compile_circuit(circ, cfg)
     _write_out(serialize(compiled), args.out)
     sys.stdout.write(_report_json(rep))

@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circuit_core import (
-    Circuit, Gate, ResourceReport, count_resources, is_pi4_multiple,
+    Circuit, Gate, ResourceReport, count_resources, gate, is_pi4_multiple,
 )
 from .gridsynth import synthesize_rz_tags
 from .rotation_synthesis import AngleTable, demux_ucry
@@ -87,7 +88,7 @@ def _rz_tags(theta: float, eps: float) -> Tuple[str, ...]:
 
 def _and_compute(a: int, b: int, anc: int) -> List[Gate]:
     # temporary AND: |a,b,0> -> |a,b,ab> exactly, 4 T gates
-    g = Gate
+    g = gate
     return [
         g("Hadamard", (anc,)), g("T", (anc,)),
         g("CNOT", (a, anc)), g("CNOT", (b, anc)),
@@ -99,7 +100,7 @@ def _and_compute(a: int, b: int, anc: int) -> List[Gate]:
 
 
 def _toffoli_7t(a: int, b: int, t: int) -> List[Gate]:
-    g = Gate
+    g = gate
     return [
         g("Hadamard", (t,)), g("CNOT", (b, t)), g("Tdg", (t,)),
         g("CNOT", (a, t)), g("T", (t,)), g("CNOT", (b, t)),
@@ -127,7 +128,7 @@ def _v_chain(controls: Sequence[int], ancillas: Sequence[int], mode: str
     for b, anc in zip(controls[1:], ancillas):
         if mode == "gidney_and_measured":
             compute += _and_compute(top, b, anc)
-            uncompute = [Gate("ANDU", (top, b, anc))] + uncompute
+            uncompute = [gate("ANDU", (top, b, anc))] + uncompute
         else:
             compute += _toffoli_7t(top, b, anc)
             uncompute = _toffoli_7t(top, b, anc) + uncompute
@@ -140,16 +141,21 @@ def lower_mcx(controls: Sequence[int], target: int, ancillas: Sequence[int],
     """Multi-controlled X via a V-chain of len(controls)-1 temporary ANDs."""
     compute, top, uncompute = _v_chain(controls, ancillas, mode)
     if top is None:
-        return [Gate("PauliX", (target,))]
-    return compute + [Gate("CNOT", (top, target))] + uncompute
+        return [gate("PauliX", (target,))]
+    return compute + [gate("CNOT", (top, target))] + uncompute
 
 
 def lower_toffoli(a: int, b: int, t: int, anc: Optional[int],
                   mode: str = "gidney_and_measured") -> List[Gate]:
     """One Toffoli as explicit gates; gidney mode borrows ancilla `anc`."""
-    if mode == "textbook_7T":
-        return _toffoli_7t(a, b, t)
-    return lower_mcx((a, b), t, (anc,), mode)
+    return list(_lowered_toffoli(a, b, t, anc, mode))
+
+
+@lru_cache(maxsize=1 << 16)
+def _lowered_toffoli(a: int, b: int, t: int, anc: Optional[int],
+                     mode: str) -> Tuple[Gate, ...]:
+    return tuple(_toffoli_7t(a, b, t) if mode == "textbook_7T"
+                 else lower_mcx((a, b), t, (anc,), mode))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +180,7 @@ class _Lowerer:
     def emit_rz(self, q: int, theta: float) -> None:
         if is_pi4_multiple(theta):
             for tag in _rz_tags(theta, 1.0):
-                self.gates.append(Gate(tag, (q,)))
+                self.gates.append(gate(tag, (q,)))
             return
         self.n_rz_synth += 1
         if self.cfg.rz_mode == "cost-model":
@@ -182,30 +188,30 @@ class _Lowerer:
             self.gates.append(Gate("Rz", (q,), angle=theta))
             return
         for tag in _rz_tags(theta, self.cfg.eps):
-            self.gates.append(Gate(tag, (q,)))
+            self.gates.append(gate(tag, (q,)))
 
     def emit_ry(self, q: int, theta: float) -> None:
-        self.gates.append(Gate("Sdg", (q,)))
-        self.gates.append(Gate("Hadamard", (q,)))
+        self.gates.append(gate("Sdg", (q,)))
+        self.gates.append(gate("Hadamard", (q,)))
         self.emit_rz(q, theta)
-        self.gates.append(Gate("Hadamard", (q,)))
-        self.gates.append(Gate("S", (q,)))
+        self.gates.append(gate("Hadamard", (q,)))
+        self.gates.append(gate("S", (q,)))
 
     def emit_cry(self, c: int, t: int, theta: float) -> None:
         # Ry(theta/2) . CNOT . Ry(-theta/2) . CNOT as a matrix product
-        self.gates.append(Gate("CNOT", (c, t)))
+        self.gates.append(gate("CNOT", (c, t)))
         self.emit_ry(t, -theta / 2)
-        self.gates.append(Gate("CNOT", (c, t)))
+        self.gates.append(gate("CNOT", (c, t)))
         self.emit_ry(t, theta / 2)
 
     def emit_toffoli(self, a: int, b: int, t: int) -> None:
         mode = self.cfg.toffoli_mode
         anc = self.ancillas(1)[0] if mode == "gidney_and_measured" else None
-        self.gates += lower_toffoli(a, b, t, anc, mode)
+        self.gates += _lowered_toffoli(a, b, t, anc, mode)
 
     def emit_mcry(self, controls: Sequence[int], target: int,
                   mask: Sequence[int], theta: float) -> None:
-        flips = [Gate("PauliX", (q,)) for q, m in zip(controls, mask) if m == 0]
+        flips = [gate("PauliX", (q,)) for q, m in zip(controls, mask) if m == 0]
         compute, top, uncompute = _v_chain(
             controls, self.ancillas(len(controls) - 1), self.cfg.toffoli_mode)
         self.gates += flips + compute
@@ -218,15 +224,15 @@ class _Lowerer:
             self.gates.append(g)
         elif tag == "Swap":
             a, b = g.qubits
-            self.gates += [Gate("CNOT", (a, b)), Gate("CNOT", (b, a)),
-                           Gate("CNOT", (a, b))]
+            self.gates += [gate("CNOT", (a, b)), gate("CNOT", (b, a)),
+                           gate("CNOT", (a, b))]
         elif tag == "Toffoli":
             self.emit_toffoli(*g.qubits)
         elif tag == "ControlledSwap":
             c, x, y = g.qubits
-            self.gates.append(Gate("CNOT", (y, x)))
+            self.gates.append(gate("CNOT", (y, x)))
             self.emit_toffoli(c, x, y)
-            self.gates.append(Gate("CNOT", (y, x)))
+            self.gates.append(gate("CNOT", (y, x)))
         elif tag == "Rz":
             self.emit_rz(g.qubits[0], g.angle)
         elif tag == "Ry":

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_alias
 from qsprep.alias_prepare import (
     AliasTable, LookupSpec, ValidationError, build_alias_table,
     build_comparator, build_qrom, build_selectswap, deserialize_alias_table,
@@ -16,7 +17,8 @@ from qsprep.alias_prepare import (
     reproduced_distribution, serialize_alias_table,
 )
 from qsprep.benchmark_states import BenchmarkSpec, make_state
-from qsprep.circuit_core import count_resources, serialize
+from qsprep.circuit_core import Circuit, count_resources, serialize
+from qsprep.cliffordt_compile import SynthesisConfig, compile_circuit
 from qsprep.simulator import address_marginal, classical_simulate, fidelity_prob, simulate
 
 
@@ -80,6 +82,31 @@ def test_quantization_error_bound(b, log_l, seed):
     marg = [float(x) for x in realized_marginal(t)]
     assert max(abs(a - c) for a, c in zip(marg, p)) <= 2.0 ** -b + 1e-12
     assert sum(realized_marginal(t)) == 1          # exact rational total
+
+
+# weights from a small alphabet give exact zeros and tied surpluses; floats
+# give unrelated dyadic denominators
+_weights = st.lists(st.one_of(st.integers(0, 3), st.floats(0, 1)), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weights, st.integers(1, 16))
+def test_alias_table_matches_fraction_oracle(weights, b):
+    total = sum(weights)
+    if total == 0:
+        weights, total = [1] + weights[1:], 1 + sum(weights[1:])
+    p = [w / total for w in weights]
+    assert build_alias_table(p, b) == reference_alias.build_alias_table(p, b)
+
+
+@pytest.mark.parametrize("spec", [BenchmarkSpec("dense_random", n=10, seed=1),
+                                  BenchmarkSpec("magnus", k=3)],
+                         ids=["dense_random-n10-seed1", "magnus-k3"])
+def test_alias_table_matches_fraction_oracle_on_workload_states(spec):
+    # dense_random n=10 has 512 zero bins of 1024
+    p = make_state(spec).probabilities()
+    for b in (1, 10, 16):
+        assert build_alias_table(p, b) == reference_alias.build_alias_table(p, b)
 
 
 def test_serialization_round_trip():
@@ -238,6 +265,33 @@ def test_pipeline_gate_streams_match_golden():
         want = json.load(f)["cases"]
     assert len(want) == 30
     assert _pipeline_records() == want
+
+
+def test_pipeline_stages_equal_counts_of_their_slices():
+    # stages are tallied straight from gate slices; their sizes, in stage
+    # order, give the slices back
+    for spec in _GOLDEN_SPECS:
+        p = make_state(spec).probabilities()
+        for b in (4, 8, 12):
+            for backend in ("qrom", "selectswap"):
+                pipe = prepare_alias_state(p, b, backend=backend)
+                circ, start = pipe.circuit, 0
+                for name, rep in pipe.stages.items():
+                    stop = start + rep.total_gates
+                    assert rep == count_resources(
+                        Circuit(circ.n_qubits, circ.gates[start:stop])), name
+                    start = stop
+                assert start == len(circ.gates)
+
+
+def test_compile_path_builds_each_distinct_gate_once():
+    # 15,876 logical and 73,408 compiled gates share a few hundred Gate objects
+    p = make_state(BenchmarkSpec("dense_random", n=10, seed=1)).probabilities()
+    pipe = prepare_alias_state(p, 10, backend="qrom")
+    compiled, _ = compile_circuit(pipe.circuit, SynthesisConfig(b=10))
+    objects = {id(g) for g in pipe.circuit.gates} | {id(g) for g in compiled.gates}
+    assert len(compiled.gates) > 50_000
+    assert len(objects) <= 1000
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qsprep.circuit_core import (
-    Circuit, CircuitError, Gate, compose, count_resources, deserialize,
+    Circuit, CircuitError, Gate, compose, count_resources, deserialize, gate,
     is_pi4_multiple, serialize,
 )
 
@@ -31,6 +31,21 @@ def test_angle_and_mask_validation():
         Gate("MultiControlledRy", (0, 1), angle=0.5, mask=(2,))
     with pytest.raises(CircuitError):
         Gate("UniformlyControlledRy", (0, 1), angles=(0.1,))  # needs 2
+
+
+def test_interned_gate_is_checked_and_shared():
+    for _ in range(3):                  # a failure is not cached
+        with pytest.raises(CircuitError, match="repeats a qubit"):
+            gate("CNOT", (1, 1))
+    g = gate("CNOT", (0, 1))
+    assert g == Gate("CNOT", (0, 1))
+    assert gate("CNOT", (0, 1)) is g
+
+
+def test_circuit_checks_every_position_of_a_shared_gate():
+    g = gate("CNOT", (0, 3))
+    with pytest.raises(CircuitError, match="out of range"):
+        Circuit(3, [gate("Hadamard", (0,))] * 4 + [g] * 4)
 
 
 def test_negative_qubit_count_is_rejected():

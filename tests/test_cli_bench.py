@@ -140,6 +140,23 @@ def test_non_utf8_input_is_a_validation_error(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_non_utf8_compile_input_names_the_circuit_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.qc"
+    bad.write_bytes("qubits 1\n# caf\u00e9\n".encode("latin-1"))
+    assert main(["compile", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert f"circuit file {bad}" in err and "UTF-8" in err
+
+
+def test_non_utf8_thc_file_names_the_coefficient_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.thc"
+    bad.write_bytes("# caf\u00e9\n15 16\nt 0 1.0\n".encode("latin-1"))
+    assert main(["estimate", "--family", "thc_file", "--path", str(bad),
+                 "--method", "sparse"]) == 3
+    err = capsys.readouterr().err
+    assert f"THC coefficient file {bad}" in err and "UTF-8" in err
+
+
 @pytest.mark.parametrize("b", [0, -1])
 @pytest.mark.parametrize("cmd", ["estimate", "compile"])
 def test_b_below_one_is_a_usage_error(cmd, b, tmp_path, capsys):

@@ -184,6 +184,31 @@ def test_compile_preserves_unitary_within_budget(mode):
     assert len(seen) == 9                  # the draw reached every gate kind
 
 
+@pytest.mark.parametrize("mode", TOFFOLI_MODES)
+def test_interned_lowering_equals_plain_gates(mode, monkeypatch):
+    # the pipeline exercises every interned gadget; rebuilding it with a
+    # plain Gate(...) per emission must give the same gate stream
+    from qsprep import alias_prepare, cliffordt_compile
+    from qsprep.benchmark_states import BenchmarkSpec, make_state
+
+    p = make_state(BenchmarkSpec("dense_random", n=4, seed=3)).probabilities()
+    circ = Circuit(5, [_random_logical_gate(random.Random(5), 5) for _ in range(40)])
+    cfg = SynthesisConfig(b=8, toffoli_mode=mode)
+
+    def build():
+        pipe = alias_prepare.prepare_alias_state(p, 5, backend="selectswap")
+        return [compile_circuit(c, cfg)[0] for c in (pipe.circuit, circ)]
+
+    interned = build()
+    for mod in (alias_prepare, cliffordt_compile):
+        monkeypatch.setattr(mod, "gate", Gate)
+    monkeypatch.setattr(cliffordt_compile, "_lowered_toffoli",
+                        cliffordt_compile._lowered_toffoli.__wrapped__)
+    plain = build()
+    assert len({id(g) for g in plain[0].gates}) == len(plain[0].gates)
+    assert interned == plain
+
+
 def test_ucry_lowering_compiles_each_demuxed_rotation():
     tbl = (0.3, -0.5, 1.1, 0.2)
     circ = Circuit(3, [Gate("UniformlyControlledRy", (0, 1, 2), angles=tbl)])
