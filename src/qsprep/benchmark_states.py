@@ -54,6 +54,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _check_random_n(family: str, n: int) -> None:
+    # indices are drawn from range(2^n), which must fit numpy's int64
+    if not 2 <= n <= 62:
+        raise ParameterError(f"{family} requires 2 <= n <= 62, got n={n}")
+
+
 def gen_w(n: int) -> TargetState:
     if n < 1:
         raise ParameterError("w requires n >= 1")
@@ -70,8 +76,7 @@ def gen_dicke(n: int, k: int) -> TargetState:
 
 
 def gen_dense_random(n: int, seed: int) -> TargetState:
-    if n < 2:
-        raise ParameterError("dense_random requires n >= 2")
+    _check_random_n("dense_random", n)
     rng = _rng(seed)
     m = 1 << (n - 1)
     idx = rng.choice(1 << n, size=m, replace=False)
@@ -82,8 +87,7 @@ def gen_dense_random(n: int, seed: int) -> TargetState:
 
 
 def gen_sparse_uniform(n: int, seed: int) -> TargetState:
-    if n < 2:
-        raise ParameterError("sparse_uniform requires n >= 2")
+    _check_random_n("sparse_uniform", n)
     rng = _rng(seed)
     idx = rng.choice(1 << n, size=n, replace=False)
     signs = rng.integers(0, 2, size=n) * 2 - 1
@@ -92,8 +96,7 @@ def gen_sparse_uniform(n: int, seed: int) -> TargetState:
 
 
 def gen_sparse_random(n: int, seed: int) -> TargetState:
-    if n < 2:
-        raise ParameterError("sparse_random requires n >= 2")
+    _check_random_n("sparse_random", n)
     rng = _rng(seed)
     idx = rng.choice(1 << n, size=n, replace=False)
     vals = rng.standard_normal(n)
@@ -294,9 +297,9 @@ def load_thc_coefficients(path: str) -> TargetState:
             else:
                 raise ValueError(f"unknown record {toks[0]!r}")
         except (ValueError, IndexError) as e:
-            raise ParseError(f"{path}:{lineno}: {e}") from e
+            raise ParseError(f"THC coefficient file {path}:{lineno}: {e}") from e
     if M is None:
-        raise ParseError(f"{path}: missing 'M n_orb' header")
+        raise ParseError(f"THC coefficient file {path}: missing 'M n_orb' header")
     return _thc_state(M, n_orb, t, xi)
 
 
@@ -368,7 +371,8 @@ def gen_syk_surrogate(n: int, seed: int) -> TargetState:
     nrm = np.linalg.norm(re)
     if nrm < 1e-8:
         raise DegenerateSurrogateError(
-            "ground state real part vanished; rerun with a different seed")
+            "SYK surrogate: ground state real part vanished; "
+            "rerun with a different seed")
     re = re / nrm
     return TargetState.from_vector(re)
 

@@ -28,7 +28,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .alias_prepare import ValidationError, prepare_alias_state, realized_marginal
-from .benchmark_states import BenchmarkSpec, ParameterError, ParseError, make_state
+from .benchmark_states import (
+    BenchmarkSpec, DegenerateSurrogateError, ParameterError, ParseError, make_state,
+)
 from .circuit_core import Circuit, CircuitError, deserialize, serialize
 from .cliffordt_compile import CompileError, SynthesisConfig, compile_circuit
 from .gridsynth import SynthesisError
@@ -279,10 +281,11 @@ def _cmd_compile(args) -> int:
     cfg = _cfg_from(args)
     try:
         with open(args.circuit, encoding="utf-8") as f:
-            text = f.read()
+            circ = deserialize(f.read())
     except UnicodeDecodeError as e:
         raise CircuitError(f"circuit file {args.circuit}: not UTF-8 text: {e}") from e
-    circ = deserialize(text)
+    except CircuitError as e:
+        raise CircuitError(f"circuit file {args.circuit}: {e}") from e
     compiled, rep = compile_circuit(circ, cfg)
     _write_out(serialize(compiled), args.out)
     sys.stdout.write(_report_json(rep))
@@ -326,6 +329,17 @@ def _cmd_verify(args) -> int:
     return 0 if rc == 0 else 3
 
 
+def _innermost_module(e: BaseException) -> str:
+    """The qsprep module nearest to where e was raised."""
+    name, tb = __name__, e.__traceback__
+    while tb is not None:
+        mod = tb.tb_frame.f_globals.get("__name__", "")
+        if mod.startswith("qsprep."):
+            name = mod
+        tb = tb.tb_next
+    return name
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     try:
@@ -350,8 +364,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CapacityError, SynthesisError) as e:
         print(f"capacity error: {e}", file=sys.stderr)
         return 4
+    except MemoryError as e:
+        print(f"capacity error: out of memory in {_innermost_module(e)}",
+              file=sys.stderr)
+        return 4
     except (ValidationError, ParameterError, ParseError, CompileError,
-            CircuitError, StateValidationError, OSError, UnicodeDecodeError) as e:
+            CircuitError, StateValidationError, DegenerateSurrogateError,
+            OSError, UnicodeDecodeError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 3
 

@@ -28,6 +28,7 @@ import mpmath as mp
 from sympy import factorint
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
+from .circuit_core import is_pi4_multiple
 from .rings import (
     RingError, ZOmega, ZSqrt2,
     ZO_DELTA, ZO_ONE, ZO_UNIT_LOG, ZO_ZERO, ZS_ONE, ZS_ZERO,
@@ -298,7 +299,7 @@ def exact_synthesize(mat: RingMatrix) -> List[str]:
         raise RuntimeError(f"{e} is not a power of omega") from None
     for j in reversed(seq):
         gates.append("Hadamard")
-        gates += {0: [], 1: ["T"], 2: ["S"], 3: ["S", "T"]}[j]
+        gates += _T_WORD[j]
     return gates
 
 
@@ -465,6 +466,7 @@ def _zs_values(x: ZSqrt2) -> Tuple[float, float]:
 # ~2^(b/2) points per line.
 _INNER_MAX = 512      # expected 1D solutions above which an axis is walked
 _CHUNK = 32           # expected solutions in the first chunk of a walk
+_ATTEMPTS_PER_K = 16  # best candidates tried per denominator exponent
 
 
 class _Axis1D:
@@ -700,8 +702,7 @@ def _inside(form: Tuple[float, float, float], s: float, t: float, lim: float) ->
     return p * s * s + 2 * q * s * t + r * t * t <= lim
 
 
-def synthesize_rz_tags(theta: float, eps: float,
-                       max_attempts_per_k: int = 16) -> List[str]:
+def synthesize_rz_tags(theta: float, eps: float) -> List[str]:
     """Clifford+T tag sequence U with min_phi ||U - e^{i phi} Rz(theta)|| <= eps.
 
     Exact pi/4 multiples return the minimal S/T word with zero error.
@@ -728,7 +729,7 @@ def synthesize_rz_tags(theta: float, eps: float,
     try:
         region = _EpsRegion(phi0, eps)
         while k <= k_cap:
-            for u in region.candidates(k, max_attempts_per_k):
+            for u in region.candidates(k, _ATTEMPTS_PER_K):
                 xi = ZSqrt2(1 << k, 0) - zo_abs_sq(u)
                 t = solve_diophantine(xi)
                 if t is None:
@@ -747,66 +748,24 @@ def synthesize_rz_tags(theta: float, eps: float,
 
 
 # ---------------------------------------------------------------------------
-# Exact preparability of real single-qubit states (ring membership test)
-
-K_MAX = 32
+# Exact preparability of real single-qubit states
 
 
-def _identify_zsqrt2(value: float, conj_bound: float, tol: float) -> List[ZSqrt2]:
-    return [x for x in solve_grid_1d(value - tol, value + tol,
-                                     -conj_bound, conj_bound)
-            if abs(x.value() - value) <= tol]
-
-
-def exactly_preparable(alpha0: float, alpha1: float,
-                       k_max: int = K_MAX) -> Tuple[bool, Optional[int]]:
+def exactly_preparable(alpha0: float, alpha1: float) -> Tuple[bool, Optional[int]]:
     """Is (alpha0, alpha1) (real, unit norm) a Clifford+T-reachable state?
 
-    Searches phases w = e^{i j pi/8}, j = 0..15, and denominator exponents
-    k <= k_max for exact ring members u0, u1 in Z[omega] with
-    u0/sqrt2^k = w*alpha0, u1/sqrt2^k = w*alpha1 and |u0|^2 + |u1|^2 = 2^k
-    (checked in exact integer arithmetic).  Returns (found, phase index).
-
-    The phase class e^{i j pi/8} is exhaustive for real pairs: any ring
-    member pair that is real up to a phase has (w alpha0)^2 + (w alpha1)^2 =
-    w^2 a unit-modulus ring element, hence an 8th root of unity.
+    Returns (True, j) with e^{i j pi/8} a phase that puts both entries in
+    Z[omega, 1/sqrt2], or (False, None).  Reachable states are those with
+    such a phase w (Kliuchnikov, Maslov, Mosca, arXiv:1206.5236).  Then
+    w^2 = w^2 (alpha0^2 + alpha1^2) and w^2 e^{i theta} = (w (alpha0 +
+    i alpha1))^2, theta = 2 atan2(alpha1, alpha0), are unit-modulus ring
+    elements, i.e. powers of omega, so theta = m pi/4.  Conversely
+    Ry(m pi/4)|0> has ring entries for even m and, times e^{i pi/8}, for
+    odd m: e^{i pi/8} cos(pi/8) = (1 + omega)/2.
     """
     if abs(alpha0 * alpha0 + alpha1 * alpha1 - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
-    for j in range(16):
-        ph = complex(math.cos(j * math.pi / 8), math.sin(j * math.pi / 8))
-        w0, w1 = ph * alpha0, ph * alpha1
-        for k in range(k_max + 1):
-            scale = SQRT2 ** (k + 1)           # X = sqrt2 * component * sqrt2^k
-            bound = 2.0 * SQRT2 * SQRT2 ** k   # generous conjugate bound
-            tol = 1e-12 * (1.0 + scale)
-            comps = [w0.real, w0.imag, w1.real, w1.imag]
-            cands: List[List[ZSqrt2]] = []
-            ok = True
-            for v in comps:
-                found = _identify_zsqrt2(v * scale, bound, tol)
-                if not found:
-                    ok = False
-                    break
-                cands.append(found)
-            if not ok:
-                continue
-            for X0 in cands[0]:
-                for Y0 in cands[1]:
-                    if (X0.a - Y0.a) % 2:
-                        continue
-                    u0 = (X0.b, (X0.a + Y0.a) // 2, Y0.b, (Y0.a - X0.a) // 2)
-                    for X1 in cands[2]:
-                        for Y1 in cands[3]:
-                            if (X1.a - Y1.a) % 2:
-                                continue
-                            u1 = (X1.b, (X1.a + Y1.a) // 2, Y1.b, (Y1.a - X1.a) // 2)
-                            if zo_abs_sq(u0) + zo_abs_sq(u1) != ZSqrt2(1 << k, 0):
-                                continue
-                            with mp.workdps(40 + k):
-                                s = mp.sqrt(2) ** k
-                                d0 = abs(zo_mpvalue(u0, mp) / s - mp.mpc(w0))
-                                d1 = abs(zo_mpvalue(u1, mp) / s - mp.mpc(w1))
-                                if d0 < 1e-12 and d1 < 1e-12:
-                                    return True, j
-    return False, None
+    theta = 2 * math.atan2(alpha1, alpha0)
+    if not is_pi4_multiple(theta):
+        return False, None
+    return True, round(theta / (math.pi / 4)) & 1

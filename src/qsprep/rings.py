@@ -78,9 +78,6 @@ class ZSqrt2:
     def value(self) -> float:
         return self.a + self.b * SQRT2
 
-    def mpvalue(self, mp) -> "object":
-        return mp.mpf(self.a) + mp.mpf(self.b) * mp.sqrt(2)
-
 
 ZS_ZERO = ZSqrt2(0, 0)
 ZS_ONE = ZSqrt2(1, 0)

@@ -160,7 +160,7 @@ def _varying_qubits(amps: Dict[int, float], n: int) -> List[int]:
             if 0 < sum(_bit(j, q, n) for j in support) < len(support)]
 
 
-def synthesize_dense(state: TargetState, prune: bool = True) -> Circuit:
+def synthesize_dense(state: TargetState) -> Circuit:
     """Algorithm: qubit-reduction loop; recorded gates replayed in reverse."""
     n = state.n
     s: Dict[int, float] = dict(state.amplitudes)
@@ -172,8 +172,7 @@ def synthesize_dense(state: TargetState, prune: bool = True) -> Circuit:
         # and the pivot exists
         pivot = choose_pivot(list(s), n, varying)
         table = _table_from_dict(s, n, pivot, [q for q in varying if q != pivot])
-        emitted = prune_constant_controls(table) if prune else table
-        tables.append(emitted)
+        tables.append(prune_constant_controls(table))
         s = _merge_pivot(s, n, pivot, table)
 
     gates: List[Gate] = []

@@ -194,7 +194,3 @@ def address_marginal(psi: np.ndarray, address: Iterable[int], n: int) -> np.ndar
     order = [sorted(addr).index(q) for q in addr]
     marg = np.transpose(marg, order)
     return marg.reshape(-1)
-
-
-def dump_amplitudes(psi: np.ndarray) -> str:
-    return "\n".join(f"{i} {a.real!r} {a.imag!r}" for i, a in enumerate(psi)) + "\n"

@@ -55,8 +55,8 @@ def test_t_friendly_library_angles_are_pi4_multiples():
     from qsprep.circuit_core import is_pi4_multiple
     for th in lib:
         assert is_pi4_multiple(th, tol=1e-9)
-        assert min(abs(math.remainder(th, math.pi)),
-                   abs(math.remainder(th - math.pi / 2, math.pi))) >= 0.0
+        # the library drops angles within 0.1 of a multiple of pi
+        assert abs(math.remainder(th, math.pi)) >= 0.1
 
 
 def test_t_friendly_schedule_angles_preparable():

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qsprep
-from qsprep import cli_bench, cliffordt_compile, gridsynth
+from qsprep import benchmark_states, cli_bench, cliffordt_compile, gridsynth
 from qsprep.benchmark_states import BenchmarkSpec
 from qsprep.circuit_core import deserialize
 from qsprep.cli_bench import (
@@ -155,6 +157,81 @@ def test_non_utf8_thc_file_names_the_coefficient_file(tmp_path, capsys):
                  "--method", "sparse"]) == 3
     err = capsys.readouterr().err
     assert f"THC coefficient file {bad}" in err and "UTF-8" in err
+
+
+def test_circuit_file_error_names_the_file(tmp_path, capsys):
+    qc = tmp_path / "bad.qc"
+    qc.write_text("qubits 2\nCNOT 0 0\n")
+    assert main(["compile", str(qc)]) == 3
+    assert f"validation error: circuit file {qc}: line 2: " in capsys.readouterr().err
+
+
+def test_thc_parse_error_names_the_coefficient_file(tmp_path, capsys):
+    bad = tmp_path / "bad.thc"
+    bad.write_text("15 16\nt zero 1.0\n")
+    assert main(["estimate", "--family", "thc_file", "--path", str(bad),
+                 "--method", "sparse"]) == 3
+    assert f"THC coefficient file {bad}:2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, n", [("dense_random", 64),
+                                       ("sparse_uniform", 70),
+                                       ("sparse_random", 63)])
+def test_random_family_beyond_int64_indices_is_refused(family, n, capsys):
+    assert main(["estimate", "--family", family, "--n", str(n),
+                 "--method", "dense"]) == 3
+    err = capsys.readouterr().err
+    assert family in err and f"n={n}" in err
+
+
+def test_degenerate_syk_surrogate_is_a_validation_error(monkeypatch, capsys):
+    # a ground state with no real part
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: (np.zeros(len(h)), 1j * np.eye(len(h))))
+    assert main(["estimate", "--family", "syk", "--n", "3",
+                 "--method", "dense"]) == 3
+    assert "SYK surrogate" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_a_capacity_error_naming_the_layer(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(benchmark_states, "gen_w", exhausted)
+    assert main(["estimate", "--family", "w", "--n", "3",
+                 "--method", "dense"]) == 4
+    assert ("capacity error: out of memory in qsprep.benchmark_states"
+            in capsys.readouterr().err)
+
+
+_INTS = st.one_of(st.integers(0, 3), st.integers(-2**70, 2**70))
+_FIELDS = st.one_of(
+    _INTS.map(str),
+    st.floats().map(lambda x: f"angle={x!r}"),
+    st.text("0129", max_size=4).map(lambda s: "mask=" + s),
+    st.lists(st.floats(), max_size=5).map(
+        lambda xs: "angles=" + ",".join(map(repr, xs))),
+)
+_GATE_LINES = st.builds(
+    lambda tag, fields: " ".join([tag, *fields]),
+    st.sampled_from(["PauliX", "T", "CNOT", "Toffoli", "Swap",
+                     "ControlledSwap", "Rz", "Ry", "MultiControlledRy",
+                     "UniformlyControlledRy", "ANDU", "CZ"]),
+    st.lists(_FIELDS, max_size=5))
+_HEADERS = st.one_of(
+    st.just("qubits 4"), st.just("qubits"), _INTS.map("qubits {}".format),
+    st.builds("register r {} {}".format, _INTS, _INTS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(headers=st.lists(_HEADERS, max_size=3),
+       body=st.lists(_GATE_LINES, max_size=5))
+def test_compile_maps_malformed_circuit_files_to_exit_codes(
+        tmp_path_factory, headers, body):
+    # headers may be missing or repeated; every outcome is an exit code
+    qc = tmp_path_factory.mktemp("fuzz") / "c.qc"
+    qc.write_text("\n".join(headers + body) + "\n")
+    assert main(["compile", str(qc), "--b", "4",
+                 "--out", os.devnull]) in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("b", [0, -1])

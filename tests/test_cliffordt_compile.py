@@ -253,6 +253,17 @@ def test_cost_model_fallback():
 # Preparability
 
 
+def test_exactly_preparable_iff_ry_needs_no_synthesis():
+    # the compiler's exact-word test and the preparability test agree
+    rng = random.Random(3)
+    thetas = [m * math.pi / 8 for m in range(-32, 33)]
+    thetas += [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(20)]
+    for th in thetas:
+        _, rep = _compile_1q("Ry", th, 4)
+        ok, _ = exactly_preparable(math.cos(th / 2), math.sin(th / 2))
+        assert ok == (rep.n_rz_synth == 0), th
+
+
 def test_exactly_preparable_agrees_with_word_search():
     # every real-amplitude state reachable by a word with <= 6 T gates must
     # be accepted by the ring-membership test

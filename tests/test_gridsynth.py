@@ -18,6 +18,7 @@ from qsprep.rings import (
     ZO_ONE, ZO_ZERO, ZSqrt2, zo_abs_sq, zo_add, zo_from_zsqrt2, zo_mul,
     zs_lambda_power,
 )
+from reference_preparable import search_preparable
 from util import phase_dist_1q, phase_dist_1q_mp, rz_matrix, tags_to_unitary
 
 SQRT2 = math.sqrt(2)
@@ -180,9 +181,36 @@ def test_exactly_preparable_examples():
     assert exactly_preparable(1 / SQRT2, -1 / SQRT2)[0]
     # Ry(pi/4)|0> is reachable (pi/4-multiple rotation angle)
     assert exactly_preparable(math.cos(math.pi / 8), math.sin(math.pi / 8))[0]
-    ok, _ = exactly_preparable(math.cos(math.pi / 12), math.sin(math.pi / 12),
-                               k_max=16)
+    ok, _ = exactly_preparable(math.cos(math.pi / 12), math.sin(math.pi / 12))
     assert not ok
+
+
+def _sign_and_swap_variants(theta):
+    a0, a1 = math.cos(theta / 2), math.sin(theta / 2)
+    for s0 in (1, -1):
+        for s1 in (1, -1):
+            yield s0 * a0, s1 * a1
+            yield s1 * a1, s0 * a0
+
+
+def test_exactly_preparable_matches_search_on_pi4_multiples():
+    for m in range(-16, 17):
+        for a0, a1 in _sign_and_swap_variants(m * math.pi / 4):
+            got = exactly_preparable(a0, a1)
+            assert got[0], (m, a0, a1)
+            assert got == search_preparable(a0, a1), (m, a0, a1)
+
+
+def test_exactly_preparable_matches_search_off_the_grid():
+    rng = random.Random(8)
+    thetas = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(200)]
+    thetas += [m * math.pi / 4 + d for m in range(-8, 9)
+               for d in (-1e-6, 1e-6, -1e-9, 1e-9)]
+    for th in thetas:
+        a0, a1 = math.cos(th / 2), math.sin(th / 2)
+        got = exactly_preparable(a0, a1)
+        assert got == (False, None), th
+        assert got == search_preparable(a0, a1), th
 
 
 def test_exactly_preparable_rejects_unnormalized():
