@@ -5,6 +5,11 @@ median and worst wall time per angle and the mean T-count.  The 2D grid
 solver keeps the time roughly flat in b; a solver whose work grows like
 2^(b/2) shows up here first.
 
+It also prints the median ms per angle spent inside two phases of the
+synthesis, `gridsynth.exact_synthesize` and `gridsynth.solve_diophantine`,
+timed by wrapping those module attributes (the rest of the time is
+candidate enumeration and the per-angle grid set-up).
+
 Run:  PYTHONPATH=src python3 benchmarks/rz_bench.py
 """
 import math
@@ -12,31 +17,61 @@ import random
 import statistics
 import time
 
+from qsprep import gridsynth
 from qsprep.gridsynth import synthesize_rz_tags
 
 N_ANGLES = 20
 B_VALUES = (10, 20, 30, 40)
 SEED = 12345
+PHASES = ("exact_synthesize", "solve_diophantine")
+
+_spent = dict.fromkeys(PHASES, 0.0)
+
+
+def _time_phases() -> None:
+    """Accumulate the wall time of each phase in _spent."""
+    for name in PHASES:
+        fn = getattr(gridsynth, name)
+
+        def timed(*args, _fn=fn, _name=name):
+            t0 = time.perf_counter()
+            try:
+                return _fn(*args)
+            finally:
+                _spent[_name] += time.perf_counter() - t0
+
+        setattr(gridsynth, name, timed)
 
 
 def bench(b: int, angles) -> dict:
     times, tcounts = [], []
+    phase_times = {name: [] for name in PHASES}
     for theta in angles:
+        for name in PHASES:
+            _spent[name] = 0.0
         t0 = time.perf_counter()
         tags = synthesize_rz_tags(theta, 2.0 ** -b)
         times.append(time.perf_counter() - t0)
         tcounts.append(sum(1 for t in tags if t in ("T", "Tdg")))
-    return {"b": b, "median_ms": statistics.median(times) * 1e3,
-            "max_ms": max(times) * 1e3, "mean_T": statistics.fmean(tcounts)}
+        for name in PHASES:
+            phase_times[name].append(_spent[name])
+    out = {"b": b, "median_ms": statistics.median(times) * 1e3,
+           "max_ms": max(times) * 1e3, "mean_T": statistics.fmean(tcounts)}
+    for name in PHASES:
+        out[name] = statistics.median(phase_times[name]) * 1e3
+    return out
 
 
 def main() -> None:
+    _time_phases()
     rng = random.Random(SEED)
     angles = [rng.uniform(-math.pi, math.pi) for _ in range(N_ANGLES)]
-    print(f"{'b':>3} {'median ms/angle':>16} {'max ms':>9} {'mean T':>7}  ({N_ANGLES} angles)")
+    print(f"{'b':>3} {'median ms/angle':>16} {'max ms':>9} {'mean T':>7}"
+          f" {'exact ms':>9} {'dioph ms':>9}  ({N_ANGLES} angles)")
     for b in B_VALUES:
         r = bench(b, angles)
-        print(f"{r['b']:>3} {r['median_ms']:>16.1f} {r['max_ms']:>9.1f} {r['mean_T']:>7.1f}")
+        print(f"{r['b']:>3} {r['median_ms']:>16.1f} {r['max_ms']:>9.1f} {r['mean_T']:>7.1f}"
+              f" {r['exact_synthesize']:>9.2f} {r['solve_diophantine']:>9.2f}")
 
 
 if __name__ == "__main__":

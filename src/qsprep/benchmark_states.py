@@ -51,6 +51,8 @@ class BenchmarkSpec:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got seed={seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

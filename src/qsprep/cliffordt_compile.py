@@ -19,10 +19,9 @@ placeholder and is charged ceil(3*log2(1/eps)) + 11 T gates.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .circuit_core import (
     Circuit, Gate, ResourceReport, count_resources, gate, is_pi4_multiple,
@@ -66,21 +65,10 @@ def cost_model_t_count(eps: float) -> int:
 # ---------------------------------------------------------------------------
 # Rz words
 
-# memo shared across compile calls; guarded for concurrent use
-_MEMO: Dict[Tuple[float, float], Tuple[str, ...]] = {}
-_MEMO_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def _rz_tags(theta: float, eps: float) -> Tuple[str, ...]:
-    key = (theta, eps)
-    with _MEMO_LOCK:
-        hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    tags = tuple(synthesize_rz_tags(theta, eps))
-    with _MEMO_LOCK:
-        _MEMO[key] = tags
-    return tags
+    """The word for Rz(theta) at eps, shared across compile calls."""
+    return tuple(synthesize_rz_tags(theta, eps))
 
 
 # ---------------------------------------------------------------------------

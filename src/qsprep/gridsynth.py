@@ -31,7 +31,7 @@ from sympy.ntheory.residue_ntheory import sqrt_mod
 from .circuit_core import is_pi4_multiple
 from .rings import (
     RingError, ZOmega, ZSqrt2,
-    ZO_DELTA, ZO_ONE, ZO_UNIT_LOG, ZO_ZERO, ZS_ONE, ZS_ZERO,
+    ZO_DELTA, ZO_UNIT_LOG, ZO_ZERO, ZS_ONE, ZS_ZERO,
     zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2, zo_from_zmd,
     zo_from_zsqrt2, zo_galois, zo_gcd, zo_mpvalue, zo_mul, zo_pow, zo_rot,
     zo_sqrt2_divisible, zo_sub, zo_value,
@@ -100,101 +100,77 @@ def solve_grid_1d(l1: float, u1: float, l2: float, u2: float,
 # Diophantine: t.conj * t = xi over Z[omega], xi in Z[sqrt2] totally >= 0
 
 
-def _zs_valuation(x: ZSqrt2, p: ZSqrt2) -> Tuple[int, ZSqrt2]:
+def _zs_valuation(x: ZSqrt2, p: ZSqrt2) -> int:
     v = 0
     while zs_divides(p, x):
         x = zs_div_exact(x, p)
         v += 1
-    return v, x
+    return v
 
 
-def _split_prime_1mod8(pi: ZSqrt2, p: int) -> Optional[ZOmega]:
-    """t with t.conj*t an associate of pi, for p = 1 (mod 8)."""
-    y4 = sqrt_mod(p - 1, p)          # order-4 element
-    if y4 is None:
-        return None
-    pio = zo_from_zsqrt2(pi)
-    for y2 in (y4, p - y4):
-        y0 = sqrt_mod(y2, p)
-        if y0 is None:
-            continue
-        for y in (y0, p - y0):
-            cand = zo_gcd(pio, (-y, 1, 0, 0))   # gcd(pi, w - y)
-            if cand == ZO_ZERO:
-                continue
-            q = zo_abs_sq(cand)
-            if abs(q.norm()) != abs(pi.norm()):
-                continue
-            if zs_divides(pi, q) and zs_divides(q, pi):
-                return cand
-    return None
+def _split_prime_1mod8(pi: ZSqrt2, p: int) -> ZOmega:
+    """t with t.conj*t an associate of pi, for p = 1 (mod 8).
+
+    t = gcd(pi, w - y) for the primitive 8th root of unity y mod p that
+    lies over pi, i.e. with pi(w -> y) = 0 (mod p).  w -> y and w -> -y
+    send sqrt2 = w - w^3 to the two opposite roots of 2 mod p, so exactly
+    one of y and p - y does."""
+    y = sqrt_mod(sqrt_mod(p - 1, p), p)
+    if (pi.a + pi.b * (y - pow(y, 3, p))) % p:
+        y = p - y
+    return zo_gcd(zo_from_zsqrt2(pi), (-y, 1, 0, 0))
 
 
 def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
+    """t in Z[omega] with t.conj * t = xi, or None if there is none.
+
+    A nonzero xi is solvable exactly when it is totally positive and every
+    prime of Z[sqrt2] over a p = 7 (mod 8) divides it to an even power
+    (Ross & Selinger, arXiv:1403.2975): those primes stay prime in
+    Z[omega], while sqrt2, the primes over p = 1 (mod 8) and the inert
+    p = 3, 5 (mod 8) all are t.conj * t up to a unit.  Those two tests are
+    the only None returns; a root that does not multiply back to xi is a
+    bug and raises RuntimeError.
+    """
     if xi.is_zero():
         return ZO_ZERO
     if not xi.totally_positive():
         return None
     m, xi0 = zs_sqrt2_valuation(xi)
     t = zo_pow(ZO_DELTA, m)
-    # norm can be negative (odd sqrt2 valuation); sign lands in the unit fix
-    N = abs(xi0.norm())
-    for p, f in factorint(N).items():
+    # the norm is odd, and negative for an odd sqrt2 valuation; the sign
+    # lands in the unit fix
+    for p, f in factorint(abs(xi0.norm())).items():
         r = p % 8
-        if r in (1, 7):
-            x0 = sqrt_mod(2, p)
-            if x0 is None:
-                return None
-            pi = zs_gcd(ZSqrt2(p, 0), ZSqrt2(x0, -1))
-            if abs(pi.norm()) != p:
-                return None
-            v1, _ = _zs_valuation(xi0, pi)
-            v2, _ = _zs_valuation(xi0, pi.conj())
-            if v1 + v2 != f:
-                return None
+        if r in (1, 7):  # p = pi pi* splits in Z[sqrt2]
+            pi = zs_gcd(ZSqrt2(p, 0), ZSqrt2(sqrt_mod(2, p), -1))
+            v1 = _zs_valuation(xi0, pi)
+            v2 = f - v1
             if r == 1:
                 tp = _split_prime_1mod8(pi, p)
-                if tp is None:
-                    return None
                 t = zo_mul(zo_mul(t, zo_pow(tp, v1)), zo_pow(zo_galois(tp), v2))
-            else:  # r == 7: pi contributes only in even powers
-                if v1 % 2 or v2 % 2:
-                    return None
+            elif v1 % 2 or v2 % 2:
+                return None
+            else:
                 t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi), v1 // 2))
                 t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi.conj()), v2 // 2))
-        else:  # p inert in Z[sqrt2]
-            if f % 2:
-                return None
-            # p = x^2 + d y^2 splits in Z[sqrt(-d)]: d = 1 for r = 5, 2 for r = 3
+        else:  # p inert in Z[sqrt2], so f is even; p = x^2 + d y^2
             d = 1 if r == 5 else 2
-            c0 = sqrt_mod(p - d, p)
-            if c0 is None:
-                return None
-            x, y = eta = zmd_gcd((p, 0), (c0, -1), d)
-            if x * x + d * y * y != p:
-                return None
+            eta = zmd_gcd((p, 0), (sqrt_mod(p - d, p), -1), d)
             t = zo_mul(t, zo_pow(zo_from_zmd(eta, d), f // 2))
-    # fix the remaining totally positive unit lambda^{2m'}
+    # fix the remaining totally positive unit s = lambda^(2m) = a + b sqrt2:
+    # 2a = lambda^2|m| + lambda^-2|m| and sign(b) = sign(m), as s.value()
+    # cancels to noise for m < -10.  Wrong factors fail the check below.
     try:
         s = zs_div_exact(xi, zo_abs_sq(t))
-    except RingError:
-        return None
-    if abs(s.norm()) != 1 or not s.totally_positive():
-        return None
-    # s = lambda^(2m) = a + b sqrt2 with 2a = lambda^2|m| + lambda^-2|m| and
-    # sign(b) = sign(m); s.value() itself cancels to noise for m < -10
-    mm = round(math.log(2 * s.a) / (2 * _LOG_LAMBDA))
-    if s.b < 0:
-        mm = -mm
+        mm = round(math.log(2 * s.a) / (2 * _LOG_LAMBDA)) * (-1 if s.b < 0 else 1)
+    except (RingError, ValueError):
+        mm = 0
     for cand in (mm, mm - 1, mm + 1, mm - 2, mm + 2):
-        if zs_lambda_power(2 * cand) == s:
-            t = zo_mul(t, zo_from_zsqrt2(zs_lambda_power(cand)))
-            break
-    else:
-        return None
-    if zo_abs_sq(t) != xi:
-        return None
-    return t
+        root = zo_mul(t, zo_from_zsqrt2(zs_lambda_power(cand)))
+        if zo_abs_sq(root) == xi:
+            return root
+    raise RuntimeError(f"no root of {xi} from the prime factors of its norm")
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +198,16 @@ class RingMatrix:
                          [zo_value(self.m10), zo_value(self.m11)]], dtype=complex) / s
 
 
-def _strip(m: List[ZOmega], k: int) -> Tuple[List[ZOmega], int]:
-    while k > 0 and all(zo_sqrt2_divisible(x) for x in m):
-        m = [zo_div_sqrt2(x) for x in m]
-        k -= 1
-    return m, k
+def _strip(u: ZOmega, t: ZOmega, k: int) -> Tuple[ZOmega, ZOmega, int]:
+    """The column (u,t)/sqrt2^k with its denominator exponent k lowest."""
+    while k > 0 and zo_sqrt2_divisible(u) and zo_sqrt2_divisible(t):
+        u, t, k = zo_div_sqrt2(u), zo_div_sqrt2(t), k - 1
+    return u, t, k
 
 
-def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
+def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> Tuple[List[int], ZOmega, ZOmega]:
     """j-sequence of H T^{-j} steps taking the unit column (u,t)/sqrt2^k
-    down to denominator exponent 0.
+    down to denominator exponent 0, and the column it ends at.
 
     A single step does not always shrink k (small-k plateaus exist), so this
     runs best-first search over the four residue choices with a visited set;
@@ -243,7 +219,7 @@ def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
     while stack:
         u, t, k, seq = stack.pop()
         if k == 0:
-            return seq
+            return seq, u, t
         key = (u, t, k)
         if key in seen:
             continue
@@ -257,9 +233,7 @@ def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
             if not zo_sqrt2_divisible(s):
                 continue
             # divisibility of the sum implies it for the difference (= 2u - s)
-            u2, t2, k2 = zo_div_sqrt2(s), zo_div_sqrt2(zo_sub(u, tw)), k
-            while k2 > 0 and zo_sqrt2_divisible(u2) and zo_sqrt2_divisible(t2):
-                u2, t2, k2 = zo_div_sqrt2(u2), zo_div_sqrt2(t2), k2 - 1
+            u2, t2, k2 = _strip(zo_div_sqrt2(s), zo_div_sqrt2(zo_sub(u, tw)), k)
             opts.append((k2, j, u2, t2))
         # push worst option first so the lowest exponent is explored next
         for k2, j, u2, t2 in sorted(opts, reverse=True):
@@ -268,35 +242,28 @@ def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
 
 
 def exact_synthesize(mat: RingMatrix) -> List[str]:
-    """Gate tags (temporal order) realizing mat up to global phase."""
-    m00, m01, m10, m11 = mat.m00, mat.m01, mat.m10, mat.m11
-    # reduce the first column by H T^{-j} steps, accumulating G exactly
-    (u, t), k = _strip([m00, m10], mat.k)
-    seq = _reduce_column(u, t, k)
-    # apply the recorded steps to the full matrix exactly to get the residual
-    g00, g01, g10, g11 = ZO_ONE, ZO_ZERO, ZO_ZERO, ZO_ONE
-    for j in seq:
-        w10, w11 = zo_rot(g10, 8 - j), zo_rot(g11, 8 - j)
-        g00, g01, g10, g11 = (zo_add(g00, w10), zo_add(g01, w11),
-                              zo_sub(g00, w10), zo_sub(g01, w11))
-    res, k = _strip([
-        zo_add(zo_mul(g00, m00), zo_mul(g01, m10)),
-        zo_add(zo_mul(g00, m01), zo_mul(g01, m11)),
-        zo_add(zo_mul(g10, m00), zo_mul(g11, m10)),
-        zo_add(zo_mul(g10, m01), zo_mul(g11, m11))], len(seq) + mat.k)
-    if k != 0:
-        raise RuntimeError("residual is not a Clifford phase matrix")
-    r00, r01, r10, r11 = res
-    gates: List[str] = []
-    try:
-        if r00 == ZO_ZERO:
-            # diag part of X * res
-            gates += _T_WORD[(ZO_UNIT_LOG[r01] - ZO_UNIT_LOG[r10]) % 8]
-            gates.append("PauliX")
-        else:
-            gates += _T_WORD[(ZO_UNIT_LOG[r11] - ZO_UNIT_LOG[r00]) % 8]
-    except KeyError as e:
-        raise RuntimeError(f"{e} is not a power of omega") from None
+    """Gate tags (temporal order) realizing mat up to global phase.
+
+    The H T^{-j} steps that reduce the first column take mat to a Clifford
+    phase matrix R whose first column is the unit column the reduction ends
+    at, (w^l, 0) or (0, w^l).  Its determinant fixes the rest
+    (Kliuchnikov, Maslov & Mosca, arXiv:1206.5236): det R = w^D with
+    det(mat) = w^d and D = d + sum(4 - j), as det(H T^{-j}) = w^(4-j).  So
+    R = diag(w^l, w^(D-l)), which is T^(D-2l) up to phase, or R =
+    [[0, w^(D+4-l)], [w^l, 0]], which is T^(D+4-2l) followed by X.
+    """
+    seq, u, t = _reduce_column(*_strip(mat.m00, mat.m10, mat.k))
+    det = zo_sub(zo_mul(mat.m00, mat.m11), zo_mul(mat.m01, mat.m10))
+    unit = tuple(x >> mat.k for x in det)
+    if det != tuple(x << mat.k for x in unit) or unit not in ZO_UNIT_LOG:
+        raise RuntimeError(f"determinant {det} / 2^{mat.k} is not a power of omega")
+    D = ZO_UNIT_LOG[unit] + sum(4 - j for j in seq)
+    if t == ZO_ZERO and u in ZO_UNIT_LOG:
+        gates = list(_T_WORD[(D - 2 * ZO_UNIT_LOG[u]) % 8])
+    elif u == ZO_ZERO and t in ZO_UNIT_LOG:
+        gates = _T_WORD[(D + 4 - 2 * ZO_UNIT_LOG[t]) % 8] + ["PauliX"]
+    else:
+        raise RuntimeError(f"column reduction ended at {(u, t)}, not a unit column")
     for j in reversed(seq):
         gates.append("Hadamard")
         gates += _T_WORD[j]

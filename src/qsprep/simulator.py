@@ -115,7 +115,11 @@ def simulate(circuit: Circuit, initial: Optional[np.ndarray] = None,
             "use the analytic marginal path for sampling circuits")
     n = circuit.n_qubits
     if initial is None:
-        state = np.zeros(1 << n, dtype=complex)
+        try:
+            state = np.zeros(1 << n, dtype=complex)
+        except (ValueError, MemoryError):  # ValueError: beyond NumPy's largest array
+            raise CapacityError(f"statevector simulator cannot allocate the "
+                                f"2^{n} amplitudes of n={n} qubits") from None
         state[0] = 1.0
     else:
         state = np.asarray(initial, dtype=complex).reshape(-1).copy()

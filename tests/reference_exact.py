@@ -1,0 +1,207 @@
+"""The exact back end that `gridsynth` replaced, kept verbatim as the test
+oracle for its shorter form: exact synthesis that replays every H T^{-j}
+step onto the whole matrix to find the Clifford tail, and the Diophantine
+solver with its defensive branches."""
+from __future__ import annotations
+
+import math
+from typing import List, Optional, Tuple
+
+from sympy import factorint
+from sympy.ntheory.residue_ntheory import sqrt_mod
+
+from qsprep.gridsynth import _LOG_LAMBDA, _T_WORD, RingMatrix
+from qsprep.rings import (
+    RingError, ZOmega, ZSqrt2,
+    ZO_DELTA, ZO_ONE, ZO_UNIT_LOG, ZO_ZERO,
+    zmd_gcd, zo_abs_sq, zo_add, zo_div_sqrt2, zo_from_zmd,
+    zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_pow, zo_rot,
+    zo_sqrt2_divisible, zo_sub,
+    zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_sqrt2_valuation,
+)
+
+
+# ---------------------------------------------------------------------------
+# Diophantine: t.conj * t = xi over Z[omega], xi in Z[sqrt2] totally >= 0
+
+
+def _zs_valuation(x: ZSqrt2, p: ZSqrt2) -> Tuple[int, ZSqrt2]:
+    v = 0
+    while zs_divides(p, x):
+        x = zs_div_exact(x, p)
+        v += 1
+    return v, x
+
+
+def _split_prime_1mod8(pi: ZSqrt2, p: int) -> Optional[ZOmega]:
+    """t with t.conj*t an associate of pi, for p = 1 (mod 8)."""
+    y4 = sqrt_mod(p - 1, p)          # order-4 element
+    if y4 is None:
+        return None
+    pio = zo_from_zsqrt2(pi)
+    for y2 in (y4, p - y4):
+        y0 = sqrt_mod(y2, p)
+        if y0 is None:
+            continue
+        for y in (y0, p - y0):
+            cand = zo_gcd(pio, (-y, 1, 0, 0))   # gcd(pi, w - y)
+            if cand == ZO_ZERO:
+                continue
+            q = zo_abs_sq(cand)
+            if abs(q.norm()) != abs(pi.norm()):
+                continue
+            if zs_divides(pi, q) and zs_divides(q, pi):
+                return cand
+    return None
+
+
+def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
+    if xi.is_zero():
+        return ZO_ZERO
+    if not xi.totally_positive():
+        return None
+    m, xi0 = zs_sqrt2_valuation(xi)
+    t = zo_pow(ZO_DELTA, m)
+    # norm can be negative (odd sqrt2 valuation); sign lands in the unit fix
+    N = abs(xi0.norm())
+    for p, f in factorint(N).items():
+        r = p % 8
+        if r in (1, 7):
+            x0 = sqrt_mod(2, p)
+            if x0 is None:
+                return None
+            pi = zs_gcd(ZSqrt2(p, 0), ZSqrt2(x0, -1))
+            if abs(pi.norm()) != p:
+                return None
+            v1, _ = _zs_valuation(xi0, pi)
+            v2, _ = _zs_valuation(xi0, pi.conj())
+            if v1 + v2 != f:
+                return None
+            if r == 1:
+                tp = _split_prime_1mod8(pi, p)
+                if tp is None:
+                    return None
+                t = zo_mul(zo_mul(t, zo_pow(tp, v1)), zo_pow(zo_galois(tp), v2))
+            else:  # r == 7: pi contributes only in even powers
+                if v1 % 2 or v2 % 2:
+                    return None
+                t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi), v1 // 2))
+                t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi.conj()), v2 // 2))
+        else:  # p inert in Z[sqrt2]
+            if f % 2:
+                return None
+            # p = x^2 + d y^2 splits in Z[sqrt(-d)]: d = 1 for r = 5, 2 for r = 3
+            d = 1 if r == 5 else 2
+            c0 = sqrt_mod(p - d, p)
+            if c0 is None:
+                return None
+            x, y = eta = zmd_gcd((p, 0), (c0, -1), d)
+            if x * x + d * y * y != p:
+                return None
+            t = zo_mul(t, zo_pow(zo_from_zmd(eta, d), f // 2))
+    # fix the remaining totally positive unit lambda^{2m'}
+    try:
+        s = zs_div_exact(xi, zo_abs_sq(t))
+    except RingError:
+        return None
+    if abs(s.norm()) != 1 or not s.totally_positive():
+        return None
+    # s = lambda^(2m) = a + b sqrt2 with 2a = lambda^2|m| + lambda^-2|m| and
+    # sign(b) = sign(m); s.value() itself cancels to noise for m < -10
+    mm = round(math.log(2 * s.a) / (2 * _LOG_LAMBDA))
+    if s.b < 0:
+        mm = -mm
+    for cand in (mm, mm - 1, mm + 1, mm - 2, mm + 2):
+        if zs_lambda_power(2 * cand) == s:
+            t = zo_mul(t, zo_from_zsqrt2(zs_lambda_power(cand)))
+            break
+    else:
+        return None
+    if zo_abs_sq(t) != xi:
+        return None
+    return t
+
+
+# ---------------------------------------------------------------------------
+# Exact synthesis of ring unitaries into gate tags (temporal order)
+
+
+def _strip(m: List[ZOmega], k: int) -> Tuple[List[ZOmega], int]:
+    while k > 0 and all(zo_sqrt2_divisible(x) for x in m):
+        m = [zo_div_sqrt2(x) for x in m]
+        k -= 1
+    return m, k
+
+
+def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
+    """j-sequence of H T^{-j} steps taking the unit column (u,t)/sqrt2^k
+    down to denominator exponent 0.
+
+    A single step does not always shrink k (small-k plateaus exist), so this
+    runs best-first search over the four residue choices with a visited set;
+    termination is guaranteed because the reachable states at bounded
+    exponent are finite and a Clifford+T word for any ring unitary exists.
+    """
+    stack = [(u, t, k, [])]
+    seen = set()
+    while stack:
+        u, t, k, seq = stack.pop()
+        if k == 0:
+            return seq
+        key = (u, t, k)
+        if key in seen:
+            continue
+        seen.add(key)
+        opts = []
+        ta, tb, tc, td = t
+        # t * w^(8-j) for j = 0..3
+        for j, tw in enumerate(((ta, tb, tc, td), (tb, tc, td, -ta),
+                                (tc, td, -ta, -tb), (td, -ta, -tb, -tc))):
+            s = zo_add(u, tw)
+            if not zo_sqrt2_divisible(s):
+                continue
+            # divisibility of the sum implies it for the difference (= 2u - s)
+            u2, t2, k2 = zo_div_sqrt2(s), zo_div_sqrt2(zo_sub(u, tw)), k
+            while k2 > 0 and zo_sqrt2_divisible(u2) and zo_sqrt2_divisible(t2):
+                u2, t2, k2 = zo_div_sqrt2(u2), zo_div_sqrt2(t2), k2 - 1
+            opts.append((k2, j, u2, t2))
+        # push worst option first so the lowest exponent is explored next
+        for k2, j, u2, t2 in sorted(opts, reverse=True):
+            stack.append((u2, t2, k2, seq + [j]))
+    raise RuntimeError("column reduction failed (input not unitary?)")
+
+
+def exact_synthesize(mat: RingMatrix) -> List[str]:
+    """Gate tags (temporal order) realizing mat up to global phase."""
+    m00, m01, m10, m11 = mat.m00, mat.m01, mat.m10, mat.m11
+    # reduce the first column by H T^{-j} steps, accumulating G exactly
+    (u, t), k = _strip([m00, m10], mat.k)
+    seq = _reduce_column(u, t, k)
+    # apply the recorded steps to the full matrix exactly to get the residual
+    g00, g01, g10, g11 = ZO_ONE, ZO_ZERO, ZO_ZERO, ZO_ONE
+    for j in seq:
+        w10, w11 = zo_rot(g10, 8 - j), zo_rot(g11, 8 - j)
+        g00, g01, g10, g11 = (zo_add(g00, w10), zo_add(g01, w11),
+                              zo_sub(g00, w10), zo_sub(g01, w11))
+    res, k = _strip([
+        zo_add(zo_mul(g00, m00), zo_mul(g01, m10)),
+        zo_add(zo_mul(g00, m01), zo_mul(g01, m11)),
+        zo_add(zo_mul(g10, m00), zo_mul(g11, m10)),
+        zo_add(zo_mul(g10, m01), zo_mul(g11, m11))], len(seq) + mat.k)
+    if k != 0:
+        raise RuntimeError("residual is not a Clifford phase matrix")
+    r00, r01, r10, r11 = res
+    gates: List[str] = []
+    try:
+        if r00 == ZO_ZERO:
+            # diag part of X * res
+            gates += _T_WORD[(ZO_UNIT_LOG[r01] - ZO_UNIT_LOG[r10]) % 8]
+            gates.append("PauliX")
+        else:
+            gates += _T_WORD[(ZO_UNIT_LOG[r11] - ZO_UNIT_LOG[r00]) % 8]
+    except KeyError as e:
+        raise RuntimeError(f"{e} is not a power of omega") from None
+    for j in reversed(seq):
+        gates.append("Hadamard")
+        gates += _T_WORD[j]
+    return gates

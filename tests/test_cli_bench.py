@@ -16,7 +16,7 @@ from qsprep import benchmark_states, cli_bench, cliffordt_compile, gridsynth
 from qsprep.benchmark_states import BenchmarkSpec
 from qsprep.circuit_core import deserialize
 from qsprep.cli_bench import (
-    CSV_FIELDS, MAGNUS_B_DEFAULT, UsageError, build_parser, main,
+    CSV_FIELDS, FAMILIES, MAGNUS_B_DEFAULT, UsageError, build_parser, main,
     rows_to_csv, run_sweep,
 )
 
@@ -234,6 +234,40 @@ def test_compile_maps_malformed_circuit_files_to_exit_codes(
                  "--out", os.devnull]) in (0, 2, 3, 4)
 
 
+def test_negative_seed_is_a_validation_error(capsys):
+    for family in ("dense_random", "sparse_random", "t_friendly", "thc_toy", "syk"):
+        assert main(["estimate", "--family", family, "--n", "3", "--seed", "-1",
+                     "--method", "dense"]) == 3, family
+        assert "seed=-1" in capsys.readouterr().err
+
+
+# n and k stay tiny: larger sizes allocate or run for minutes
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(-2, 6), k=st.integers(-1, 4),
+       seed=st.one_of(st.integers(0, 3), st.integers(-2**70, 2**70)),
+       path=st.sampled_from([None, "missing.thc", ".", "binary.thc"]),
+       method=st.sampled_from(["sparse", "qrom"]))
+def test_estimate_maps_flag_values_to_exit_codes(
+        tmp_path_factory, family, n, k, seed, path, method):
+    d = tmp_path_factory.mktemp("flags")
+    (d / "binary.thc").write_bytes(b"\xff\xfe\x00\x01")
+    argv = ["estimate", "--family", family, "--n", str(n), "--k", str(k),
+            "--seed", str(seed), "--method", method, "--b", "4", "--out", os.devnull]
+    if path is not None:
+        argv += ["--path", str(d / path)]
+    assert main(argv) in (0, 2, 3, 4)
+
+
+def test_unallocatable_statevector_is_a_capacity_error(capsys):
+    # this pipeline has 64 qubits, whose 2^64 amplitudes NumPy refuses
+    # without allocating; never test 30-59 qubits, which can really allocate
+    assert main(["bench", "--family", "magnus", "--k", "4", "--b", "11",
+                 "--method", "qrom", "--budget-qubits", "64",
+                 "--out", os.devnull]) == 4
+    err = capsys.readouterr().err
+    assert "capacity error: statevector simulator" in err and "n=64" in err
+
+
 @pytest.mark.parametrize("b", [0, -1])
 @pytest.mark.parametrize("cmd", ["estimate", "compile"])
 def test_b_below_one_is_a_usage_error(cmd, b, tmp_path, capsys):
@@ -270,9 +304,12 @@ def test_rz_synthesis_failure_is_a_capacity_error(monkeypatch, capsys):
     # exit 4 naming the layer, the angle and the precision
     monkeypatch.setattr(gridsynth._EpsRegion, "candidates",
                         lambda self, k, limit=None: [])
-    monkeypatch.setattr(cliffordt_compile, "_MEMO", {})
-    assert main(["estimate", "--family", "w", "--n", "3", "--method", "dense",
-                 "--b", "12"]) == 4
+    cliffordt_compile._rz_tags.cache_clear()
+    try:
+        assert main(["estimate", "--family", "w", "--n", "3", "--method", "dense",
+                     "--b", "12"]) == 4
+    finally:
+        cliffordt_compile._rz_tags.cache_clear()
     err = capsys.readouterr().err
     assert "Rz synthesis" in err and "theta=" in err and "b=12" in err
 

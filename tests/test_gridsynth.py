@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_exact
 import reference_scan
 from qsprep import gridsynth
 from qsprep.gridsynth import (
@@ -85,16 +86,51 @@ def test_diophantine_unbalanced_norms(m):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-9, 9), st.integers(-9, 9),
-       st.integers(-9, 9), st.integers(-9, 9))
-def test_diophantine_solves_all_norms(a, b, c, d):
-    # xi = t^dagger t is solvable by construction; solver must find some root
-    t0 = (a, b, c, d)
+       st.integers(-9, 9), st.integers(-9, 9), st.integers(-24, 24))
+def test_diophantine_solves_all_norms(a, b, c, d, m):
+    # xi = t^dagger t is solvable by construction; solver must find some
+    # root, the one the defensive solver it replaced finds
+    t0 = zo_mul((a, b, c, d), zo_from_zsqrt2(zs_lambda_power(m)))
     if t0 == ZO_ZERO:
         return
     xi = zo_abs_sq(t0)
     t = solve_diophantine(xi)
     assert t is not None
     assert zo_abs_sq(t) == xi
+    assert t == reference_exact.solve_diophantine(xi)
+
+
+# primes of Z[sqrt2] over 7, 23, 31, 47 (all 7 mod 8), and 7 itself
+_PRIMES_7MOD8 = [ZSqrt2(3, 1), ZSqrt2(3, -1), ZSqrt2(5, 1), ZSqrt2(7, 3),
+                 ZSqrt2(7, 1), ZSqrt2(7, 0)]
+
+
+# a > |b| sqrt2 makes a + b sqrt2 totally positive; most such xi have no
+# root, while every t.conj t has one
+_TOTALLY_POSITIVE = st.one_of(
+    st.builds(lambda b, slack: ZSqrt2(math.isqrt(2 * b * b) + slack, b),
+              st.integers(-2000, 2000), st.integers(1, 2000)),
+    st.tuples(*[st.integers(-30, 30)] * 4).filter(lambda t: t != ZO_ZERO).map(zo_abs_sq))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TOTALLY_POSITIVE, st.lists(st.sampled_from(_PRIMES_7MOD8), max_size=3))
+def test_diophantine_matches_reference_on_totally_positive_xi(xi, factors):
+    # the factors over p = 7 (mod 8) leave a root only in even powers
+    for f in factors:
+        xi = xi * f
+    t = solve_diophantine(xi)
+    assert t == reference_exact.solve_diophantine(xi)
+    assert t is None or zo_abs_sq(t) == xi
+
+
+@pytest.mark.parametrize("factor", [(1, 0), (2, 1)])
+def test_diophantine_wrong_factor_is_an_internal_error(factor, monkeypatch):
+    # 9 = 3^2 is solvable, so a prime split that does not multiply back is
+    # a bug to report, not a candidate to skip
+    monkeypatch.setattr(gridsynth, "zmd_gcd", lambda u, v, d: factor)
+    with pytest.raises(RuntimeError, match="no root"):
+        solve_diophantine(ZSqrt2(9, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +163,7 @@ def _word_matrix(word):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.sampled_from(_CLIFFT), max_size=24))
+@given(st.lists(st.sampled_from(_CLIFFT), max_size=40))
 def test_exact_synthesize_recovers_random_words(word):
     m = _word_matrix(word)
     tags = exact_synthesize(m)
@@ -135,6 +171,35 @@ def test_exact_synthesize_recovers_random_words(word):
     got = tags_to_unitary(tags)
     want = np.array(m.value())
     assert phase_dist_1q(got, want) < 1e-9
+    # the tail read off the determinant is the one the full replay found
+    assert tags == reference_exact.exact_synthesize(m)
+
+
+def _synthesized_matrices(theta, b):
+    mats, real = [], gridsynth.exact_synthesize
+
+    def record(mat):
+        mats.append(mat)
+        return real(mat)
+
+    gridsynth.exact_synthesize = record
+    try:
+        synthesize_rz_tags(theta, 2.0 ** -b)
+    finally:
+        gridsynth.exact_synthesize = real
+    return mats
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-math.pi, math.pi), st.sampled_from([8, 12, 16]))
+def test_exact_synthesize_matches_reference_on_rz_matrices(theta, b):
+    for mat in _synthesized_matrices(theta, b):
+        assert exact_synthesize(mat) == reference_exact.exact_synthesize(mat)
+
+
+def test_exact_synthesize_rejects_a_non_unit_determinant():
+    with pytest.raises(RuntimeError, match="determinant"):
+        exact_synthesize(RingMatrix(ZO_ONE, ZO_ZERO, ZO_ZERO, (2, 0, 0, 0), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +345,7 @@ def test_grid_operator_makes_the_pair_upright(b):
 def test_invariant_failure_is_not_a_synthesis_error(monkeypatch):
     # a wrong column reduction is a program bug, not an unmeetable b, so it
     # must not surface as the capacity error SynthesisError
-    monkeypatch.setattr(gridsynth, "_reduce_column", lambda u, t, k: [])
+    monkeypatch.setattr(gridsynth, "_reduce_column", lambda u, t, k: ([], u, t))
     with pytest.raises(RuntimeError, match="internal error in Rz synthesis") as e:
         synthesize_rz_tags(0.3, 2.0 ** -8)
     assert not isinstance(e.value, SynthesisError)
