@@ -25,11 +25,10 @@ B_VALUES = (10, 20, 30, 40)
 SEED = 12345
 PHASES = ("exact_synthesize", "solve_diophantine")
 
-_spent = dict.fromkeys(PHASES, 0.0)
 
-
-def _time_phases() -> None:
-    """Accumulate the wall time of each phase in _spent."""
+def time_phases() -> dict:
+    """Wrap each phase so it adds its wall time to the returned dict."""
+    spent = dict.fromkeys(PHASES, 0.0)
     for name in PHASES:
         fn = getattr(gridsynth, name)
 
@@ -38,23 +37,24 @@ def _time_phases() -> None:
             try:
                 return _fn(*args)
             finally:
-                _spent[_name] += time.perf_counter() - t0
+                spent[_name] += time.perf_counter() - t0
 
         setattr(gridsynth, name, timed)
+    return spent
 
 
-def bench(b: int, angles) -> dict:
+def bench(b: int, angles, spent: dict) -> dict:
     times, tcounts = [], []
     phase_times = {name: [] for name in PHASES}
     for theta in angles:
         for name in PHASES:
-            _spent[name] = 0.0
+            spent[name] = 0.0
         t0 = time.perf_counter()
         tags = synthesize_rz_tags(theta, 2.0 ** -b)
         times.append(time.perf_counter() - t0)
         tcounts.append(sum(1 for t in tags if t in ("T", "Tdg")))
         for name in PHASES:
-            phase_times[name].append(_spent[name])
+            phase_times[name].append(spent[name])
     out = {"b": b, "median_ms": statistics.median(times) * 1e3,
            "max_ms": max(times) * 1e3, "mean_T": statistics.fmean(tcounts)}
     for name in PHASES:
@@ -63,13 +63,13 @@ def bench(b: int, angles) -> dict:
 
 
 def main() -> None:
-    _time_phases()
+    spent = time_phases()
     rng = random.Random(SEED)
     angles = [rng.uniform(-math.pi, math.pi) for _ in range(N_ANGLES)]
     print(f"{'b':>3} {'median ms/angle':>16} {'max ms':>9} {'mean T':>7}"
           f" {'exact ms':>9} {'dioph ms':>9}  ({N_ANGLES} angles)")
     for b in B_VALUES:
-        r = bench(b, angles)
+        r = bench(b, angles, spent)
         print(f"{r['b']:>3} {r['median_ms']:>16.1f} {r['max_ms']:>9.1f} {r['mean_T']:>7.1f}"
               f" {r['exact_synthesize']:>9.2f} {r['solve_diophantine']:>9.2f}")
 

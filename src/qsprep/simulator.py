@@ -117,7 +117,7 @@ def simulate(circuit: Circuit, initial: Optional[np.ndarray] = None,
     if initial is None:
         try:
             state = np.zeros(1 << n, dtype=complex)
-        except (ValueError, MemoryError):  # ValueError: beyond NumPy's largest array
+        except ValueError:  # beyond NumPy's largest array; nothing was allocated
             raise CapacityError(f"statevector simulator cannot allocate the "
                                 f"2^{n} amplitudes of n={n} qubits") from None
         state[0] = 1.0
