@@ -33,7 +33,8 @@ from .rotation_synthesis import (
 )
 from .simulator import (
     DEFAULT_QUBIT_BUDGET, CapacityError, address_marginal,
-    classical_simulate, fidelity_prob, fidelity_state, simulate,
+    classical_simulate, fidelity_prob, fidelity_state, pipeline_histogram,
+    simulate,
 )
 
 __version__ = "0.1.0"

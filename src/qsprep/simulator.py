@@ -1,4 +1,5 @@
-"""Exact statevector simulation and the two fidelity metrics.
+"""Exact simulation: a statevector kernel, a bit-plane evaluator for
+reversible classical circuits, and the two fidelity metrics.
 
 Convention: qubit 0 is the most significant bit of the basis index, so the
 amplitude vector reads off |q0 q1 ... q_{n-1}> in the usual string order.
@@ -9,11 +10,16 @@ and the Ry family are butterflies on a q=0 / q=1 pair.  A measured
 temporary-AND uncompute (ANDU marker) is, by deferred measurement, H.CCZ.H on
 the ancilla: exactly a Toffoli onto it, which returns the ancilla to |0> with
 the fixup the classically controlled CZ would apply.
+
+A sampling pipeline is Hadamards on m fresh inputs plus classical gates, so
+`pipeline_histogram` runs all 2^m input assignments at once on bit planes
+(one Python int per qubit, one bit per assignment) and counts the address
+values exactly, whatever the ancilla count; `classical_simulate` runs one.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,7 +118,7 @@ def simulate(circuit: Circuit, initial: Optional[np.ndarray] = None,
     if circuit.n_qubits > budget:
         raise CapacityError(
             f"{circuit.n_qubits} qubits exceeds budget {budget}; "
-            "use the analytic marginal path for sampling circuits")
+            "use pipeline_histogram for sampling circuits")
     n = circuit.n_qubits
     if initial is None:
         try:
@@ -134,6 +140,31 @@ def simulate(circuit: Circuit, initial: Optional[np.ndarray] = None,
     return state
 
 
+def _propagate(circuit: Circuit, planes: List[int], ones: int, inputs: Dict[int, int]) -> None:
+    """Run circuit in place on bit planes: bit i of planes[q] is qubit q under
+    input assignment i, and `ones` sets every assignment's bit.  A Hadamard on
+    q loads inputs[q]; a gate other than X/CNOT/Toffoli/Swap/CSWAP raises."""
+    for g in circuit.gates:
+        tag, qs = g.tag, g.qubits
+        if tag == "CNOT":
+            planes[qs[1]] ^= planes[qs[0]]
+        elif tag == "Toffoli":
+            planes[qs[2]] ^= planes[qs[0]] & planes[qs[1]]
+        elif tag == "PauliX":
+            planes[qs[0]] ^= ones
+        elif tag == "Swap":
+            planes[qs[0]], planes[qs[1]] = planes[qs[1]], planes[qs[0]]
+        elif tag == "ControlledSwap":
+            f, a, b = qs
+            d = (planes[a] ^ planes[b]) & planes[f]
+            planes[a] ^= d
+            planes[b] ^= d
+        elif tag == "Hadamard" and qs[0] in inputs:
+            planes[qs[0]] = inputs[qs[0]]
+        else:
+            raise ValueError(f"non-classical gate {tag} on qubits {qs}")
+
+
 def classical_simulate(circuit: Circuit, bits: int) -> int:
     """Basis-state propagation for reversible-classical circuits.
 
@@ -141,30 +172,35 @@ def classical_simulate(circuit: Circuit, bits: int) -> int:
     rejects non-classical gates.
     """
     n = circuit.n_qubits
-    v = [(bits >> (n - 1 - q)) & 1 for q in range(n)]
+    planes = [(bits >> (n - 1 - q)) & 1 for q in range(n)]
+    _propagate(circuit, planes, 1, {})
+    return sum(v << (n - 1 - q) for q, v in enumerate(planes))
+
+
+def pipeline_histogram(circuit: Circuit, address: Sequence[int]) -> Tuple[np.ndarray, int]:
+    """(counts, total): counts[j] of the total = 2^inputs Hadamard-input
+    assignments give the address register (qubits MSB first) the value j, so
+    counts[j] / total is its exact probability from |0...0>.  A Hadamard may
+    act only on a qubit no earlier gate used; every other gate is classical.
+    """
+    used, inputs = set(), []
     for g in circuit.gates:
-        if g.tag == "PauliX":
-            (q,) = g.qubits
-            v[q] ^= 1
-        elif g.tag == "CNOT":
-            c, t = g.qubits
-            v[t] ^= v[c]
-        elif g.tag == "Toffoli":
-            a, b, t = g.qubits
-            v[t] ^= v[a] & v[b]
-        elif g.tag == "Swap":
-            a, b = g.qubits
-            v[a], v[b] = v[b], v[a]
-        elif g.tag == "ControlledSwap":
-            f, a, b = g.qubits
-            if v[f]:
-                v[a], v[b] = v[b], v[a]
-        else:
-            raise ValueError(f"non-classical gate {g.tag!r} in classical_simulate")
-    out = 0
-    for q in range(n):
-        out = (out << 1) | v[q]
-    return out
+        if g.tag == "Hadamard":
+            if g.qubits[0] in used:
+                raise ValueError(f"Hadamard on qubit {g.qubits[0]} after it was used")
+            inputs.append(g.qubits[0])
+        used.update(g.qubits)
+    total = 1 << len(inputs)
+    # bit i of input k's plane is bit k of i (the string lists bits MSB first)
+    loads = {q: int(("1" * (1 << k) + "0" * (1 << k)) * (total >> (k + 1)), 2)
+             for k, q in enumerate(inputs)}
+    planes = [0] * circuit.n_qubits
+    _propagate(circuit, planes, (1 << total) - 1, loads)
+    value = np.zeros(total, dtype=np.int64)
+    for q in address:
+        raw = np.frombuffer(planes[q].to_bytes((total + 7) // 8, "little"), np.uint8)
+        value = (value << 1) | np.unpackbits(raw, bitorder="little")[:total]
+    return np.bincount(value, minlength=1 << len(address)), total
 
 
 def fidelity_state(psi: np.ndarray, phi: np.ndarray) -> float:

@@ -1,10 +1,12 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 import qsprep
 from qsprep import benchmark_states, cli_bench, cliffordt_compile, gridsynth
+from qsprep.alias_prepare import prepare_alias_state, realized_marginal
 from qsprep.benchmark_states import BenchmarkSpec
-from qsprep.circuit_core import deserialize
+from qsprep.circuit_core import Circuit, deserialize
 from qsprep.cli_bench import (
     CSV_FIELDS, FAMILIES, MAGNUS_B_DEFAULT, UsageError, build_parser, main,
     rows_to_csv, run_sweep,
 )
+from qsprep.cliffordt_compile import SynthesisConfig
+from qsprep.simulator import fidelity_prob
 
 
 def _parse_csv(text):
@@ -60,6 +65,8 @@ def test_sweep_rejects_bad_inputs():
         run_sweep(BenchmarkSpec("w", n=2), ["nope"], [4])
     with pytest.raises(UsageError):
         run_sweep(BenchmarkSpec("w", n=2), ["dense"], [0])
+    with pytest.raises(UsageError):
+        run_sweep(BenchmarkSpec("w", n=2), ["dense"], [4], budget=-1)
 
 
 def test_over_budget_rotation_row_marks_nan():
@@ -259,13 +266,58 @@ def test_estimate_maps_flag_values_to_exit_codes(
 
 
 def test_unallocatable_statevector_is_a_capacity_error(capsys):
-    # this pipeline has 64 qubits, whose 2^64 amplitudes NumPy refuses
+    # this rotation row has 66 qubits, whose 2^66 amplitudes NumPy refuses
     # without allocating; never test 30-59 qubits, which can really allocate
-    assert main(["bench", "--family", "magnus", "--k", "4", "--b", "11",
-                 "--method", "qrom", "--budget-qubits", "64",
+    assert main(["bench", "--family", "sparse_uniform", "--n", "62", "--k", "2",
+                 "--method", "sparse", "--b", "4", "--budget-qubits", "80",
                  "--out", os.devnull]) == 4
     err = capsys.readouterr().err
-    assert "capacity error: statevector simulator" in err and "n=64" in err
+    assert "capacity error: statevector simulator" in err and "n=66" in err
+
+
+def _analytic_infidelity(state, b, method):
+    p = state.probabilities()
+    pipe = prepare_alias_state(p, b, backend=method)
+    target = np.zeros(pipe.table.L)
+    target[:len(p)] = p
+    return 1.0 - fidelity_prob(target, [float(m) for m in realized_marginal(pipe.table)])
+
+
+def test_64_qubit_sampling_row_is_evaluated_by_bit_planes(tmp_path):
+    # the pipeline has 64 qubits but only 8 + 11 Hadamard inputs
+    out = tmp_path / "row.csv"
+    assert main(["bench", "--family", "magnus", "--k", "4", "--b", "11",
+                 "--method", "qrom", "--budget-qubits", "64",
+                 "--out", str(out)]) == 0
+    (row,) = _parse_csv(out.read_text())
+    state = benchmark_states.make_state(BenchmarkSpec("magnus", k=4))
+    assert float(row["infidelity"]) == _analytic_infidelity(state, 11, "qrom")
+
+
+@pytest.mark.parametrize("method", ["qrom", "selectswap"])
+@pytest.mark.parametrize("stage", ["random", "swap"])
+def test_sampling_row_evaluates_the_circuit_not_the_table(stage, method, monkeypatch):
+    state = benchmark_states.make_state(BenchmarkSpec("dense_random", n=3, seed=1))
+    cfg = SynthesisConfig(b=4)
+    want = _analytic_infidelity(state, 4, method)
+    assert cli_bench._sampling_row(state, method, 4, cfg, 64)[1] == want
+
+    def drop_one(p, b, backend):   # the first gate of `stage`
+        pipe = prepare_alias_state(p, b, backend=backend)
+        sizes = [r.total_gates for r in pipe.stages.values()]
+        start = dict(zip(pipe.stages, itertools.accumulate([0] + sizes)))[stage]
+        gates = list(pipe.circuit.gates)
+        del gates[start]
+        return replace(pipe, circuit=Circuit(pipe.circuit.n_qubits, gates,
+                                             pipe.circuit.registers))
+    monkeypatch.setattr(cli_bench, "prepare_alias_state", drop_one)
+    assert cli_bench._sampling_row(state, method, 4, cfg, 64)[1] != want
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    assert main(["bench", "--family", "w", "--n", "3", "--b", "4",
+                 "--budget-qubits", "-5", "--out", os.devnull]) == 2
+    assert "usage error: qubit budget -5 is negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("b", [0, -1])

@@ -1,15 +1,17 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_sim
+from qsprep.alias_prepare import prepare_alias_state, realized_marginal
 from qsprep.circuit_core import TAGS, Circuit, Gate
 from qsprep.simulator import (
     CapacityError, address_marginal, apply_gate, classical_simulate,
-    fidelity_prob, fidelity_state, simulate,
+    fidelity_prob, fidelity_state, pipeline_histogram, simulate,
 )
 from util import circuit_unitary
 
@@ -198,3 +200,65 @@ def test_apply_gate_updates_a_complex_state_in_place():
     out = apply_gate(psi, Gate("Hadamard", (1,)), 3)
     assert np.shares_memory(out, psi)
     assert np.max(np.abs(psi - want)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# bit-plane histogram against the statevector and the analytic marginal
+
+_CLASSICAL = ("PauliX", "CNOT", "Toffoli", "Swap", "ControlledSwap")
+
+
+@st.composite
+def _hadamard_classical(draw):
+    """A Hadamard on each input before its first use, random classical gates
+    on unsorted, non-adjacent operands, and a random address register."""
+    n = draw(st.integers(1, 7))
+    body = []
+    for _ in range(draw(st.integers(0, 30))):
+        tag = draw(st.sampled_from([t for t in _CLASSICAL if _ARITY.get(t, 1) <= n]))
+        order = draw(st.permutations(range(n)))
+        body.append(Gate(tag, tuple(order[:_ARITY.get(tag, 1)])))
+    inputs = draw(st.lists(st.integers(0, n - 1), unique=True))
+    for q in inputs:
+        first = next((i for i, g in enumerate(body) if q in g.qubits), len(body))
+        body.insert(draw(st.integers(0, first)), Gate("Hadamard", (q,)))
+    address = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+    return Circuit(n, body), address, len(inputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hadamard_classical())
+def test_histogram_matches_statevector_on_hadamard_classical_circuits(case):
+    circ, address, m = case
+    counts, total = pipeline_histogram(circ, address)
+    assert total == 1 << m and counts.sum() == total
+    want = address_marginal(simulate(circ), address, circ.n_qubits)
+    assert np.max(np.abs(counts / total - want)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=8).filter(any),
+       st.integers(1, 4), st.sampled_from([("qrom", None), ("selectswap", None),
+                                           ("selectswap", 1)]))
+def test_histogram_is_the_realized_marginal(weights, b, backend):
+    p = [w / sum(weights) for w in weights]
+    pipe = prepare_alias_state(p, b, backend=backend[0], lam=backend[1])
+    circ = pipe.circuit
+    counts, total = pipeline_histogram(circ, circ.register("address"))
+    assert [Fraction(int(c), total) for c in counts] == realized_marginal(pipe.table)
+    if circ.n_qubits <= 16:
+        want = address_marginal(simulate(circ), circ.register("address"), circ.n_qubits)
+        assert np.max(np.abs(counts / total - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("gates, message", [
+    ([Gate("Hadamard", (0,)), Gate("CNOT", (0, 2)), Gate("Hadamard", (2,))],
+     "Hadamard on qubit 2 after it was used"),
+    ([Gate("Hadamard", (1,)), Gate("Hadamard", (1,))],
+     "Hadamard on qubit 1 after it was used"),
+    ([Gate("Hadamard", (0,)), Gate("T", (2,))],
+     r"non-classical gate T on qubits \(2,\)"),
+])
+def test_histogram_rejects_non_sampling_circuits(gates, message):
+    with pytest.raises(ValueError, match=message):
+        pipeline_histogram(Circuit(3, gates), [0, 1])
