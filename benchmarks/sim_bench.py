@@ -1,10 +1,18 @@
-"""Statevector simulation cost: microseconds per gate, by tag and qubit count.
+"""Statevector simulation cost: microseconds per gate, by tag and qubit count,
+and milliseconds per `simulate` call on compiled circuits.
 
 For every gate tag and n = 6, 10, 14, 18, simulates a fixed seeded circuit
 of that one tag on random operands and prints the best-of-REPEATS wall time
 per gate.  A kernel whose per-gate cost has a large fixed part shows up at
 small n; one that touches more amplitudes than the gate changes shows up at
 large n.  The multi- and uniformly controlled Ry use CONTROLS controls.
+Single-tag circuits on random operands rarely fill a fusion group, so they
+mostly time the gate-by-gate path.
+
+The second table times whole circuits whose simulation the benchmark and the
+tests pay for: the rotation_sim circuit (thc_toy seed 3, sparse, b = 4, 14
+qubits), dense_random n=6 seed 1 at b = 12, and a 20-qubit alias pipeline
+(dense_random n=3 seed 1, qrom, b = 3).
 
 Run:  PYTHONPATH=src python3 benchmarks/sim_bench.py
 """
@@ -14,7 +22,11 @@ import time
 
 import numpy as np
 
+from qsprep.alias_prepare import prepare_alias_state
+from qsprep.benchmark_states import BenchmarkSpec, make_state
 from qsprep.circuit_core import TAGS, Circuit, Gate
+from qsprep.cliffordt_compile import SynthesisConfig, compile_circuit
+from qsprep.rotation_synthesis import synthesize_dense, synthesize_sparse
 from qsprep.simulator import simulate
 
 N_VALUES = (6, 10, 14, 18)
@@ -52,12 +64,39 @@ def us_per_gate(tag: str, n: int) -> float:
     return best * 1e6 / len(circ.gates)
 
 
+def compiled_circuits():
+    """(label, circuit) of each compiled-circuit row."""
+    thc = make_state(BenchmarkSpec("thc_toy", seed=3))
+    dense = make_state(BenchmarkSpec("dense_random", n=6, seed=1))
+    alias = make_state(BenchmarkSpec("dense_random", n=3, seed=1)).probabilities()
+    return [
+        ("rotation_sim thc_toy sparse b=4",
+         compile_circuit(synthesize_sparse(thc), SynthesisConfig(b=4))[0]),
+        ("dense_random n=6 dense b=12",
+         compile_circuit(synthesize_dense(dense), SynthesisConfig(b=12))[0]),
+        ("alias n=3 qrom b=3", prepare_alias_state(alias, 3, backend="qrom").circuit),
+    ]
+
+
+def ms_per_call(circ: Circuit) -> float:
+    best = math.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        simulate(circ)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
 def main() -> None:
     print(f"{'tag':<22}" + "".join(f"{'n=' + str(n):>10}" for n in N_VALUES)
           + f"   (us per gate, best of {REPEATS})")
     for tag in TAGS:
         cells = "".join(f"{us_per_gate(tag, n):>10.1f}" for n in N_VALUES)
         print(f"{tag:<22}{cells}")
+    print(f"\n{'compiled circuit':<34}{'qubits':>7}{'gates':>8}{'ms':>10}"
+          f"   (per simulate call, best of {REPEATS})")
+    for label, circ in compiled_circuits():
+        print(f"{label:<34}{circ.n_qubits:>7}{len(circ.gates):>8}{ms_per_call(circ):>10.1f}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ at matched precision b.
 """
 from .alias_prepare import (
     AliasPipeline, AliasTable, LookupSpec, ValidationError,
-    build_alias_table, build_comparator, build_qrom, build_selectswap,
+    build_alias_table, build_qrom, build_selectswap,
     optimal_lambda, prepare_alias_state, realized_marginal,
 )
 from .benchmark_states import (

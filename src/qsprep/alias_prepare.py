@@ -2,10 +2,11 @@
 
 Classical stage: Vose small/large worklists in exact integers.  Float
 probabilities are dyadic, so p_j = a_j / A over one common denominator and
-tau_j = s_j / A with integer s_j; keep_j = floor(s_j * 2^b / A).  A zero bin
-takes its alias from the largest surplus (ties to the bin that entered the
-large list first) through a lazily pruned heap, any other small bin from the
-head of the large FIFO, so the build is O(L log L).
+each threshold tau_j = s_j / A is held as the integer s_j; keep_j =
+floor(s_j * 2^b / A).  A zero bin takes its alias from the largest surplus
+(ties to the bin that entered the large list first) through a lazily pruned
+heap, any other small bin from the head of the large FIFO, so the build is
+O(L log L).
 Bins with tau_j = 1 self-alias (alias_j = j, keep_j = 2^b) so the comparator
 outcome is irrelevant for them and they contribute no quantization error.
 
@@ -45,7 +46,6 @@ class AliasTable:
     b: int
     keep: Tuple[int, ...]
     alias: Tuple[int, ...]
-    tau: Tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def build_alias_table(p: Sequence[float], b: int) -> AliasTable:
 
     for j in range(L):
         file(j)
-    tau, keep, alias = [Fraction(1)] * L, [1 << b] * L, list(range(L))
+    keep, alias = [1 << b] * L, list(range(L))
     while small:        # exact sums keep `large` nonempty while `small` is
         k = small.popleft()
         # zero bins take their alias from the largest surplus, the others
@@ -113,22 +113,11 @@ def build_alias_table(p: Sequence[float], b: int) -> AliasTable:
         pop = large.popleft if s[k] else (lambda: heapq.heappop(heap))
         l = next(e for e in iter(pop, None) if live[e[2]] is e)[2]
         live[l] = None
-        tau[k], keep[k], alias[k] = Fraction(s[k], A), (s[k] << b) // A, l
+        keep[k], alias[k] = (s[k] << b) // A, l
         s[l] += s[k] - A
         file(l)
-    # bins left in `large` hold exactly 1: tau = 1, self-alias
-    return AliasTable(L=L, b=b, keep=tuple(keep), alias=tuple(alias), tau=tuple(tau))
-
-
-def reproduced_distribution(table: AliasTable) -> List[Fraction]:
-    """p_j = (tau_j + sum_{alias_k=j, k!=j} (1 - tau_k)) / L, exact."""
-    L = table.L
-    out = [table.tau[j] for j in range(L)]
-    for k in range(L):
-        j = table.alias[k]
-        if j != k:
-            out[j] += 1 - table.tau[k]
-    return [x / L for x in out]
+    # bins left in `large` hold exactly 1: keep = 2^b, self-alias
+    return AliasTable(L=L, b=b, keep=tuple(keep), alias=tuple(alias))
 
 
 def realized_marginal(table: AliasTable) -> List[Fraction]:
@@ -140,25 +129,6 @@ def realized_marginal(table: AliasTable) -> List[Fraction]:
         if j != k:
             num[j] += two_b - table.keep[k]
     return [x / (two_b * L) for x in num]
-
-
-def serialize_alias_table(table: AliasTable) -> str:
-    lines = [f"{table.L} {table.b}"]
-    for j in range(table.L):
-        t = table.tau[j]
-        lines.append(f"{j} {table.keep[j]} {table.alias[j]} {t.numerator}/{t.denominator}")
-    return "\n".join(lines) + "\n"
-
-
-def deserialize_alias_table(text: str) -> AliasTable:
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    L, b = int(rows[0][0]), int(rows[0][1])
-    keep, alias, tau = [0] * L, [0] * L, [Fraction(0)] * L
-    for r in rows[1:]:
-        j = int(r[0])
-        keep[j], alias[j] = int(r[1]), int(r[2])
-        tau[j] = Fraction(r[3])
-    return AliasTable(L=L, b=b, keep=tuple(keep), alias=tuple(alias), tau=tuple(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +294,6 @@ def comparator_gates(x: Sequence[int], y: Sequence[int], flag: int,
         gates.append(gate("PauliX", (xi,)))
         carry = nxt
     return gates
-
-
-def build_comparator(b: int) -> Circuit:
-    """Standalone |x>|y>|0> -> |x>|y>|y >= x| comparator circuit."""
-    if b < 1:
-        raise ValidationError("b must be >= 1")
-    x = list(range(b))
-    y = list(range(b, 2 * b))
-    flag = 2 * b
-    work = list(range(2 * b + 1, 3 * b + 1))
-    gates = comparator_gates(x, y, flag, work)
-    regs = {"x": (0, b), "y": (b, 2 * b), "flag": (2 * b, 2 * b + 1),
-            "work": (2 * b + 1, 3 * b + 1)}
-    return Circuit(3 * b + 1, gates, regs)
 
 
 # ---------------------------------------------------------------------------

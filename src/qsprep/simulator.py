@@ -4,12 +4,22 @@ reversible classical circuits, and the two fidelity metrics.
 Convention: qubit 0 is the most significant bit of the basis index, so the
 amplitude vector reads off |q0 q1 ... q_{n-1}> in the usual string order.
 
-Gates act in place on a (2,)*n view of the state and touch only the slices
-they change: phase gates multiply one, permutation gates swap two, Hadamard
-and the Ry family are butterflies on a q=0 / q=1 pair.  A measured
-temporary-AND uncompute (ANDU marker) is, by deferred measurement, H.CCZ.H on
-the ancilla: exactly a Toffoli onto it, which returns the ancilla to |0> with
-the fixup the classically controlled CZ would apply.
+`_apply` is the one definition of gate semantics.  It acts in place on a
+(2,)*n view of the state and touches only the slices a gate changes: phase
+gates multiply one, permutation gates swap two, Hadamard and the Ry family
+are butterflies on a q=0 / q=1 pair.  A measured temporary-AND uncompute
+(ANDU marker) is, by deferred measurement, H.CCZ.H on the ancilla: exactly a
+Toffoli onto it, which returns the ancilla to |0> with the fixup the
+classically controlled CZ would apply.
+
+`simulate` fuses gates (Haner & Steiger, arXiv:1704.01127): it groups runs
+of consecutive fixed-matrix gates on at most _K distinct qubits.  A group is
+applied as its 2^k x 2^k unitary, in one matmul over the state, when that
+pass is estimated to cost less than the group's gates one by one (a fixed
+cost per gate for its NumPy calls plus the amplitudes it touches) minus the
+cost of building the unitary.  The unitary is the product of per-gate local
+matrices that `_apply` itself builds on an identity.  Any other group, and
+every Rz and Ry-family gate, goes through `_apply` gate by gate.
 
 A sampling pipeline is Hadamards on m fresh inputs plus classical gates, so
 `pipeline_histogram` runs all 2^m input assignments at once on bit planes
@@ -19,6 +29,7 @@ values exactly, whatever the ancilla count; `classical_simulate` runs one.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,6 +123,140 @@ def apply_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
     return v.reshape(-1)
 
 
+# Gate fusion.  A group holds at most _K distinct qubits.  Costs are
+# estimated in nanoseconds.  The weights were fitted to timings of `_apply`
+# (the per-tag costs that benchmarks/sim_bench.py prints), of the dense pass
+# and of `_group_unitary` at n = 6 and 14 on a 2-CPU x86-64 VM (NumPy 2.4,
+# one BLAS thread); only their ratios matter.
+_K = 4
+# tag -> `_apply`'s fixed ns (its NumPy calls), its ns per state amplitude
+# (the amplitudes it touches), and the ns it adds to `_group_unitary`
+_GATE_COST = {
+    "S": (4300, 1.2, 1700), "Sdg": (4300, 1.2, 1700),
+    "T": (4300, 1.2, 1700), "Tdg": (4300, 1.2, 1700),
+    "Hadamard": (14500, 3.85, 1700), "PauliX": (6100, 2.4, 1700),
+    "CNOT": (6500, 1.6, 5900), "Swap": (6200, 1.9, 5900),
+    "Toffoli": (6300, 1.15, 5900), "ANDU": (6300, 1.15, 5900),
+    "ControlledSwap": (6200, 1.3, 5900),
+}
+# `_group_unitary` also applies each run of one-qubit gates once
+_RUN_NS = 7800
+# one dense pass on k qubits: fixed ns (with the fixed part of
+# `_group_unitary`), and ns per state amplitude by k (gather, matmul, scatter)
+_DENSE_NS = 29000
+_DENSE_AMP_NS = (0.0, 5.3, 7.0, 8.6, 12.0)
+# a dense pass works on chunks of at most 2^_CHUNK_QUBITS amplitudes, so
+# its temporaries stay small however large the state
+_CHUNK_QUBITS = 14
+
+
+@lru_cache(maxsize=None)    # <= 11 tags x local operands x k <= _K: a few hundred
+def _local_matrix(tag: str, qs: Tuple[int, ...], k: int) -> np.ndarray:
+    """The 2^k x 2^k matrix of Gate(tag, qs) on k qubits, built by `_apply`."""
+    m = np.eye(1 << k, dtype=complex).reshape((2,) * (2 * k))
+    _apply(m, Gate(tag, qs))     # acts on the row bits: U @ I
+    m = m.reshape(1 << k, 1 << k)
+    m.flags.writeable = False
+    return m
+
+
+@lru_cache(maxsize=None)
+def _one_qubit(tag: str) -> Tuple[complex, ...]:
+    """The 2x2 matrix of a one-qubit tag as Python numbers, row-major."""
+    return tuple(_local_matrix(tag, (0,), 1).ravel().tolist())
+
+
+def _mul2(a: Tuple[complex, ...], b: Tuple[complex, ...]) -> Tuple[complex, ...]:
+    """a @ b for 2x2 matrices given row-major."""
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
+def _apply_2x2(u: np.ndarray, a: Tuple[complex, ...], j: int) -> np.ndarray:
+    """(I x a x I) @ u, with a on the j-th most significant row bit."""
+    x = u.reshape(1 << j, 2, -1)
+    return np.matmul(np.array(a).reshape(2, 2), x).reshape(u.shape)
+
+
+def _group_unitary(group: Sequence[Gate], qs: List[int]) -> np.ndarray:
+    """The product of the group's local matrices on qs (MSB first).
+
+    Gates on other qubits commute, so each qubit's run of one-qubit gates is
+    multiplied out as a 2x2 and applied to the product only before a
+    multi-qubit gate on that qubit, or at the end."""
+    k = len(qs)
+    pos = {q: i for i, q in enumerate(qs)}
+    u = np.eye(1 << k, dtype=complex)
+    runs: Dict[int, Tuple[complex, ...]] = {}
+    for g in group:
+        loc = [pos[q] for q in g.qubits]
+        if len(loc) == 1:
+            j = loc[0]
+            runs[j] = _mul2(_one_qubit(g.tag), runs[j]) if j in runs else _one_qubit(g.tag)
+            continue
+        for j in loc:
+            if j in runs:
+                u = _apply_2x2(u, runs.pop(j), j)
+        u = np.dot(_local_matrix(g.tag, tuple(loc), k), u)
+    for j, a in runs.items():
+        u = _apply_2x2(u, a, j)
+    return u
+
+
+def _apply_matrix(v: np.ndarray, u: np.ndarray, qs: Sequence[int]) -> None:
+    """v <- u on the qubits qs (the row index reads them MSB first), in place,
+    one chunk of the other qubits' values at a time."""
+    k = len(qs)
+    outer = [q for q in range(v.ndim) if q not in qs][:max(0, v.ndim - _CHUNK_QUBITS)]
+    moved = np.moveaxis(v, outer + list(qs), range(len(outer) + k))
+    for i in np.ndindex(moved.shape[:len(outer)]):
+        x = moved[i]
+        x[...] = np.dot(u, x.reshape(1 << k, -1)).reshape(x.shape)
+
+
+def _fusion_plan(gates: Sequence[Gate], size: int) -> List[Tuple[int, int, int]]:
+    """(start, stop, mask) of each group gates[start:stop] that `simulate`
+    applies as one dense pass on the qubits set in mask, for a state of
+    `size` amplitudes.
+
+    Groups are the maximal runs of consecutive fixed-matrix gates on at most
+    _K qubits.  A group is fused when its estimated dense pass costs less
+    than the ns that building its unitary saves over applying its gates one
+    by one."""
+    saves = {tag: ns + amp_ns * size - build_ns
+             for tag, (ns, amp_ns, build_ns) in _GATE_COST.items()}
+    dense = [_DENSE_NS + amp_ns * size for amp_ns in _DENSE_AMP_NS]
+    masks: Dict[Tuple[int, ...], int] = {}     # operands -> bit mask
+    plan: List[Tuple[int, int, int]] = []
+    # the open group is gates[start:i] on the qubits in `mask`; `runs` has
+    # the qubits whose last gate in it is a one-qubit gate
+    start, mask, runs, saved = 0, 0, 0, 0.0
+    for i, g in enumerate(gates):
+        c = saves.get(g.tag)
+        m = None
+        if c is not None:
+            m = masks.get(g.qubits)
+            if m is None:
+                m = masks[g.qubits] = sum(1 << q for q in g.qubits)
+        if m is None or (mask | m).bit_count() > _K:    # g closes the open group
+            if i - start > 1 and saved > dense[mask.bit_count()]:
+                plan.append((start, i, mask))
+            start, mask, runs, saved = i, 0, 0, 0.0
+            if m is None:                # Rz or the Ry family: applied alone
+                start += 1
+                continue
+        mask |= m
+        if m & (m - 1):
+            runs &= ~m
+        elif not runs & m:
+            runs |= m
+            c -= _RUN_NS
+        saved += c
+    if len(gates) - start > 1 and saved > dense[mask.bit_count()]:
+        plan.append((start, len(gates), mask))
+    return plan
+
+
 def simulate(circuit: Circuit, initial: Optional[np.ndarray] = None,
              budget: int = DEFAULT_QUBIT_BUDGET) -> np.ndarray:
     """Final statevector of circuit; `initial` (default |0...0>) is not modified."""
@@ -132,10 +277,18 @@ def simulate(circuit: Circuit, initial: Optional[np.ndarray] = None,
         if state.size != 1 << n:
             raise ValueError("initial state dimension mismatch")
     v = state.reshape((2,) * n)
+    gates = circuit.gates
+    done = 0
     with np.errstate():
         # restored on exit; 1024-value ufunc buffers ran strided slices ~18 % faster
         np.setbufsize(1024)
-        for g in circuit.gates:
+        for start, stop, mask in _fusion_plan(gates, state.size):
+            for g in gates[done:start]:
+                _apply(v, g)
+            qs = [q for q in range(n) if mask >> q & 1]
+            _apply_matrix(v, _group_unitary(gates[start:stop], qs), qs)
+            done = stop
+        for g in gates[done:]:
             _apply(v, g)
     return state
 

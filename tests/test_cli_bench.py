@@ -19,8 +19,8 @@ from qsprep.alias_prepare import prepare_alias_state, realized_marginal
 from qsprep.benchmark_states import BenchmarkSpec
 from qsprep.circuit_core import Circuit, deserialize
 from qsprep.cli_bench import (
-    CSV_FIELDS, FAMILIES, MAGNUS_B_DEFAULT, UsageError, build_parser, main,
-    rows_to_csv, run_sweep,
+    CSV_FIELDS, FAMILIES, MAGNUS_B_DEFAULT, METHODS, UsageError, build_parser,
+    main, rows_to_csv, run_sweep,
 )
 from qsprep.cliffordt_compile import SynthesisConfig
 from qsprep.simulator import fidelity_prob
@@ -262,6 +262,37 @@ def test_estimate_maps_flag_values_to_exit_codes(
             "--seed", str(seed), "--method", method, "--b", "4", "--out", os.devnull]
     if path is not None:
         argv += ["--path", str(d / path)]
+    assert main(argv) in (0, 2, 3, 4)
+
+
+_B_RANGES = st.one_of(
+    st.builds("{}:{}".format, st.integers(-2, 6), st.integers(-2, 6)),
+    st.sampled_from(["", ":", "3", "1:2:3", "a:b", " 2 : 3 ", "2:", ":4", "1.5:3"]),
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=6))
+
+
+# n, k, b and the budget stay tiny: larger sizes allocate or run for
+# minutes.  thc_toy and magnus do not shrink with n, so their rotation rows
+# are costed, not synthesized and simulated.
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(FAMILIES + ("nope",)), n=st.integers(-2, 4),
+       k=st.integers(-1, 3), seed=st.one_of(st.integers(-1, 3), st.integers(-2**70, 2**70)),
+       methods=st.lists(st.sampled_from(METHODS + ("nope",)), max_size=2),
+       b=st.one_of(st.none(), st.integers(-2, 6)), b_range=st.one_of(st.none(), _B_RANGES),
+       budget=st.one_of(st.none(), st.integers(-3, 16)))
+def test_bench_maps_flag_values_to_exit_codes(family, n, k, seed, methods, b, b_range, budget):
+    argv = ["bench", "--family", family, "--n", str(n), "--k", str(k),
+            "--seed", str(seed), "--out", os.devnull]
+    for m in methods:
+        argv += ["--method", m]
+    if b is not None:
+        argv += ["--b", str(b)]
+    if b_range is not None:
+        argv.append(f"--b-range={b_range}")
+    if budget is not None:
+        argv += ["--budget-qubits", str(budget)]
+    if family in ("thc_toy", "magnus"):
+        argv.append("--fallback-cost-model")
     assert main(argv) in (0, 2, 3, 4)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_sim
+from qsprep import simulator
 from qsprep.alias_prepare import prepare_alias_state, realized_marginal
 from qsprep.circuit_core import TAGS, Circuit, Gate
 from qsprep.simulator import (
@@ -200,6 +202,111 @@ def test_apply_gate_updates_a_complex_state_in_place():
     out = apply_gate(psi, Gate("Hadamard", (1,)), 3)
     assert np.shares_memory(out, psi)
     assert np.max(np.abs(psi - want)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# fused Clifford+T groups
+
+_FIXED = ("Hadamard", "S", "Sdg", "T", "Tdg", "PauliX", "CNOT", "Toffoli",
+          "ANDU", "Swap", "ControlledSwap")
+_PERMUTATIONS = ("PauliX", "CNOT", "Toffoli", "ANDU", "Swap", "ControlledSwap")
+
+
+def _windowed_gates(rng, n, count, tags, width, drift=0.1):
+    """count gates on a window of `width` adjacent qubits that moves by one
+    qubit with probability `drift` per step, so that gates stay on a few
+    qubits and fill fusion groups.  A one-qubit tag starts a run of one to
+    eight one-qubit gates on one qubit, as a compiled Rz word is."""
+    lo, out = rng.randrange(n - width + 1), []
+    singles = [t for t in tags if _ARITY.get(t, 1) == 1]
+    while len(out) < count:
+        if rng.random() < drift:
+            lo = min(max(lo + rng.choice((-1, 1)), 0), n - width)
+        tag = rng.choice([t for t in tags if _ARITY.get(t, 1) <= width])
+        if tag in singles:
+            q = rng.randrange(lo, lo + width)
+            out += [Gate(rng.choice(singles), (q,)) for _ in range(rng.randint(1, 8))]
+        else:
+            out.append(Gate(tag, tuple(rng.sample(range(lo, lo + width), _ARITY[tag]))))
+    return out[:count]
+
+
+@pytest.fixture
+def fused_groups(monkeypatch):
+    """Records the gates of every group that simulate applies as one matrix."""
+    seen = []
+    real = simulator._group_unitary
+
+    def spy(group, qs):
+        seen.append(list(group))
+        return real(group, qs)
+
+    monkeypatch.setattr(simulator, "_group_unitary", spy)
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.sampled_from([0.0, 0.1, 0.3]),
+       st.integers(40, 150), st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+def test_fused_clifford_t_runs_match_dense_oracle(n, width, drift, count, rng, seed):
+    gates = _windowed_gates(rng, n, count, _FIXED, min(width, n), drift)
+    _check_against_oracle(Circuit(n, gates), seed)
+
+
+def test_fused_clifford_t_runs_take_the_dense_pass(fused_groups):
+    for seed in range(10):
+        gates = _windowed_gates(random.Random(seed), 8, 150, _FIXED, 4)
+        _check_against_oracle(Circuit(8, gates), seed)
+    assert len(fused_groups) >= 10
+
+
+def test_fused_permutation_groups_map_basis_states_exactly(fused_groups):
+    n = 7
+    for seed in range(6):
+        gates = _windowed_gates(random.Random(seed), n, 60, _PERMUTATIONS, 3, drift=0.05)
+        fused = len(fused_groups)
+        # classical_simulate knows ANDU only as the Toffoli it equals
+        classical = Circuit(n, [Gate("Toffoli", g.qubits) if g.tag == "ANDU" else g
+                                for g in gates])
+        for x in range(1 << n):
+            e = np.zeros(1 << n, dtype=complex)
+            e[x] = 1.0
+            want = np.zeros(1 << n, dtype=complex)
+            want[classical_simulate(classical, x)] = 1.0
+            assert np.array_equal(simulate(Circuit(n, gates), initial=e), want)
+        assert len(fused_groups) > fused
+
+
+def test_chunked_dense_pass_matches_dense_oracle(fused_groups):
+    # above 2^_CHUNK_QUBITS amplitudes a dense pass runs chunk by chunk
+    n = simulator._CHUNK_QUBITS + 2
+    gates = _windowed_gates(random.Random(11), n, 120, _FIXED, 4, drift=0.3)
+    _check_against_oracle(Circuit(n, gates), seed=4)
+    assert fused_groups
+
+
+@pytest.mark.parametrize("middle", [
+    Gate("Rz", (1,), angle=0.7),
+    Gate("MultiControlledRy", (0, 2), angle=-1.1, mask=(1,)),
+])
+def test_a_rotation_ends_the_fused_group(middle, fused_groups):
+    rng = random.Random(5)
+    before = _windowed_gates(rng, 4, 30, _FIXED, 4)
+    after = _windowed_gates(rng, 4, 30, _FIXED, 4)
+    _check_against_oracle(Circuit(5, before + [middle] + after), seed=3)
+    assert len(fused_groups) == 2
+    # a group holds gates from one side of the rotation only, in circuit order
+    assert [[id(g) for g in grp] for grp in fused_groups] == \
+        [[id(g) for g in before], [id(g) for g in after]]
+
+
+@pytest.mark.parametrize("tag", _FIXED)
+def test_a_single_gate_circuit_is_applied_by_apply(tag):
+    n = 6
+    g = Gate(tag, tuple(range(_ARITY.get(tag, 1))))
+    psi0 = _random_state(n, seed=2)
+    want = apply_gate(psi0.copy(), g, n)
+    assert np.array_equal(simulate(Circuit(n, [g]), initial=psi0), want)
 
 
 # ---------------------------------------------------------------------------
