@@ -5,10 +5,12 @@ median and worst wall time per angle and the mean T-count.  The 2D grid
 solver keeps the time roughly flat in b; a solver whose work grows like
 2^(b/2) shows up here first.
 
-It also prints the median ms per angle spent inside two phases of the
-synthesis, `gridsynth.exact_synthesize` and `gridsynth.solve_diophantine`,
-timed by wrapping those module attributes (the rest of the time is
-candidate enumeration and the per-angle grid set-up).
+It also prints the median ms per angle spent inside four phases of the
+synthesis, timed by wrapping them: the per-angle region set-up
+(`gridsynth._EpsRegion.__init__`, which finds the grid operator), candidate
+enumeration (`_EpsRegion.candidates`, every k), `gridsynth.solve_diophantine`
+and `gridsynth.exact_synthesize`.  Together they account for the time per
+angle; the rest is the octant reduction and the loop over k.
 
 Run:  PYTHONPATH=src python3 benchmarks/rz_bench.py
 """
@@ -23,23 +25,29 @@ from qsprep.gridsynth import synthesize_rz_tags
 N_ANGLES = 20
 B_VALUES = (10, 20, 30, 40)
 SEED = 12345
-PHASES = ("exact_synthesize", "solve_diophantine")
+# phase name -> (owner, attribute) of the function it times
+PHASES = {
+    "setup": (gridsynth._EpsRegion, "__init__"),
+    "candidates": (gridsynth._EpsRegion, "candidates"),
+    "dioph": (gridsynth, "solve_diophantine"),
+    "exact": (gridsynth, "exact_synthesize"),
+}
 
 
 def time_phases() -> dict:
     """Wrap each phase so it adds its wall time to the returned dict."""
     spent = dict.fromkeys(PHASES, 0.0)
-    for name in PHASES:
-        fn = getattr(gridsynth, name)
+    for name, (owner, attr) in PHASES.items():
+        fn = getattr(owner, attr)
 
-        def timed(*args, _fn=fn, _name=name):
+        def timed(*args, _fn=fn, _name=name, **kwargs):
             t0 = time.perf_counter()
             try:
-                return _fn(*args)
+                return _fn(*args, **kwargs)
             finally:
                 spent[_name] += time.perf_counter() - t0
 
-        setattr(gridsynth, name, timed)
+        setattr(owner, attr, timed)
     return spent
 
 
@@ -67,11 +75,11 @@ def main() -> None:
     rng = random.Random(SEED)
     angles = [rng.uniform(-math.pi, math.pi) for _ in range(N_ANGLES)]
     print(f"{'b':>3} {'median ms/angle':>16} {'max ms':>9} {'mean T':>7}"
-          f" {'exact ms':>9} {'dioph ms':>9}  ({N_ANGLES} angles)")
+          + "".join(f" {name + ' ms':>13}" for name in PHASES) + f"  ({N_ANGLES} angles)")
     for b in B_VALUES:
         r = bench(b, angles, spent)
         print(f"{r['b']:>3} {r['median_ms']:>16.1f} {r['max_ms']:>9.1f} {r['mean_T']:>7.1f}"
-              f" {r['exact_synthesize']:>9.2f} {r['solve_diophantine']:>9.2f}")
+              + "".join(f" {r[name]:>13.2f}" for name in PHASES))
 
 
 if __name__ == "__main__":

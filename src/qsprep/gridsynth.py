@@ -32,8 +32,8 @@ from .circuit_core import is_pi4_multiple
 from .rings import (
     RingError, ZOmega, ZSqrt2,
     ZO_DELTA, ZO_UNIT_LOG, ZO_ZERO, ZS_ONE, ZS_ZERO,
-    zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2, zo_from_zmd,
-    zo_from_zsqrt2, zo_galois, zo_gcd, zo_mpvalue, zo_mul, zo_pow, zo_rot,
+    round_div, zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2, zo_from_zmd,
+    zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_pow, zo_rot,
     zo_sqrt2_divisible, zo_sub, zo_value,
     zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_sqrt2_valuation,
 )
@@ -213,13 +213,19 @@ def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> Tuple[List[int], ZOmega, ZOm
     runs best-first search over the four residue choices with a visited set;
     termination is guaranteed because the reachable states at bounded
     exponent are finite and a Clifford+T word for any ring unitary exists.
+    Each state links to the (j, link) of its parent, so a push copies
+    nothing and the j-sequence is read back once, at the end.
     """
-    stack = [(u, t, k, [])]
+    stack = [(u, t, k, None)]
     seen = set()
     while stack:
-        u, t, k, seq = stack.pop()
+        u, t, k, link = stack.pop()
         if k == 0:
-            return seq, u, t
+            seq = []
+            while link is not None:
+                j, link = link
+                seq.append(j)
+            return seq[::-1], u, t
         key = (u, t, k)
         if key in seen:
             continue
@@ -237,7 +243,7 @@ def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> Tuple[List[int], ZOmega, ZOm
             opts.append((k2, j, u2, t2))
         # push worst option first so the lowest exponent is explored next
         for k2, j, u2, t2 in sorted(opts, reverse=True):
-            stack.append((u2, t2, k2, seq + [j]))
+            stack.append((u2, t2, k2, (j, link)))
     raise RuntimeError("column reduction failed (input not unitary?)")
 
 
@@ -440,15 +446,21 @@ class _Axis1D:
     """The 1D grid problem of one coordinate of v for one coset, translated
     by a lattice point base = a0 + b0 sqrt2 near its centre so the float
     kernel only sees intervals around O(1).  Offsets are measured from the
-    centres of the two ellipses; wa, wb are the bounding-box half widths."""
+    centres of the two ellipses; wa, wb are the bounding-box half widths.
 
-    def __init__(self, centre: mp.mpf, shift: mp.mpf, r2: mp.mpf,
+    The ellipse's centre coordinate and sqrt2 come as integers carrying
+    `prec` fraction bits.  The coset o shifts alpha = v - o/sqrt2, so the
+    centres of alpha and alpha* are centre - o/sqrt2 and o/sqrt2."""
+
+    def __init__(self, centre: int, o: int, r2: int, prec: int,
                  wa: float, wb: float):
-        ca, cb = centre - shift, shift   # alpha = v - o/sqrt2, alpha* = v* + o/sqrt2
-        self.a0 = int(mp.nint((ca + cb) / 2))
-        self.b0 = int(mp.nint((ca - cb) / (2 * r2)))
-        self.ra = float(ca - self.a0 - self.b0 * r2)
-        self.rb = float(cb - self.a0 + self.b0 * r2)
+        self.a0 = round_div(centre, 1 << (prec + 1))
+        # nint(centre / (2 sqrt2) - o / 2)
+        self.b0 = round_div((centre * r2 >> prec) - (o << (prec + 1)), 1 << (prec + 2))
+        t = (2 * self.b0 + o) * r2 >> 1          # (b0 + o/2) sqrt2
+        base = self.a0 << prec
+        self.ra = (centre - base - t) / (1 << prec)
+        self.rb = (t - base) / (1 << prec)
         self.wa, self.wb = wa, wb
 
     def expected(self) -> float:
@@ -507,7 +519,10 @@ class _EpsRegion:
 
     Geometry runs in mpmath at a precision that grows with b: the upright
     ellipse is ~eps^1.5 R wide at ~eps^-1.5 R from the origin, and in
-    float64 1 - eps^2/2 rounds to 1 from b = 27 on.
+    float64 1 - eps^2/2 rounds to 1 from b = 27 on.  What each k and each
+    candidate needs of it is turned into integers once per angle: the
+    ellipse centres (for the axis set-up) and cos phi0, sin phi0 (for the
+    quality) in fixed point.  Only the lattice walk stays in mpmath.
     """
 
     def __init__(self, phi0, eps: float):
@@ -535,6 +550,9 @@ class _EpsRegion:
                          for p, q, r in self.ell]
             self.forms = [[float(x) for x in m] for m in self.ell]
             self.r2 = mp.sqrt(2)
+            self.centre_fx = [int(mp.nint(mp.ldexp(x, self.prec))) for x in self.centre]
+        self.r2_fx = math.isqrt(2 << (2 * self.prec))
+        self._trig = (0, 0, 0, 0)        # (bits, cos phi0, sin phi0, sqrt2)
         ha, hb = self.half
         self.outer = 0 if ha[0] * hb[0] <= ha[1] * hb[1] else 1
         if self.outer:                   # forms in (outer, inner) coordinates
@@ -563,26 +581,29 @@ class _EpsRegion:
         half = [[w * SQRT2 ** k for w in hw] for hw in self.half]
         # slack for float error in the offsets (~1e-15 absolute)
         lim = 1 + 1e-6 + 1e-11 / min(min(hw) for hw in half)
-        with mp.workprec(self.prec):
-            scale = self.r2 ** k
+        # ellipse centres * sqrt2^k in fixed point
+        centre = [c << (k >> 1) for c in self.centre_fx]
+        if k & 1:
+            centre = [c * self.r2_fx >> self.prec for c in centre]
 
-            def axis(a, o):
-                return _Axis1D(self.centre[a] * scale, o / self.r2, self.r2,
-                               half[0][a], half[1][a])
+        def axis(a, o):
+            return _Axis1D(centre[a], o, self.r2_fx, self.prec, half[0][a], half[1][a])
 
-            for o in (0, 1):
-                xs = axis(self.outer, o).solve_all()
-                if not xs:
-                    continue
-                inner = axis(1 - self.outer, o)
-                if inner.expected() <= _INNER_MAX:
-                    ys = inner.solve_all()
-                    cands = [self._lift(x, y, o)
-                             for x, xa, xb in xs for y, ya, yb in ys
-                             if _inside(forms[0], xa, ya, lim)
-                             and _inside(forms[1], xb, yb, lim)]
-                    found.update(self._verify(k, cands))
-                    continue
+        for o in (0, 1):
+            xs = axis(self.outer, o).solve_all()
+            if not xs:
+                continue
+            inner = axis(1 - self.outer, o)
+            if inner.expected() <= _INNER_MAX:
+                ys = inner.solve_all()
+                cands = [self._lift(x, y, o)
+                         for x, xa, xb in xs for y, ya, yb in ys
+                         if _inside(forms[0], xa, ya, lim)
+                         and _inside(forms[1], xb, yb, lim)]
+                found.update(self._verify(k, cands))
+                continue
+            with mp.workprec(self.prec):
+                scale = self.r2 ** k
                 for x, _, xb in xs:
                     offset = (x.a + x.b * self.r2 + o / self.r2
                               - self.centre[self.outer] * scale)
@@ -643,30 +664,60 @@ class _EpsRegion:
             step *= 2
         return got
 
+    def _quality_scale(self, k: int) -> Tuple[int, int, int, int, int]:
+        """(P, C, S, R2, T): cos phi0, sin phi0 and sqrt2 times 2^P and the
+        threshold sqrt2^k (1 - eps^2/2) times 2^2P, as integers.
+
+        cos and sin come from mpmath once per angle, with 64 bits of room
+        (ten more exponents) that later k shift away."""
+        P = _quality_bits(k)
+        if self._trig[0] < P:
+            bits = P + 64
+            with mp.workprec(bits + 16):
+                c, s = mp.cos_sin(mp.mpf(self.phi0))
+                self._trig = (bits, int(mp.nint(mp.ldexp(c, bits))),
+                              int(mp.nint(mp.ldexp(s, bits))), math.isqrt(2 << (2 * bits)))
+        bits, C, S, R2 = self._trig
+        sh = bits - P
+        # with eps = n / d, T^2 = 2^(k + 4P) ((2d^2 - n^2) / 2d^2)^2, floored
+        n, d = self.eps.as_integer_ratio()
+        T = math.isqrt(((2 * d * d - n * n) ** 2 << (k + 4 * P)) // (4 * d ** 4))
+        return P, C >> sh, S >> sh, R2 >> sh, T
+
     def _verify(self, k: int, cands: Sequence[ZOmega]) -> dict:
         """{u: quality} for the candidates with xi = 2^k - |u|^2 totally
-        >= 0 and quality Re(e^{-i phi0} u) / sqrt2^k >= 1 - eps^2/2, both
-        checked exactly or in high precision."""
+        >= 0 and quality Re(e^{-i phi0} u) >= sqrt2^k (1 - eps^2/2).
+
+        xi is checked exactly.  The quality is the integer
+        (Re u 2^P) C + (Im u 2^P) S of `_quality_scale`, within ~2^(2 - P)
+        relative of sqrt2^k 2^2P times the true quality, so it also serves
+        as the sort key."""
+        P, C, S, R2, T = self._quality_scale(k)
+        top = 1 << k
         out = {}
-        if not cands:
-            return out
-        with mp.workdps(30 + 2 * k):
-            zc = mp.exp(mp.mpc(0, -1) * mp.mpf(self.phi0))
-            Rm = mp.sqrt(2) ** k
-            thr = 1 - mp.mpf(self.eps) ** 2 / 2
-            for u in cands:
-                xi = ZSqrt2(1 << k, 0) - zo_abs_sq(u)
-                if xi.sign() < 0 or xi.conj().sign() < 0:
-                    continue
-                q = mp.re(zc * zo_mpvalue(u, mp)) / Rm
-                if q >= thr:
-                    out[u] = q
+        for u in cands:
+            a, b, c, d = u
+            # xi = A - m sqrt2 (zo_abs_sq) is totally >= 0 iff A >= |m| sqrt2
+            A = top - (a * a + b * b + c * c + d * d)
+            m = a * b + b * c + c * d - d * a
+            if A < 0 or A * A < 2 * m * m:
+                continue
+            q = (((a << P) + ((b - d) * R2 >> 1)) * C
+                 + ((c << P) + ((b + d) * R2 >> 1)) * S)
+            if q >= T:
+                out[u] = q
         return out
 
 
 def _inside(form: Tuple[float, float, float], s: float, t: float, lim: float) -> bool:
     p, q, r = form
     return p * s * s + 2 * q * s * t + r * t * t <= lim
+
+
+def _quality_bits(k: int) -> int:
+    """Fraction bits P of the quality at exponent k: the ~(30 + 2k) digits
+    an mpmath check at dps 30 + 2k carries, plus a 32-bit margin."""
+    return math.ceil((30 + 2 * k) * math.log2(10)) + 32
 
 
 def synthesize_rz_tags(theta: float, eps: float) -> List[str]:

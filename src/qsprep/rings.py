@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 SQRT2 = math.sqrt(2.0)
@@ -25,6 +24,17 @@ SQRT2 = math.sqrt(2.0)
 
 class RingError(ArithmeticError):
     pass
+
+
+def round_div(x: int, n: int) -> int:
+    """x / n rounded to the nearest integer, ties to even, in exact
+    integers: the quotient round(Fraction(x, n)) gives."""
+    if n < 0:
+        x, n = -x, -n
+    q, r = divmod(x, n)
+    if 2 * r > n or (2 * r == n and q & 1):
+        q += 1
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +116,7 @@ def zs_divides(v: ZSqrt2, u: ZSqrt2) -> bool:
 def zs_mod(u: ZSqrt2, v: ZSqrt2) -> ZSqrt2:
     n = v.norm()
     w = u * v.conj()
-    qa = round(Fraction(w.a, n))
-    qb = round(Fraction(w.b, n))
-    return u - v * ZSqrt2(qa, qb)
+    return u - v * ZSqrt2(round_div(w.a, n), round_div(w.b, n))
 
 
 def zs_gcd(u: ZSqrt2, v: ZSqrt2) -> ZSqrt2:
@@ -231,13 +239,6 @@ def zo_value(u: ZOmega) -> complex:
     return a + b * w + c * 1j + d * (w * 1j)
 
 
-def zo_mpvalue(u: ZOmega, mp) -> "object":
-    a, b, c, d = u
-    h = mp.sqrt(2) / 2
-    w = mp.mpc(h, h)
-    return a + b * w + c * mp.mpc(0, 1) + d * w * mp.mpc(0, 1)
-
-
 def zo_from_zsqrt2(x: ZSqrt2) -> ZOmega:
     return (x.a, x.b, 0, -x.b)
 
@@ -260,7 +261,7 @@ def zo_div_exact(u: ZOmega, v: ZOmega) -> ZOmega:
 
 def zo_mod(u: ZOmega, v: ZOmega) -> ZOmega:
     n = zo_norm(v)
-    q0 = [round(Fraction(x, n)) for x in zo_mul(u, _zo_norm_cofactor(v))]
+    q0 = [round_div(x, n) for x in zo_mul(u, _zo_norm_cofactor(v))]
     best = None
     nv = abs(n)
     # coefficient rounding may miss the Euclidean witness; search nearby
@@ -300,8 +301,8 @@ def zmd_gcd(u: Tuple[int, int], v: Tuple[int, int], d: int) -> Tuple[int, int]:
         (a, b), (c, e) = u, v
         n = c * c + d * e * e
         # u conj(v) / n, rounded
-        qa = round(Fraction(a * c + d * b * e, n))
-        qb = round(Fraction(b * c - a * e, n))
+        qa = round_div(a * c + d * b * e, n)
+        qb = round_div(b * c - a * e, n)
         u, v = v, (a - c * qa + d * e * qb, b - c * qb - e * qa)
     return u
 

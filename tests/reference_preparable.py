@@ -8,7 +8,8 @@ from typing import List, Optional, Tuple
 import mpmath as mp
 
 from qsprep.gridsynth import solve_grid_1d
-from qsprep.rings import ZSqrt2, zo_abs_sq, zo_mpvalue
+from qsprep.rings import ZSqrt2, zo_abs_sq
+from reference_scan import zo_mpvalue
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,8 +69,8 @@ def search_preparable(alpha0: float, alpha1: float,
                                 continue
                             with mp.workdps(40 + k):
                                 s = mp.sqrt(2) ** k
-                                d0 = abs(zo_mpvalue(u0, mp) / s - mp.mpc(w0))
-                                d1 = abs(zo_mpvalue(u1, mp) / s - mp.mpc(w1))
+                                d0 = abs(zo_mpvalue(u0) / s - mp.mpc(w0))
+                                d1 = abs(zo_mpvalue(u1) / s - mp.mpc(w1))
                                 if d0 < 1e-12 and d1 < 1e-12:
                                     return True, j
     return False, None

@@ -5,16 +5,47 @@ scans every row Y of a thin strip in y and solves one 1D grid problem per
 row, so its work grows like 2^(b/2).  It is kept only as a test oracle for
 small b; `candidates(k, phi0, eps)` returns the verified candidate list in
 the order gridsynth tries them.
+
+`verify(k, phi0, eps, cands)` is the candidate check gridsynth ran in
+mpmath before it moved to fixed-point integers: exact feasibility, and
+the quality in high precision.
 """
 import math
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import mpmath as mp
 
 from qsprep.gridsynth import solve_grid_1d
-from qsprep.rings import ZOmega, ZSqrt2, zo_abs_sq, zo_mpvalue
+from qsprep.rings import ZOmega, ZSqrt2, zo_abs_sq
 
 SQRT2 = math.sqrt(2.0)
+
+
+def zo_mpvalue(u: ZOmega):
+    """a + b w + c w^2 + d w^3 as an mpmath complex at the working precision."""
+    a, b, c, d = u
+    h = mp.sqrt(2) / 2
+    w = mp.mpc(h, h)
+    return a + b * w + c * mp.mpc(0, 1) + d * w * mp.mpc(0, 1)
+
+
+def verify(k: int, phi0, eps: float, cands: Sequence[ZOmega]) -> Dict[ZOmega, mp.mpf]:
+    """{u: quality} for the candidates with xi = 2^k - |u|^2 totally >= 0
+    and quality Re(e^{-i phi0} u) / sqrt2^k >= 1 - eps^2/2, both checked
+    exactly or in high precision (mpmath at 30 + 2k digits)."""
+    out = {}
+    with mp.workdps(30 + 2 * k):
+        zc = mp.exp(mp.mpc(0, -1) * mp.mpf(phi0))
+        Rm = mp.sqrt(2) ** k
+        thr = 1 - mp.mpf(eps) ** 2 / 2
+        for u in cands:
+            xi = ZSqrt2(1 << k, 0) - zo_abs_sq(u)
+            if xi.sign() < 0 or xi.conj().sign() < 0:
+                continue
+            q = mp.re(zc * zo_mpvalue(u)) / Rm
+            if q >= thr:
+                out[u] = q
+    return out
 
 
 def candidates(k: int, phi0: float, eps: float) -> List[ZOmega]:
@@ -58,18 +89,7 @@ def candidates(k: int, phi0: float, eps: float) -> List[ZOmega]:
             if q < (1 - eps * eps / 2) - 1e-11 * (1 + abs(q)):
                 continue
             out.append((q, u))
-    # exact feasibility and high-precision quality check
-    verified: List[Tuple[float, ZOmega]] = []
-    with mp.workdps(30 + 2 * k):
-        zc = mp.exp(mp.mpc(0, -1) * mp.mpf(phi0))
-        Rm = mp.sqrt(2) ** k
-        thr = 1 - mp.mpf(eps) ** 2 / 2
-        for _, u in out:
-            xi = ZSqrt2(1 << k, 0) - zo_abs_sq(u)
-            if xi.sign() < 0 or xi.conj().sign() < 0:
-                continue
-            q = mp.re(zc * zo_mpvalue(u, mp)) / Rm
-            if q >= thr:
-                verified.append((float(q), u))
-    verified.sort(key=lambda t: -t[0])
-    return [u for _, u in verified]
+    # exact feasibility and high-precision quality check; the scan sorted
+    # by the quality rounded to a float, ties in scan order
+    verified = verify(k, phi0, eps, [u for _, u in out])
+    return sorted(verified, key=lambda u: -float(verified[u]))

@@ -309,12 +309,15 @@ def test_rz_words_match_golden(name, count):
 
 
 def test_rz_words_ignore_the_global_mpmath_precision():
+    # every mpmath step of the synthesis must set its own precision, both
+    # below and above what it needs
     with open(_GOLDEN, encoding="utf-8") as f:
         cases = json.load(f)["cases"][::10]
-    with mp.workprec(300):
-        for c in cases:
-            got = synthesize_rz_tags(float.fromhex(c["theta"]), 2.0 ** -c["b"])
-            assert " ".join(got) == c["tags"]
+    for prec in (20, 300):
+        with mp.workprec(prec):
+            for c in cases:
+                got = synthesize_rz_tags(float.fromhex(c["theta"]), 2.0 ** -c["b"])
+                assert " ".join(got) == c["tags"], prec
 
 
 @pytest.mark.parametrize("b", [1, 3, 6, 8, 10])
@@ -327,6 +330,41 @@ def test_grid_solver_matches_reference_scan(b):
         region = _EpsRegion(phi0, eps)
         for k in range(k0, k0 + 5):
             assert region.candidates(k) == reference_scan.candidates(k, phi0, eps), (phi0, k)
+
+
+# W/Dicke angles 2 arccos(sqrt(j/n)): their candidates come in rows of
+# nearly equal quality
+_LATTICE_ANGLES = [2 * math.acos(math.sqrt(j / n)) for n in range(2, 10) for j in range(1, n)]
+
+
+@pytest.mark.parametrize("b", [20, 30, 50])
+def test_fixed_point_quality_matches_mpmath_oracle(b, monkeypatch):
+    # the integer quality must keep the candidates, and their order, that
+    # the mpmath check it replaced gives
+    rng = random.Random(1200 + b)
+    regions = []
+    for theta in [rng.uniform(-math.pi, math.pi) for _ in range(6)] + _LATTICE_ANGLES:
+        theta_p = theta - round(theta / (math.pi / 4)) * math.pi / 4
+        if abs(theta_p) > 1e-12:                  # not snapped to an S/T word
+            regions.append(_EpsRegion(-theta_p / 2, 2.0 ** -b))
+    k0 = int(1.5 * b) - 2
+    cases = [(region, k) for region in regions for k in range(k0, k0 + 6)]
+
+    def lists():
+        # every candidate from the pairs of both axes, and the best 16 from
+        # walking every line of the inner axis
+        full = [region.candidates(k) for region, k in cases]
+        with monkeypatch.context() as m:
+            m.setattr(gridsynth, "_INNER_MAX", 0)
+            walked = [region.candidates(k, gridsynth._ATTEMPTS_PER_K) for region, k in cases]
+        return full + walked
+
+    got = lists()
+    assert sum(len(c) for c in got) > 1000
+    monkeypatch.setattr(_EpsRegion, "_verify", lambda self, k, cands:
+                        reference_scan.verify(k, self.phi0, self.eps, cands))
+    for i, want in enumerate(lists()):
+        assert got[i] == want, i
 
 
 @pytest.mark.parametrize("b", [12, 30, 60])
