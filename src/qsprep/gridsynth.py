@@ -689,9 +689,9 @@ class _EpsRegion:
         >= 0 and quality Re(e^{-i phi0} u) >= sqrt2^k (1 - eps^2/2).
 
         xi is checked exactly.  The quality is the integer
-        (Re u 2^P) C + (Im u 2^P) S of `_quality_scale`, within ~2^(2 - P)
-        relative of sqrt2^k 2^2P times the true quality, so it also serves
-        as the sort key."""
+        Q = (Re u 2^P) C + (Im u 2^P) S with the constants of
+        `_quality_scale`; Q / (sqrt2^k 2^2P) is within ~2^(2 - P) of the
+        true quality, so Q also serves as the sort key."""
         P, C, S, R2, T = self._quality_scale(k)
         top = 1 << k
         out = {}
