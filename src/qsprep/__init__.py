@@ -15,7 +15,7 @@ from .benchmark_states import (
     gen_dense_random, gen_dicke, gen_magnus, gen_sparse_random,
     gen_sparse_uniform, gen_syk_surrogate, gen_t_friendly, gen_thc_toy,
     gen_w, load_thc_coefficients, magnus_coefficient, make_state,
-    save_thc_coefficients, t_friendly_angle_library,
+    save_thc_coefficients,
 )
 from .circuit_core import (
     Circuit, CircuitError, Gate, ResourceReport, compose, count_resources,

@@ -110,57 +110,6 @@ def gen_sparse_random(n: int, seed: int) -> TargetState:
 # ---------------------------------------------------------------------------
 # T-friendly instances
 
-_1Q = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "S": np.diag([1, 1j]).astype(complex),
-    "T": np.diag([1, np.exp(1j * math.pi / 4)]),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-}
-
-
-def t_friendly_angle_library(seed: int = 0, max_tcount: int = 8,
-                             size: int = 24) -> List[float]:
-    """Angles theta with Ry(theta)|0> exactly reachable in Clifford+T.
-
-    Random single-qubit Clifford+T words of bounded T-count are applied to
-    |0>; states that are real up to a global phase contribute
-    theta = 2*atan2(a1, a0).  Angles too close to a multiple of pi are
-    dropped so product states built from the library keep full support.
-    """
-    rng = _rng(seed)
-    names = list(_1Q)
-    found: List[float] = []
-    tries = stale = 0
-    while len(found) < size and tries < 20000 and stale < 2000:
-        tries += 1
-        stale += 1
-        u = np.eye(2, dtype=complex)
-        tcount = 0
-        for _ in range(int(rng.integers(4, 30))):
-            g = names[rng.integers(len(names))]
-            if g == "T":
-                if tcount >= max_tcount:
-                    continue
-                tcount += 1
-            u = _1Q[g] @ u
-        a0, a1 = u[0, 0], u[1, 0]
-        ref = a0 if abs(a0) > abs(a1) else a1
-        phase = ref / abs(ref)
-        r0, r1 = a0 / phase, a1 / phase
-        if abs(r0.imag) > 1e-12 or abs(r1.imag) > 1e-12:
-            continue
-        theta = 2 * math.atan2(r1.real, r0.real)
-        if min(abs(theta - m * math.pi) for m in (-2, -1, 0, 1, 2)) < 0.1:
-            continue
-        if any(abs(theta - t) < 1e-9 for t in found):
-            continue
-        found.append(theta)
-        stale = 0
-    if not found:
-        raise RuntimeError("angle library search failed")
-    return found
-
-
 def _inverse_demux(leaves: List[float]) -> List[float]:
     # inverse of the Gray-code demultiplexer's angle transform: a table
     # built this way demultiplexes back to exactly `leaves`
@@ -179,28 +128,28 @@ def gen_t_friendly(n: int, seed: int) -> Tuple[TargetState, List[Tuple[int, Tupl
     qubits i+1..n-1 (the suffix), matching the table shape the dense
     reduction recovers when it peels qubits in index order.
 
-    Exactness must survive compilation, not just the schedule: the
-    demultiplexer emits half-sums/differences of table entries, so tables
-    are built by inverse-transforming rotations drawn from the exact grid.
-    Entries stay inside (0, pi) so every conditional amplitude is positive
-    and the reduction recovers the constructed tables verbatim.
+    Ry(theta)|0> is exactly Clifford+T-preparable iff theta is a multiple
+    of pi/4 (`gridsynth.exactly_preparable`), so uniform tables draw from
+    the three such angles inside (0, pi), pi/4, pi/2 and 3pi/4, as exact
+    float constants.  Exactness must survive compilation, not just the
+    schedule: the demultiplexer emits half-sums/differences of table
+    entries, so the other tables are built by inverse-transforming
+    rotations drawn from the exact grid.  Entries stay inside (0, pi) so
+    every conditional amplitude is positive and the reduction recovers the
+    constructed tables verbatim.
     """
     if n < 1:
         raise ParameterError("t_friendly requires n >= 1")
-    lib = t_friendly_angle_library(seed)
-    grid = math.pi / 4
-    pos = sorted(th for th in lib
-                 if 0 < th < math.pi
-                 and abs(th - grid * round(th / grid)) < 1e-9)
-    if not pos:
-        pos = [math.pi / 4, math.pi / 2, 3 * math.pi / 4]
+    if seed < 0:   # the schedule stream is seed + 1, which _rng accepts at -1
+        raise ParameterError(f"seed must be >= 0, got seed={seed}")
+    pos = (math.pi / 4, math.pi / 2, 3 * math.pi / 4)
     rng = _rng(seed + 1)
     schedule: List[Tuple[int, Tuple[float, ...]]] = []
     tables: List[List[float]] = []
     for i in range(n):
         m = n - 1 - i
         if m == 0 or rng.integers(2) == 0:
-            tab = [float(pos[rng.integers(len(pos))])] * (1 << m)
+            tab = [pos[rng.integers(len(pos))]] * (1 << m)
         else:
             leaves = [0.0] * (1 << m)
             leaves[0] = math.pi / 2

@@ -31,11 +31,12 @@ from sympy.ntheory.residue_ntheory import sqrt_mod
 from .circuit_core import is_pi4_multiple
 from .rings import (
     RingError, ZOmega, ZSqrt2,
-    ZO_DELTA, ZO_UNIT_LOG, ZO_ZERO, ZS_ONE, ZS_ZERO,
+    ZO_DELTA, ZO_UNIT_LOG, ZO_ZERO,
     round_div, zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2, zo_from_zmd,
     zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_pow, zo_rot,
     zo_sqrt2_divisible, zo_sub, zo_value,
-    zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_sqrt2_valuation,
+    zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_mul, zs_norm,
+    zs_sqrt2_valuation, zs_totally_positive,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -92,7 +93,7 @@ def solve_grid_1d(l1: float, u1: float, l2: float, u2: float,
         r = b * SQRT2
         for a in range(math.ceil(max(a1 - r, a2 + r)),
                        math.floor(min(b1 - r, b2 + r)) + 1):
-            out.append(ZSqrt2(a, b) * back)
+            out.append(zs_mul((a, b), back))
     return out
 
 
@@ -116,7 +117,7 @@ def _split_prime_1mod8(pi: ZSqrt2, p: int) -> ZOmega:
     send sqrt2 = w - w^3 to the two opposite roots of 2 mod p, so exactly
     one of y and p - y does."""
     y = sqrt_mod(sqrt_mod(p - 1, p), p)
-    if (pi.a + pi.b * (y - pow(y, 3, p))) % p:
+    if (pi[0] + pi[1] * (y - pow(y, 3, p))) % p:
         y = p - y
     return zo_gcd(zo_from_zsqrt2(pi), (-y, 1, 0, 0))
 
@@ -132,18 +133,18 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
     the only None returns; a root that does not multiply back to xi is a
     bug and raises RuntimeError.
     """
-    if xi.is_zero():
+    if xi == (0, 0):
         return ZO_ZERO
-    if not xi.totally_positive():
+    if not zs_totally_positive(xi):
         return None
     m, xi0 = zs_sqrt2_valuation(xi)
     t = zo_pow(ZO_DELTA, m)
     # the norm is odd, and negative for an odd sqrt2 valuation; the sign
     # lands in the unit fix
-    for p, f in factorint(abs(xi0.norm())).items():
+    for p, f in factorint(abs(zs_norm(xi0))).items():
         r = p % 8
         if r in (1, 7):  # p = pi pi* splits in Z[sqrt2]
-            pi = zs_gcd(ZSqrt2(p, 0), ZSqrt2(sqrt_mod(2, p), -1))
+            pi = zs_gcd((p, 0), (sqrt_mod(2, p), -1))
             v1 = _zs_valuation(xi0, pi)
             v2 = f - v1
             if r == 1:
@@ -153,17 +154,17 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
                 return None
             else:
                 t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi), v1 // 2))
-                t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi.conj()), v2 // 2))
+                t = zo_mul(t, zo_pow(zo_from_zsqrt2((pi[0], -pi[1])), v2 // 2))
         else:  # p inert in Z[sqrt2], so f is even; p = x^2 + d y^2
             d = 1 if r == 5 else 2
             eta = zmd_gcd((p, 0), (sqrt_mod(p - d, p), -1), d)
             t = zo_mul(t, zo_pow(zo_from_zmd(eta, d), f // 2))
     # fix the remaining totally positive unit s = lambda^(2m) = a + b sqrt2:
-    # 2a = lambda^2|m| + lambda^-2|m| and sign(b) = sign(m), as s.value()
-    # cancels to noise for m < -10.  Wrong factors fail the check below.
+    # 2a = lambda^2|m| + lambda^-2|m| and sign(b) = sign(m), as a + b sqrt2
+    # cancels to noise in floats for m < -10.  Wrong factors fail the check.
     try:
-        s = zs_div_exact(xi, zo_abs_sq(t))
-        mm = round(math.log(2 * s.a) / (2 * _LOG_LAMBDA)) * (-1 if s.b < 0 else 1)
+        sa, sb = zs_div_exact(xi, zo_abs_sq(t))
+        mm = round(math.log(2 * sa) / (2 * _LOG_LAMBDA)) * (-1 if sb < 0 else 1)
     except (RingError, ValueError):
         mm = 0
     for cand in (mm, mm - 1, mm + 1, mm - 2, mm + 2):
@@ -294,37 +295,41 @@ def exact_synthesize(mat: RingMatrix) -> List[str]:
 _Op = Tuple[ZSqrt2, ZSqrt2, ZSqrt2, ZSqrt2]
 _Sym = Tuple[mp.mpf, mp.mpf, mp.mpf]             # (p, q, r) ~ [[p, q], [q, r]]
 
-_R2 = ZSqrt2(0, 1)
-_OP_I: _Op = (_R2, ZS_ZERO, ZS_ZERO, _R2)
-_OP_R: _Op = (ZS_ONE, -ZS_ONE, ZS_ONE, ZS_ONE)   # rotation by pi/4
-_OP_K: _Op = (ZSqrt2(1, -1), -ZS_ONE, ZSqrt2(1, 1), ZS_ONE)  # [[-1/l, -1], [l, 1]]/sqrt2
-_OP_K_CONJ: _Op = (ZSqrt2(-1, -1), ZS_ONE, ZSqrt2(-1, 1), -ZS_ONE)  # K*, l = lambda
-_OP_X: _Op = (ZS_ZERO, _R2, _R2, ZS_ZERO)       # swap x and y
-_OP_Z: _Op = (_R2, ZS_ZERO, ZS_ZERO, -_R2)      # complex conjugation
+_R2 = (0, 1)
+_OP_I: _Op = (_R2, (0, 0), (0, 0), _R2)
+_OP_R: _Op = ((1, 0), (-1, 0), (1, 0), (1, 0))   # rotation by pi/4
+_OP_K: _Op = ((1, -1), (-1, 0), (1, 1), (1, 0))  # [[-1/l, -1], [l, 1]]/sqrt2
+_OP_K_CONJ: _Op = ((-1, -1), (1, 0), (-1, 1), (-1, 0))  # K*, l = lambda
+_OP_X: _Op = ((0, 0), _R2, _R2, (0, 0))       # swap x and y
+_OP_Z: _Op = (_R2, (0, 0), (0, 0), (0, -1))   # complex conjugation
 _SKEW_UPRIGHT = 15
 
 
 def _op_a(n: int) -> _Op:
     """A^n = [[1, -2n], [0, 1]]."""
-    return (_R2, ZSqrt2(0, -2 * n), ZS_ZERO, _R2)
+    return (_R2, (0, -2 * n), (0, 0), _R2)
 
 
 def _op_b(n: int) -> _Op:
     """B^n = [[1, n sqrt2], [0, 1]]."""
-    return (_R2, ZSqrt2(2 * n, 0), ZS_ZERO, _R2)
+    return (_R2, (2 * n, 0), (0, 0), _R2)
 
 
-def _div_sqrt2(x: ZSqrt2) -> ZSqrt2:
-    if x.a & 1:
-        raise RuntimeError(f"{x} is not divisible by sqrt2")
-    return ZSqrt2(x.b, x.a >> 1)
+def _dot_div_sqrt2(x: ZSqrt2, y: ZSqrt2, z: ZSqrt2, w: ZSqrt2) -> ZSqrt2:
+    """(x y + z w) / sqrt2, the entry rule of a product of grid operators
+    and of H v; a sum that sqrt2 does not divide is a bug."""
+    a = x[0] * y[0] + z[0] * w[0] + 2 * (x[1] * y[1] + z[1] * w[1])
+    b = x[0] * y[1] + x[1] * y[0] + z[0] * w[1] + z[1] * w[0]
+    if a & 1:
+        raise RuntimeError(f"{(a, b)} is not divisible by sqrt2")
+    return (b, a >> 1)
 
 
 def _op_mul(g: _Op, h: _Op) -> _Op:
     g11, g12, g21, g22 = g
     h11, h12, h21, h22 = h
-    return (_div_sqrt2(g11 * h11 + g12 * h21), _div_sqrt2(g11 * h12 + g12 * h22),
-            _div_sqrt2(g21 * h11 + g22 * h21), _div_sqrt2(g21 * h12 + g22 * h22))
+    return (_dot_div_sqrt2(g11, h11, g12, h21), _dot_div_sqrt2(g11, h12, g12, h22),
+            _dot_div_sqrt2(g21, h11, g22, h21), _dot_div_sqrt2(g21, h12, g22, h22))
 
 
 def _op_shift(g: _Op, k: int) -> _Op:
@@ -335,13 +340,13 @@ def _op_shift(g: _Op, k: int) -> _Op:
     operator when G is one of the step-lemma operators.
     """
     g11, g12, g21, g22 = g
-    return (g11 * zs_lambda_power(k), g12, g21, g22 * zs_lambda_power(-k))
+    return (zs_mul(g11, zs_lambda_power(k)), g12, g21, zs_mul(g22, zs_lambda_power(-k)))
 
 
 def _op_value(g: _Op, conj: bool = False) -> Tuple[mp.mpf, ...]:
     """Entries of G (or of G*) in mpmath at the working precision."""
     r2 = -mp.sqrt(2) if conj else mp.sqrt(2)
-    return tuple((x.a + x.b * r2) / r2 for x in g)
+    return tuple((a + b * r2) / r2 for a, b in g)
 
 
 def _congruence(m: _Sym, g: Sequence, shift: Optional[int] = None) -> _Sym:
@@ -395,7 +400,7 @@ def _upright_operator(d: _Sym, delta: _Sym, prec: int) -> _Op:
 
     def entries(g: _Op, sign: int):
         # (a + b sqrt2) / sqrt2 = b + a sqrt2 / 2; the conjugate flips sqrt2
-        return [(x.b << prec) + sign * ((x.a * r2) >> 1) for x in g]
+        return [(b << prec) + sign * ((a * r2) >> 1) for a, b in g]
 
     def params(m):
         p, q, r = m
@@ -426,7 +431,7 @@ def _upright_operator(d: _Sym, delta: _Sym, prec: int) -> _Op:
 def _zs_values(x: ZSqrt2) -> Tuple[float, float]:
     """x and x* as floats, both to full relative precision (the one that
     cancels is recomputed as norm / the other)."""
-    a, b = x.a, x.b
+    a, b = x
     if a * b >= 0:
         p = a + b * SQRT2
         return p, ((a * a - 2 * b * b) / p if p else 0.0)
@@ -475,7 +480,7 @@ class _Axis1D:
         for x in solve_grid_1d(self.ra + lo_a, self.ra + hi_a,
                                self.rb + lo_b, self.rb + hi_b, pad=1e-13):
             va, vb = _zs_values(x)
-            out.append((ZSqrt2(self.a0 + x.a, self.b0 + x.b), va - self.ra, vb - self.rb))
+            out.append(((self.a0 + x[0], self.b0 + x[1]), va - self.ra, vb - self.rb))
         return out
 
     def solve_all(self):
@@ -565,12 +570,12 @@ class _EpsRegion:
     def _lift(self, outer: ZSqrt2, inner: ZSqrt2, o: int) -> ZOmega:
         """u = H v for v = alpha + i beta + o w."""
         alpha, beta = (outer, inner) if self.outer == 0 else (inner, outer)
-        vx = ZSqrt2(2 * alpha.b + o, alpha.a)      # sqrt2 Re v
-        vy = ZSqrt2(2 * beta.b + o, beta.a)        # sqrt2 Im v
+        vx = (2 * alpha[1] + o, alpha[0])          # sqrt2 Re v
+        vy = (2 * beta[1] + o, beta[0])            # sqrt2 Im v
         h11, h12, h21, h22 = self.op
-        ux = _div_sqrt2(h11 * vx + h12 * vy)       # sqrt2 Re u
-        uy = _div_sqrt2(h21 * vx + h22 * vy)
-        return (ux.b, (ux.a + uy.a) >> 1, uy.b, (uy.a - ux.a) >> 1)
+        ux = _dot_div_sqrt2(h11, vx, h12, vy)      # sqrt2 Re u
+        uy = _dot_div_sqrt2(h21, vx, h22, vy)
+        return (ux[1], (ux[0] + uy[0]) >> 1, uy[1], (uy[0] - ux[0]) >> 1)
 
     def candidates(self, k: int, limit: Optional[int] = None) -> List[ZOmega]:
         """The best `limit` (default all) verified candidates at exponent
@@ -605,7 +610,7 @@ class _EpsRegion:
             with mp.workprec(self.prec):
                 scale = self.r2 ** k
                 for x, _, xb in xs:
-                    offset = (x.a + x.b * self.r2 + o / self.r2
+                    offset = (x[0] + x[1] * self.r2 + o / self.r2
                               - self.centre[self.outer] * scale)
                     found.update(self._walk(k, x, o, inner,
                                             self._segment_chord(scale, offset),
@@ -748,8 +753,8 @@ def synthesize_rz_tags(theta: float, eps: float) -> List[str]:
         region = _EpsRegion(phi0, eps)
         while k <= k_cap:
             for u in region.candidates(k, _ATTEMPTS_PER_K):
-                xi = ZSqrt2(1 << k, 0) - zo_abs_sq(u)
-                t = solve_diophantine(xi)
+                n, m = zo_abs_sq(u)
+                t = solve_diophantine(((1 << k) - n, -m))
                 if t is None:
                     continue
                 # [[u, -conj t], [t, conj u]]; w^4 = -1

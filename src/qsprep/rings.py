@@ -1,12 +1,17 @@
 """Exact arithmetic in the rings behind Clifford+T synthesis.
 
-ZSqrt2 : a + b*sqrt(2), a frozen dataclass             (real quadratic ring)
-ZOmega : a + b*w + c*w^2 + d*w^3 with w = e^{i pi/4}, the plain int tuple
-         (a, b, c, d) (8th cyclotomic integers); every operation on it is a
-         zo_* function here, so exact synthesis and the Diophantine solver
-         share one implementation
+Every ring element is a plain int tuple, and every operation on it is a
+module-level function here (zs_*, zo_*, zmd_*), so exact synthesis, the
+grid operators and the Diophantine solver share one implementation:
+
+ZSqrt2 : a + b*sqrt(2) as the pair (a, b)                (real quadratic ring)
+ZOmega : a + b*w + c*w^2 + d*w^3 with w = e^{i pi/4} as the tuple
+         (a, b, c, d)                            (8th cyclotomic integers)
 Z[sqrt(-d)], d in {1, 2}: x + y*sqrt(-d) as the pair (x, y), used only by
          zmd_gcd to split primes p = 3, 5 (mod 8)
+
+Addition, negation, the Galois conjugate (a, -b) and the zero test of a
+ZSqrt2 are written inline where they occur.
 
 All are norm-Euclidean, so gcds run by rounded division; ZOmega's
 coefficient-wise rounding is not always a Euclidean witness, so its mod step
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 SQRT2 = math.sqrt(2.0)
@@ -38,110 +42,89 @@ def round_div(x: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Z[sqrt2]
+# Z[sqrt2]; element a + b sqrt2 as the int pair (a, b)
+
+ZSqrt2 = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ZSqrt2:
-    a: int
-    b: int
-
-    def __add__(self, o: "ZSqrt2") -> "ZSqrt2":
-        return ZSqrt2(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o: "ZSqrt2") -> "ZSqrt2":
-        return ZSqrt2(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, o: "ZSqrt2") -> "ZSqrt2":
-        return ZSqrt2(self.a * o.a + 2 * self.b * o.b,
-                      self.a * o.b + self.b * o.a)
-
-    def __neg__(self) -> "ZSqrt2":
-        return ZSqrt2(-self.a, -self.b)
-
-    def conj(self) -> "ZSqrt2":
-        """Galois conjugate sqrt2 -> -sqrt2."""
-        return ZSqrt2(self.a, -self.b)
-
-    def norm(self) -> int:
-        return self.a * self.a - 2 * self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def sign(self) -> int:
-        """Exact sign of the real value a + b*sqrt(2)."""
-        if self.a == 0 and self.b == 0:
-            return 0
-        if self.a >= 0 and self.b >= 0:
-            return 1
-        if self.a <= 0 and self.b <= 0:
-            return -1
-        # mixed signs: compare a^2 with 2 b^2
-        if self.a > 0:  # b < 0
-            return 1 if self.a * self.a > 2 * self.b * self.b else -1
-        return 1 if self.a * self.a < 2 * self.b * self.b else -1
-
-    def totally_positive(self) -> bool:
-        return self.sign() > 0 and self.conj().sign() > 0
-
-    def value(self) -> float:
-        return self.a + self.b * SQRT2
+def zs_mul(u: ZSqrt2, v: ZSqrt2) -> ZSqrt2:
+    return (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
-ZS_ZERO = ZSqrt2(0, 0)
-ZS_ONE = ZSqrt2(1, 0)
-ZS_LAMBDA = ZSqrt2(1, 1)          # 1 + sqrt2, fundamental unit
-ZS_LAMBDA_INV = ZSqrt2(-1, 1)     # sqrt2 - 1
+def zs_norm(u: ZSqrt2) -> int:
+    """u times its Galois conjugate (sqrt2 -> -sqrt2), a^2 - 2 b^2."""
+    return u[0] * u[0] - 2 * u[1] * u[1]
+
+
+def zs_sign(u: ZSqrt2) -> int:
+    """Exact sign of the real value a + b*sqrt(2)."""
+    a, b = u
+    if a >= 0 and b >= 0:
+        return 0 if a == b == 0 else 1
+    if a <= 0 and b <= 0:
+        return -1
+    # mixed signs: compare a^2 with 2 b^2
+    if a > 0:  # b < 0
+        return 1 if a * a > 2 * b * b else -1
+    return 1 if a * a < 2 * b * b else -1
+
+
+def zs_totally_positive(u: ZSqrt2) -> bool:
+    """u > 0 and its Galois conjugate a - b sqrt2 > 0."""
+    return zs_sign(u) > 0 and zs_sign((u[0], -u[1])) > 0
 
 
 def zs_div_exact(u: ZSqrt2, v: ZSqrt2) -> ZSqrt2:
-    n = v.norm()
+    n = zs_norm(v)
     if n == 0:
         raise ZeroDivisionError("ZSqrt2 division by zero")
-    w = u * v.conj()
-    if w.a % n or w.b % n:
+    x, y = zs_mul(u, (v[0], -v[1]))
+    if x % n or y % n:
         raise RingError("inexact ZSqrt2 division")
-    return ZSqrt2(w.a // n, w.b // n)
+    return (x // n, y // n)
 
 
 def zs_divides(v: ZSqrt2, u: ZSqrt2) -> bool:
-    n = v.norm()
+    n = zs_norm(v)
     if n == 0:
-        return u.is_zero()
-    w = u * v.conj()
-    return w.a % n == 0 and w.b % n == 0
+        return u == (0, 0)
+    x, y = zs_mul(u, (v[0], -v[1]))
+    return x % n == 0 and y % n == 0
 
 
 def zs_mod(u: ZSqrt2, v: ZSqrt2) -> ZSqrt2:
-    n = v.norm()
-    w = u * v.conj()
-    return u - v * ZSqrt2(round_div(w.a, n), round_div(w.b, n))
+    n = zs_norm(v)
+    x, y = zs_mul(u, (v[0], -v[1]))
+    qa, qb = zs_mul(v, (round_div(x, n), round_div(y, n)))
+    return (u[0] - qa, u[1] - qb)
 
 
 def zs_gcd(u: ZSqrt2, v: ZSqrt2) -> ZSqrt2:
-    while not v.is_zero():
+    while v != (0, 0):
         u, v = v, zs_mod(u, v)
     return u
 
 
 def zs_sqrt2_valuation(u: ZSqrt2) -> Tuple[int, ZSqrt2]:
     """u = sqrt2^m * u0 with u0 not divisible by sqrt2; sqrt2 | u iff a even."""
-    if u.is_zero():
+    if u == (0, 0):
         raise RingError("valuation of zero")
+    a, b = u
     m = 0
-    while u.a % 2 == 0:
-        u = ZSqrt2(u.b, u.a // 2)
+    while a % 2 == 0:
+        a, b = b, a // 2
         m += 1
-    return m, u
+    return m, (a, b)
 
 
 @functools.lru_cache(maxsize=4096)
 def zs_lambda_power(m: int) -> ZSqrt2:
-    base = ZS_LAMBDA if m >= 0 else ZS_LAMBDA_INV
-    out = ZS_ONE
+    """lambda^m for the fundamental unit lambda = 1 + sqrt2 (and
+    lambda^-1 = sqrt2 - 1)."""
+    base = (1, 1) if m >= 0 else (-1, 1)
+    out = (1, 0)
     for _ in range(abs(m)):
-        out = out * base
+        out = zs_mul(out, base)
     return out
 
 
@@ -226,11 +209,11 @@ def zo_abs_sq(u: ZOmega) -> ZSqrt2:
     Its w^2 coefficient is always 0 and its w^3 coefficient minus its w
     one, so it is (a^2 + b^2 + c^2 + d^2) + (ab + bc + cd - da) sqrt2."""
     a, b, c, d = u
-    return ZSqrt2(a * a + b * b + c * c + d * d, a * b + b * c + c * d - d * a)
+    return (a * a + b * b + c * c + d * d, a * b + b * c + c * d - d * a)
 
 
 def zo_norm(u: ZOmega) -> int:
-    return zo_abs_sq(u).norm()
+    return zs_norm(zo_abs_sq(u))
 
 
 def zo_value(u: ZOmega) -> complex:
@@ -240,7 +223,8 @@ def zo_value(u: ZOmega) -> complex:
 
 
 def zo_from_zsqrt2(x: ZSqrt2) -> ZOmega:
-    return (x.a, x.b, 0, -x.b)
+    a, b = x
+    return (a, b, 0, -b)
 
 
 def _zo_norm_cofactor(v: ZOmega) -> ZOmega:

@@ -17,7 +17,8 @@ from qsprep.rings import (
     zmd_gcd, zo_abs_sq, zo_add, zo_div_sqrt2, zo_from_zmd,
     zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_pow, zo_rot,
     zo_sqrt2_divisible, zo_sub,
-    zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_sqrt2_valuation,
+    zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_norm,
+    zs_sqrt2_valuation, zs_totally_positive,
 )
 
 
@@ -48,7 +49,7 @@ def _split_prime_1mod8(pi: ZSqrt2, p: int) -> Optional[ZOmega]:
             if cand == ZO_ZERO:
                 continue
             q = zo_abs_sq(cand)
-            if abs(q.norm()) != abs(pi.norm()):
+            if abs(zs_norm(q)) != abs(zs_norm(pi)):
                 continue
             if zs_divides(pi, q) and zs_divides(q, pi):
                 return cand
@@ -56,25 +57,25 @@ def _split_prime_1mod8(pi: ZSqrt2, p: int) -> Optional[ZOmega]:
 
 
 def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
-    if xi.is_zero():
+    if xi == (0, 0):
         return ZO_ZERO
-    if not xi.totally_positive():
+    if not zs_totally_positive(xi):
         return None
     m, xi0 = zs_sqrt2_valuation(xi)
     t = zo_pow(ZO_DELTA, m)
     # norm can be negative (odd sqrt2 valuation); sign lands in the unit fix
-    N = abs(xi0.norm())
+    N = abs(zs_norm(xi0))
     for p, f in factorint(N).items():
         r = p % 8
         if r in (1, 7):
             x0 = sqrt_mod(2, p)
             if x0 is None:
                 return None
-            pi = zs_gcd(ZSqrt2(p, 0), ZSqrt2(x0, -1))
-            if abs(pi.norm()) != p:
+            pi = zs_gcd((p, 0), (x0, -1))
+            if abs(zs_norm(pi)) != p:
                 return None
             v1, _ = _zs_valuation(xi0, pi)
-            v2, _ = _zs_valuation(xi0, pi.conj())
+            v2, _ = _zs_valuation(xi0, (pi[0], -pi[1]))
             if v1 + v2 != f:
                 return None
             if r == 1:
@@ -86,7 +87,7 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
                 if v1 % 2 or v2 % 2:
                     return None
                 t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi), v1 // 2))
-                t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi.conj()), v2 // 2))
+                t = zo_mul(t, zo_pow(zo_from_zsqrt2((pi[0], -pi[1])), v2 // 2))
         else:  # p inert in Z[sqrt2]
             if f % 2:
                 return None
@@ -104,12 +105,12 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
         s = zs_div_exact(xi, zo_abs_sq(t))
     except RingError:
         return None
-    if abs(s.norm()) != 1 or not s.totally_positive():
+    if abs(zs_norm(s)) != 1 or not zs_totally_positive(s):
         return None
     # s = lambda^(2m) = a + b sqrt2 with 2a = lambda^2|m| + lambda^-2|m| and
-    # sign(b) = sign(m); s.value() itself cancels to noise for m < -10
-    mm = round(math.log(2 * s.a) / (2 * _LOG_LAMBDA))
-    if s.b < 0:
+    # sign(b) = sign(m); a + b sqrt2 in floats cancels to noise for m < -10
+    mm = round(math.log(2 * s[0]) / (2 * _LOG_LAMBDA))
+    if s[1] < 0:
         mm = -mm
     for cand in (mm, mm - 1, mm + 1, mm - 2, mm + 2):
         if zs_lambda_power(2 * cand) == s:

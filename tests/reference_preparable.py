@@ -19,7 +19,7 @@ K_MAX = 32
 def _identify_zsqrt2(value: float, conj_bound: float, tol: float) -> List[ZSqrt2]:
     return [x for x in solve_grid_1d(value - tol, value + tol,
                                      -conj_bound, conj_bound)
-            if abs(x.value() - value) <= tol]
+            if abs(x[0] + x[1] * SQRT2 - value) <= tol]
 
 
 def search_preparable(alpha0: float, alpha1: float,
@@ -57,15 +57,16 @@ def search_preparable(alpha0: float, alpha1: float,
                 continue
             for X0 in cands[0]:
                 for Y0 in cands[1]:
-                    if (X0.a - Y0.a) % 2:
+                    if (X0[0] - Y0[0]) % 2:
                         continue
-                    u0 = (X0.b, (X0.a + Y0.a) // 2, Y0.b, (Y0.a - X0.a) // 2)
+                    u0 = (X0[1], (X0[0] + Y0[0]) // 2, Y0[1], (Y0[0] - X0[0]) // 2)
                     for X1 in cands[2]:
                         for Y1 in cands[3]:
-                            if (X1.a - Y1.a) % 2:
+                            if (X1[0] - Y1[0]) % 2:
                                 continue
-                            u1 = (X1.b, (X1.a + Y1.a) // 2, Y1.b, (Y1.a - X1.a) // 2)
-                            if zo_abs_sq(u0) + zo_abs_sq(u1) != ZSqrt2(1 << k, 0):
+                            u1 = (X1[1], (X1[0] + Y1[0]) // 2, Y1[1], (Y1[0] - X1[0]) // 2)
+                            (n0, m0), (n1, m1) = zo_abs_sq(u0), zo_abs_sq(u1)
+                            if (n0 + n1, m0 + m1) != (1 << k, 0):
                                 continue
                             with mp.workdps(40 + k):
                                 s = mp.sqrt(2) ** k

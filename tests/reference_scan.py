@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 import mpmath as mp
 
 from qsprep.gridsynth import solve_grid_1d
-from qsprep.rings import ZOmega, ZSqrt2, zo_abs_sq
+from qsprep.rings import ZOmega, zo_abs_sq, zs_sign
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,8 +39,8 @@ def verify(k: int, phi0, eps: float, cands: Sequence[ZOmega]) -> Dict[ZOmega, mp
         Rm = mp.sqrt(2) ** k
         thr = 1 - mp.mpf(eps) ** 2 / 2
         for u in cands:
-            xi = ZSqrt2(1 << k, 0) - zo_abs_sq(u)
-            if xi.sign() < 0 or xi.conj().sign() < 0:
+            n, m = zo_abs_sq(u)
+            if zs_sign(((1 << k) - n, -m)) < 0 or zs_sign(((1 << k) - n, m)) < 0:
                 continue
             q = mp.re(zc * zo_mpvalue(u)) / Rm
             if q >= thr:
@@ -57,8 +57,8 @@ def candidates(k: int, phi0: float, eps: float) -> List[ZOmega]:
     y_lo, y_hi = min(ys), max(ys)
     out: List[Tuple[float, ZOmega]] = []
     for Y in solve_grid_1d(SQRT2 * y_lo, SQRT2 * y_hi, -SQRT2 * R, SQRT2 * R):
-        yv = Y.value() / SQRT2
-        ycv = Y.conj().value() / SQRT2        # = -Im(u_galois)
+        yv = (Y[0] + Y[1] * SQRT2) / SQRT2
+        ycv = (Y[0] - Y[1] * SQRT2) / SQRT2   # = -Im(u_galois)
         rem = R * R - yv * yv
         if rem < 0:
             continue
@@ -70,14 +70,14 @@ def candidates(k: int, phi0: float, eps: float) -> List[ZOmega]:
         if remc < 0:
             continue
         bx = math.sqrt(remc)
-        p = Y.a & 1
+        p = Y[0] & 1
         g_lo = x_lo - p / SQRT2
         g_hi = x_hi - p / SQRT2
         gc = (p / SQRT2 + bx, p / SQRT2 - bx)
         for gam in solve_grid_1d(g_lo, g_hi, min(gc), max(gc)):
-            e = p + 2 * gam.b
-            aa = gam.a
-            f, cc = Y.a, Y.b
+            e = p + 2 * gam[1]
+            aa = gam[0]
+            f, cc = Y
             if (e - f) % 2:
                 continue
             u = (aa, (e + f) // 2, cc, (f - e) // 2)

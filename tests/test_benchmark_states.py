@@ -10,7 +10,7 @@ from qsprep.benchmark_states import (
     descent_count, gen_dense_random, gen_dicke, gen_magnus, gen_sparse_random,
     gen_sparse_uniform, gen_syk_surrogate, gen_t_friendly, gen_thc_toy, gen_w,
     load_thc_coefficients, magnus_coefficient, make_state,
-    save_thc_coefficients, t_friendly_angle_library,
+    save_thc_coefficients,
 )
 
 
@@ -47,16 +47,6 @@ def test_determinism():
         assert a.amplitudes == b.amplitudes
         c = gen(6, 43)
         assert a.amplitudes != c.amplitudes
-
-
-def test_t_friendly_library_angles_are_pi4_multiples():
-    lib = t_friendly_angle_library(seed=0)
-    assert lib
-    from qsprep.circuit_core import is_pi4_multiple
-    for th in lib:
-        assert is_pi4_multiple(th, tol=1e-9)
-        # the library drops angles within 0.1 of a multiple of pi
-        assert abs(math.remainder(th, math.pi)) >= 0.1
 
 
 def test_t_friendly_schedule_angles_preparable():

@@ -1,76 +1,96 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 from hypothesis import given, settings, strategies as st
 from sympy import primerange
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from qsprep.rings import (
-    ZO_DELTA, ZO_SQRT2, ZO_UNIT_LOG, ZO_ZERO, ZS_LAMBDA, ZS_LAMBDA_INV, ZS_ONE,
-    ZSqrt2, zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_exact, zo_div_sqrt2,
+    ZO_DELTA, ZO_SQRT2, ZO_UNIT_LOG, ZO_ZERO,
+    zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_exact, zo_div_sqrt2,
     zo_from_zmd, zo_galois, zo_gcd, zo_mod, zo_mul, zo_rot, zo_sqrt2_divisible,
-    zo_sub, zs_divides, zs_gcd, zs_lambda_power, zs_sqrt2_valuation,
+    zo_sub, zs_divides, zs_gcd, zs_lambda_power, zs_mul, zs_norm, zs_sign,
+    zs_sqrt2_valuation, zs_totally_positive,
 )
 
 _i = st.integers(-50, 50)
-_zs = st.builds(ZSqrt2, _i, _i)
+_zs = st.tuples(_i, _i)
 _zo = st.tuples(_i, _i, _i, _i)
 
 _W = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 
 
 def _val(x):
-    if isinstance(x, ZSqrt2):
-        return x.a + x.b * math.sqrt(2)
+    if len(x) == 2:
+        return x[0] + x[1] * math.sqrt(2)
     a, b, c, d = x
     return a + b * _W + c * _W ** 2 + d * _W ** 3
 
 
 @given(_zs, _zs)
 def test_zsqrt2_mul_matches_floats(x, y):
-    assert math.isclose(_val(x * y), _val(x) * _val(y),
+    assert math.isclose(_val(zs_mul(x, y)), _val(x) * _val(y),
                         rel_tol=1e-9, abs_tol=1e-6)
 
 
 @given(_zs, _zs)
 def test_zsqrt2_norm_multiplicative(x, y):
-    assert (x * y).norm() == x.norm() * y.norm()
+    assert zs_norm(zs_mul(x, y)) == zs_norm(x) * zs_norm(y)
+
+
+def _check_sign(x):
+    # mpmath at 400 bits decides the sign of a +- b sqrt2 for |a|, |b| < 2^190
+    with mp.workprec(400):
+        v, vc = (x[0] + s * x[1] * mp.sqrt(2) for s in (1, -1))
+    assert zs_sign(x) == (v > 0) - (v < 0)
+    assert zs_totally_positive(x) == (v > 0 and vc > 0)
 
 
 @given(_zs)
 def test_zsqrt2_sign_and_total_positivity(x):
-    v = _val(x)
-    vc = _val(x.conj())
-    if abs(v) > 1e-9:
-        assert (v > 0) == (x.sign() > 0)
-    assert x.totally_positive() == (v > 1e-9 and vc > 1e-9) or abs(v) <= 1e-9 or abs(vc) <= 1e-9
+    _check_sign(x)
+
+
+def test_zsqrt2_sign_past_float_range():
+    # Pell pairs a^2 - 2 b^2 = +-1 up to 2^80, from lambda^m = a + b sqrt2:
+    # a - b sqrt2 = +-lambda^-m is far below the float ulp of a, so floats
+    # round it to 0 or give it the wrong sign
+    a, b, float_wrong = 1, 1, 0
+    while a.bit_length() <= 80:
+        exact = 1 if a * a - 2 * b * b > 0 else -1
+        fv = float(a) - float(b) * math.sqrt(2)
+        float_wrong += (fv > 0) - (fv < 0) != exact
+        for x in ((a, -b), (-a, b), (a, b), (-a, -b)):
+            _check_sign(x)
+        a, b = a + 2 * b, a + b
+    assert float_wrong > 10
 
 
 def test_lambda_units():
-    assert (ZS_LAMBDA * ZS_LAMBDA_INV) == ZS_ONE
-    acc = ZS_ONE
+    assert zs_mul((1, 1), (-1, 1)) == (1, 0)
+    acc = (1, 0)
     for _ in range(5):
-        acc = acc * ZS_LAMBDA
+        acc = zs_mul(acc, (1, 1))
     assert zs_lambda_power(5) == acc
-    assert zs_lambda_power(-3) * zs_lambda_power(3) == ZS_ONE
+    assert zs_mul(zs_lambda_power(-3), zs_lambda_power(3)) == (1, 0)
 
 
 @given(_zs)
 def test_sqrt2_valuation(x):
-    if x.is_zero():
+    if x == (0, 0):
         return
     m, rest = zs_sqrt2_valuation(x)
-    s = ZSqrt2(0, 1)
     y = rest
     for _ in range(m):
-        y = y * s
+        y = zs_mul(y, (0, 1))
     assert y == x
-    assert not (rest.a % 2 == 0)    # sqrt2 no longer divides the remainder
+    assert not (rest[0] % 2 == 0)    # sqrt2 no longer divides the remainder
 
 
 @given(_zs, _zs)
 def test_zs_gcd_divides_both(x, y):
-    if x.is_zero() and y.is_zero():
+    if x == (0, 0) and y == (0, 0):
         return
     g = zs_gcd(x, y)
     assert zs_divides(g, x) and zs_divides(g, y)
@@ -91,14 +111,14 @@ def test_abs_sq_matches_float_modulus(x):
     a2 = zo_abs_sq(x)
     assert math.isclose(_val(a2), abs(_val(x)) ** 2, rel_tol=1e-9, abs_tol=1e-6)
     if x != ZO_ZERO:
-        assert a2.totally_positive()
+        assert zs_totally_positive(a2)
 
 
 @given(_zo)
 def test_abs_sq_is_conj_times_self(x):
     # conj(u) u always lies in Z[sqrt2]: no w^2 part, w and w^3 parts cancel
     a2 = zo_abs_sq(x)
-    assert zo_mul(zo_conj(x), x) == (a2.a, a2.b, 0, -a2.b)
+    assert zo_mul(zo_conj(x), x) == (a2[0], a2[1], 0, -a2[1])
 
 
 @given(_zo, _zo)
@@ -136,8 +156,8 @@ def test_zo_mod_is_euclidean(x, y):
     # x - r divisible by y, and |r| < |y| in the field norm N(u) = |u|^2 |u_gal|^2
     q = zo_div_exact(zo_sub(x, r), y)
     assert zo_add(zo_mul(q, y), r) == x
-    ny = Fraction(zo_abs_sq(y).norm())
-    nr = Fraction(zo_abs_sq(r).norm())
+    ny = Fraction(zs_norm(zo_abs_sq(y)))
+    nr = Fraction(zs_norm(zo_abs_sq(r)))
     assert nr < ny
 
 
@@ -179,6 +199,6 @@ def test_zmd_gcd_splits_primes():
             continue
         x, y = eta = zmd_gcd((p, 0), (sqrt_mod(p - d, p), -1), d)
         assert x * x + d * y * y == p, (p, eta)
-        assert zo_abs_sq(zo_from_zmd(eta, d)) == ZSqrt2(p, 0)
+        assert zo_abs_sq(zo_from_zmd(eta, d)) == (p, 0)
         checked[d] += 1
     assert checked[1] > 100 and checked[2] > 100
