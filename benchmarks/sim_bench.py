@@ -5,7 +5,7 @@ For every gate tag and n = 6, 10, 14, 18, simulates a fixed seeded circuit
 of that one tag on random operands and prints the best-of-REPEATS wall time
 per gate.  A kernel whose per-gate cost has a large fixed part shows up at
 small n; one that touches more amplitudes than the gate changes shows up at
-large n.  The multi- and uniformly controlled Ry use CONTROLS controls.
+large n.  The multi-controlled Ry uses CONTROLS controls.
 Single-tag circuits on random operands rarely fill a fusion group, so they
 mostly time the gate-by-gate path.
 
@@ -39,13 +39,10 @@ _ARITY = {"CNOT": 2, "Swap": 2, "Toffoli": 3, "ControlledSwap": 3, "ANDU": 3}
 
 def random_gate(tag: str, n: int, rng: random.Random) -> Gate:
     angle = rng.uniform(-math.pi, math.pi)
-    if tag in ("MultiControlledRy", "UniformlyControlledRy"):
+    if tag == "MultiControlledRy":
         qs = tuple(rng.sample(range(n), CONTROLS + 1))
-        if tag == "MultiControlledRy":
-            mask = tuple(rng.randrange(2) for _ in range(CONTROLS))
-            return Gate(tag, qs, angle=angle, mask=mask)
-        angles = tuple(rng.uniform(-math.pi, math.pi) for _ in range(1 << CONTROLS))
-        return Gate(tag, qs, angles=angles)
+        mask = tuple(rng.randrange(2) for _ in range(CONTROLS))
+        return Gate(tag, qs, angle=angle, mask=mask)
     qs = tuple(rng.sample(range(n), _ARITY.get(tag, 1)))
     return Gate(tag, qs, angle=angle if tag in ("Rz", "Ry") else None)
 

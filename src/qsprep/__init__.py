@@ -22,14 +22,12 @@ from .circuit_core import (
     deserialize, is_pi4_multiple, serialize,
 )
 from .cliffordt_compile import (
-    CompileError, SynthesisConfig, compile_circuit, cost_model_t_count,
-    lower_mcx, lower_toffoli,
+    CompileError, SynthesisConfig, compile_circuit, cost_model_t_count, lower_mcx,
 )
 from .gridsynth import SynthesisError, exactly_preparable, synthesize_rz_tags
 from .rotation_synthesis import (
-    AngleTable, StateValidationError, TargetState, build_angle_table,
-    choose_pivot, demux_ucry, prune_constant_controls, synthesize_dense,
-    synthesize_sparse,
+    AngleTable, StateValidationError, TargetState, choose_pivot, demux_ucry,
+    prune_constant_controls, synthesize_dense, synthesize_sparse,
 )
 from .simulator import (
     DEFAULT_QUBIT_BUDGET, CapacityError, address_marginal,

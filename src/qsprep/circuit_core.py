@@ -14,18 +14,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 # Gate tags. Rz/Ry carry an angle; MultiControlledRy additionally carries a
-# control-polarity mask; UniformlyControlledRy carries an angle table.
+# control-polarity mask.
 # AND / ANDU are the compute / measured-uncompute halves of a temporary-AND
 # (appear only in compiled circuits; AND compute is emitted as explicit
 # Clifford+T gates, ANDU is a measurement-fixup marker).
 TAGS = (
     "PauliX", "Hadamard", "S", "Sdg", "T", "Tdg",
     "CNOT", "Toffoli", "Swap", "ControlledSwap",
-    "Rz", "Ry", "MultiControlledRy", "UniformlyControlledRy",
-    "ANDU",
+    "Rz", "Ry", "MultiControlledRy", "ANDU",
 )
 
 _ANGLED = {"Rz", "Ry", "MultiControlledRy"}
@@ -34,14 +33,17 @@ _ANGLED = {"Rz", "Ry", "MultiControlledRy"}
 _ARITY = {
     "PauliX": 1, "Hadamard": 1, "S": 1, "Sdg": 1, "T": 1, "Tdg": 1,
     "CNOT": 2, "Toffoli": 3, "Swap": 2, "ControlledSwap": 3,
-    "Rz": 1, "Ry": 1,
-    "MultiControlledRy": None, "UniformlyControlledRy": None,
-    "ANDU": 3,
+    "Rz": 1, "Ry": 1, "MultiControlledRy": None, "ANDU": 3,
 }
 
 
 class CircuitError(ValueError):
     """Structural error in a circuit or gate."""
+
+
+def _check_tag(tag: str) -> None:
+    if tag not in _ARITY:
+        raise CircuitError(f"unknown gate tag {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,9 @@ class Gate:
     qubits: Tuple[int, ...]
     angle: Optional[float] = None
     mask: Optional[Tuple[int, ...]] = None       # control polarities, MultiControlledRy
-    angles: Optional[Tuple[float, ...]] = None   # table, UniformlyControlledRy
 
     def __post_init__(self):
-        if self.tag not in _ARITY:
-            raise CircuitError(f"unknown gate tag {self.tag!r}")
+        _check_tag(self.tag)
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(f"{self.tag} repeats a qubit: {self.qubits}")
         arity = _ARITY[self.tag]
@@ -71,12 +71,6 @@ class Gate:
                 raise CircuitError("mask length must equal control count")
             if any(b not in (0, 1) for b in self.mask):
                 raise CircuitError("mask entries must be 0/1")
-        if self.tag == "UniformlyControlledRy":
-            c = len(self.qubits) - 1
-            if self.angles is None or len(self.angles) != 1 << c:
-                raise CircuitError("angle table must have length 2^controls")
-            if any(not math.isfinite(a) for a in self.angles):
-                raise CircuitError("angle table entries must be finite")
 
 
 @lru_cache(maxsize=1 << 16)
@@ -157,7 +151,7 @@ def count_resources(circuit: Circuit) -> ResourceReport:
 
 def remap_gate(g: Gate, mapping: Mapping[int, int]) -> Gate:
     return Gate(g.tag, tuple(mapping[q] for q in g.qubits),
-                angle=g.angle, mask=g.mask, angles=g.angles)
+                angle=g.angle, mask=g.mask)
 
 
 def compose(a: Circuit, b: Circuit, mapping: Optional[Mapping[int, int]] = None) -> Circuit:
@@ -194,8 +188,6 @@ def serialize(circuit: Circuit) -> str:
             parts.append(f"angle={_fmt_angle(g.angle)}")
         if g.mask is not None:
             parts.append("mask=" + "".join(str(b) for b in g.mask))
-        if g.angles is not None:
-            parts.append("angles=" + ",".join(_fmt_angle(x) for x in g.angles))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -216,18 +208,17 @@ def deserialize(text: str) -> Circuit:
                 registers[toks[1]] = (int(toks[2]), int(toks[3]))
             else:
                 tag = toks[0]
+                _check_tag(tag)          # name an unknown tag, not its fields
                 qubits: List[int] = []
-                angle = mask = angles = None
+                angle = mask = None
                 for t in toks[1:]:
                     if t.startswith("angle="):
                         angle = float(t[6:])
                     elif t.startswith("mask="):
                         mask = tuple(int(c) for c in t[5:])
-                    elif t.startswith("angles="):
-                        angles = tuple(float(x) for x in t[7:].split(","))
                     else:
                         qubits.append(int(t))
-                gates.append(Gate(tag, tuple(qubits), angle=angle, mask=mask, angles=angles))
+                gates.append(Gate(tag, tuple(qubits), angle=angle, mask=mask))
         except (ValueError, IndexError, CircuitError) as e:
             raise CircuitError(f"line {lineno}: {e}") from e
     if n_qubits is None:

@@ -42,7 +42,6 @@ from .simulator import (
 
 METHODS = ("dense", "sparse", "qrom", "selectswap")
 ROTATION_METHODS = ("dense", "sparse")
-SAMPLING_METHODS = ("qrom", "selectswap")
 
 CSV_FIELDS = ("family", "n", "seed", "method", "b", "t_proxy", "compiled_T",
               "total_gates", "qubits", "infidelity", "fidelity_kind",
@@ -76,15 +75,12 @@ class UsageError(ValueError):
 
 
 def _logical_circuit(state: TargetState, method: str) -> Circuit:
-    if method == "dense":
-        return synthesize_dense(state)
-    if method == "sparse":
-        return synthesize_sparse(state)
-    raise UsageError(f"unknown rotation method {method!r}")
+    """The logical circuit of a rotation method, "dense" or "sparse"."""
+    return synthesize_dense(state) if method == "dense" else synthesize_sparse(state)
 
 
-def _rotation_row(state: TargetState, method: str, b: int,
-                  cfg: SynthesisConfig, budget: int):
+def _rotation_row(state: TargetState, method: str, cfg: SynthesisConfig,
+                  budget: int):
     t0 = time.perf_counter()
     logical = _logical_circuit(state, method)
     compiled, rep = compile_circuit(logical, cfg)
@@ -141,7 +137,7 @@ def run_sweep(spec: BenchmarkSpec, methods: Sequence[str], bs: Sequence[int],
         for b in sorted(bs):
             c = replace(cfg or SynthesisConfig(), b=b)
             if method in ROTATION_METHODS:
-                rep, infid, kind, ms = _rotation_row(state, method, b, c, budget)
+                rep, infid, kind, ms = _rotation_row(state, method, c, budget)
             else:
                 rep, infid, kind, ms = _sampling_row(state, method, b, c, budget)
             rows.append(SweepRow(

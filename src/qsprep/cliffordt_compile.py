@@ -27,7 +27,6 @@ from .circuit_core import (
     Circuit, Gate, ResourceReport, count_resources, gate, is_pi4_multiple,
 )
 from .gridsynth import synthesize_rz_tags
-from .rotation_synthesis import AngleTable, demux_ucry
 
 
 class CompileError(ValueError):
@@ -133,15 +132,10 @@ def lower_mcx(controls: Sequence[int], target: int, ancillas: Sequence[int],
     return compute + [gate("CNOT", (top, target))] + uncompute
 
 
-def lower_toffoli(a: int, b: int, t: int, anc: Optional[int],
-                  mode: str = "gidney_and_measured") -> List[Gate]:
-    """One Toffoli as explicit gates; gidney mode borrows ancilla `anc`."""
-    return list(_lowered_toffoli(a, b, t, anc, mode))
-
-
 @lru_cache(maxsize=1 << 16)
 def _lowered_toffoli(a: int, b: int, t: int, anc: Optional[int],
                      mode: str) -> Tuple[Gate, ...]:
+    """One Toffoli as explicit gates; gidney mode borrows ancilla `anc`."""
     return tuple(_toffoli_7t(a, b, t) if mode == "textbook_7T"
                  else lower_mcx((a, b), t, (anc,), mode))
 
@@ -227,10 +221,6 @@ class _Lowerer:
             self.emit_ry(g.qubits[0], g.angle)
         elif tag == "MultiControlledRy":
             self.emit_mcry(g.qubits[:-1], g.qubits[-1], g.mask, g.angle)
-        elif tag == "UniformlyControlledRy":
-            table = AngleTable(g.qubits[-1], tuple(g.qubits[:-1]), g.angles)
-            for sub in demux_ucry(table):
-                self.lower(sub)
         else:
             raise CompileError(f"cannot lower gate tag {tag!r}")
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .circuit_core import Circuit, Gate
 
-_NORM_TOL = 1e-12
 _ANGLE_TOL = 1e-12
 
 
@@ -104,16 +103,6 @@ class AngleTable:
     thetas: Tuple[float, ...]     # length 2^len(controls); theta_y in (-2pi, 2pi]
 
 
-def build_angle_table(state: TargetState, pivot: int,
-                      controls: Optional[Sequence[int]] = None) -> AngleTable:
-    """theta_y = 2*atan2(a1(y), a0(y)); absent branches give theta = 0."""
-    n = state.n
-    if controls is None:
-        varying = _varying_qubits(state.amplitudes, n)
-        controls = [q for q in varying if q != pivot]
-    return _table_from_dict(state.amplitudes, n, pivot, controls)
-
-
 def prune_constant_controls(table: AngleTable, tol: float = _ANGLE_TOL) -> AngleTable:
     controls, thetas = list(table.controls), list(table.thetas)
     changed = True
@@ -173,7 +162,7 @@ def synthesize_dense(state: TargetState) -> Circuit:
         pivot = choose_pivot(list(s), n, varying)
         table = _table_from_dict(s, n, pivot, [q for q in varying if q != pivot])
         tables.append(prune_constant_controls(table))
-        s = _merge_pivot(s, n, pivot, table)
+        s = _merge_pivot(s, n, pivot)
 
     gates: List[Gate] = []
     (final_idx,) = s
@@ -187,6 +176,7 @@ def synthesize_dense(state: TargetState) -> Circuit:
 
 def _table_from_dict(s: Dict[int, float], n: int, pivot: int,
                      controls: Sequence[int]) -> AngleTable:
+    """theta_y = 2*atan2(a1(y), a0(y)); absent branches give theta = 0."""
     controls = tuple(controls)
     c = len(controls)
     a0 = [0.0] * (1 << c)
@@ -204,8 +194,7 @@ def _table_from_dict(s: Dict[int, float], n: int, pivot: int,
     return AngleTable(pivot, controls, thetas)
 
 
-def _merge_pivot(s: Dict[int, float], n: int, pivot: int,
-                 table: AngleTable) -> Dict[int, float]:
+def _merge_pivot(s: Dict[int, float], n: int, pivot: int) -> Dict[int, float]:
     mask = 1 << (n - 1 - pivot)
     out: Dict[int, float] = {}
     for j, amp in s.items():
@@ -249,7 +238,7 @@ def synthesize_sparse(state: TargetState) -> Circuit:
     """Algorithm: support-reduction loop, one merge per iteration."""
     n = state.n
     s: Dict[int, float] = dict(state.amplitudes)
-    # each record: (cnots, (controls, mask, q, theta) or None for plain Ry)
+    # each record: (cnots, (controls, mask, q, theta))
     records: List[Tuple[List[Tuple[int, int]], Tuple[Tuple[int, ...], Tuple[int, ...], int, float]]] = []
 
     while len(s) > 1:

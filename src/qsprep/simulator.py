@@ -68,15 +68,6 @@ def _swap(a: np.ndarray, b: np.ndarray) -> None:
     b[...] = t
 
 
-def _rotate(a0: np.ndarray, a1: np.ndarray, c, s) -> None:
-    """(a0, a1) <- (c a0 - s a1, s a0 + c a1); c and s may broadcast."""
-    t = a0 * s
-    a0 *= c
-    a0 -= a1 * s
-    a1 *= c
-    a1 += t
-
-
 def _apply(v: np.ndarray, g: Gate) -> None:
     """Apply g in place to the (2,)*n view v."""
     tag, qs = g.tag, g.qubits
@@ -100,15 +91,14 @@ def _apply(v: np.ndarray, g: Gate) -> None:
         a0 *= np.exp(-0.5j * g.angle)
         a1 *= np.exp(0.5j * g.angle)
     elif tag in ("Ry", "MultiControlledRy"):
-        _rotate(*_halves(v, qs[-1], zip(qs[:-1], g.mask or ())),
-                math.cos(g.angle / 2), math.sin(g.angle / 2))
-    elif tag == "UniformlyControlledRy":
-        # controls first, in operand order: the table indexes them MSB-first
-        k = len(qs) - 1
-        shape = (2,) * k + (1,) * (v.ndim - k - 1)
-        c = np.array([math.cos(t / 2) for t in g.angles]).reshape(shape)
-        s = np.array([math.sin(t / 2) for t in g.angles]).reshape(shape)
-        _rotate(*_halves(np.moveaxis(v, qs, range(k + 1)), k), c, s)
+        # (a0, a1) <- (c a0 - s a1, s a0 + c a1) where the controls match
+        a0, a1 = _halves(v, qs[-1], zip(qs[:-1], g.mask or ()))
+        c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
+        t = a0 * s
+        a0 *= c
+        a0 -= a1 * s
+        a1 *= c
+        a1 += t
     else:
         raise ValueError(f"cannot simulate gate tag {tag!r}")
 

@@ -57,14 +57,6 @@ def _mcry_matrix(n_ctrl: int, mask: Sequence[int], theta: float) -> np.ndarray:
     return u
 
 
-def _ucry_matrix(n_ctrl: int, angles: Sequence[float]) -> np.ndarray:
-    dim = 1 << (n_ctrl + 1)
-    u = np.zeros((dim, dim), dtype=complex)
-    for y, th in enumerate(angles):
-        u[2 * y:2 * y + 2, 2 * y:2 * y + 2] = _ry(th)
-    return u
-
-
 def gate_matrix(g: Gate) -> np.ndarray:
     if g.tag in _FIXED_1Q:
         return _FIXED_1Q[g.tag]
@@ -84,8 +76,6 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return _ANDU
     if g.tag == "MultiControlledRy":
         return _mcry_matrix(len(g.qubits) - 1, g.mask, g.angle)
-    if g.tag == "UniformlyControlledRy":
-        return _ucry_matrix(len(g.qubits) - 1, g.angles)
     raise ValueError(f"cannot simulate gate tag {g.tag!r}")
 
 

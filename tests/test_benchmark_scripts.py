@@ -1,0 +1,42 @@
+"""Smoke tests: the committed scripts under benchmarks/ still fit the package.
+
+Each script is loaded as a module, without running its main(), and the parts
+it builds on are exercised on tiny inputs.
+"""
+import importlib.util
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qsprep.circuit_core import TAGS, Circuit
+from qsprep.simulator import simulate
+
+_BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def sim_bench():
+    return _load("sim_bench")
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_sim_bench_draws_and_simulates_every_tag(sim_bench, tag):
+    g = sim_bench.random_gate(tag, 6, random.Random(tag))
+    assert g.tag == tag
+    psi = simulate(Circuit(6, [g]))
+    assert abs(np.linalg.norm(psi) - 1) <= 1e-12
+
+
+def test_rz_bench_phases_name_existing_functions():
+    # time_phases() is not called: it patches gridsynth for the whole process
+    for owner, attr in _load("rz_bench").PHASES.values():
+        assert callable(getattr(owner, attr, None)), attr

@@ -18,6 +18,8 @@ def test_gate_arity_checks():
         Gate("CNOT", (1, 1))          # repeated operand
     with pytest.raises(CircuitError):
         Gate("NotAGate", (0,))
+    with pytest.raises(CircuitError, match="unknown gate tag"):
+        Gate("UniformlyControlledRy", (0, 1))    # Ry/CNOT ladders replace it
 
 
 def test_angle_and_mask_validation():
@@ -29,8 +31,6 @@ def test_angle_and_mask_validation():
         Gate("MultiControlledRy", (0, 1), angle=0.5, mask=(0, 1))
     with pytest.raises(CircuitError):
         Gate("MultiControlledRy", (0, 1), angle=0.5, mask=(2,))
-    with pytest.raises(CircuitError):
-        Gate("UniformlyControlledRy", (0, 1), angles=(0.1,))  # needs 2
 
 
 def test_interned_gate_is_checked_and_shared():
@@ -97,7 +97,7 @@ def circuits(draw):
     for _ in range(draw(st.integers(0, 12))):
         pool = ["Hadamard", "T", "Ry", "Rz"]
         if n >= 2:
-            pool += ["CNOT", "MultiControlledRy", "UniformlyControlledRy"]
+            pool += ["CNOT", "MultiControlledRy"]
         if n >= 3:
             pool.append("Toffoli")
         tag = draw(st.sampled_from(pool))
@@ -113,8 +113,6 @@ def circuits(draw):
             kw["angle"] = draw(_angle)
         if tag == "MultiControlledRy":
             kw["mask"] = tuple(draw(st.integers(0, 1)) for _ in qs[:-1])
-        if tag == "UniformlyControlledRy":
-            kw["angles"] = tuple(draw(_angle) for _ in range(1 << (arity - 1)))
         gates.append(Gate(tag, qs, **kw))
     regs = {}
     if n >= 2 and draw(st.booleans()):

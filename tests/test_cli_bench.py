@@ -173,6 +173,15 @@ def test_circuit_file_error_names_the_file(tmp_path, capsys):
     assert f"validation error: circuit file {qc}: line 2: " in capsys.readouterr().err
 
 
+def test_compile_rejects_the_uniformly_controlled_ry_tag(tmp_path, capsys):
+    # the synthesizers emit its Ry/CNOT ladder, so the IR has no such gate
+    qc = tmp_path / "ucry.qc"
+    qc.write_text("qubits 2\nUniformlyControlledRy 0 1 angles=0.1,0.2\n")
+    assert main(["compile", str(qc)]) == 3
+    assert (f"validation error: circuit file {qc}: line 2: unknown gate tag "
+            "'UniformlyControlledRy'") in capsys.readouterr().err
+
+
 def test_thc_parse_error_names_the_coefficient_file(tmp_path, capsys):
     bad = tmp_path / "bad.thc"
     bad.write_text("15 16\nt zero 1.0\n")

@@ -7,7 +7,7 @@ import pytest
 from qsprep.circuit_core import Circuit, Gate, count_resources
 from qsprep.cliffordt_compile import (
     TOFFOLI_MODES, CompileError, SynthesisConfig, compile_circuit,
-    cost_model_t_count, lower_mcx, lower_toffoli,
+    _lowered_toffoli, cost_model_t_count, lower_mcx,
 )
 from qsprep.gridsynth import exactly_preparable
 from util import circuit_unitary, phase_dist, ry_matrix, rz_matrix, tags_to_unitary
@@ -80,7 +80,7 @@ def test_rewrite_ry_matrix_checks():
 
 
 def test_gidney_toffoli_counts_and_action():
-    gates = lower_toffoli(0, 1, 2, 3, "gidney_and_measured")
+    gates = _lowered_toffoli(0, 1, 2, 3, "gidney_and_measured")
     rep = count_resources(Circuit(4, gates))
     assert rep.compiled_T == 4
     u = circuit_unitary(Circuit(4, gates))
@@ -88,7 +88,7 @@ def test_gidney_toffoli_counts_and_action():
 
 
 def test_textbook_toffoli_counts_and_action():
-    gates = lower_toffoli(0, 1, 2, 3, "textbook_7T")
+    gates = _lowered_toffoli(0, 1, 2, None, "textbook_7T")
     rep = count_resources(Circuit(3, gates))
     assert rep.compiled_T == 7
     assert np.allclose(circuit_unitary(Circuit(3, gates)), TOFFOLI, atol=1e-12)
@@ -138,20 +138,18 @@ def test_output_alphabet_is_clifford_t():
         Gate("Swap", (0, 2)),
         Gate("ControlledSwap", (0, 1, 2)),
         Gate("MultiControlledRy", (0, 1, 2), angle=0.5, mask=(1, 0)),
-        Gate("UniformlyControlledRy", (0, 1), angles=(0.1, 0.2)),
         Gate("Rz", (1,), angle=-1.0),
     ])
     out, rep = compile_circuit(circ, SynthesisConfig(b=6))
     assert {g.tag for g in out.gates} <= _ALLOWED
-    assert rep.n_rz_synth >= 5          # 0.3, +-0.25, demux pair, -1.0
+    assert rep.n_rz_synth >= 4          # 0.3, +-0.25, -1.0
 
 
 _ARITY = {"CNOT": 2, "Swap": 2, "Toffoli": 3, "ControlledSwap": 3}
 
 
 def _random_logical_gate(rng, n):
-    kind = rng.choice(["Ry", "Rz", "Hadamard", "MultiControlledRy",
-                       "UniformlyControlledRy", *_ARITY])
+    kind = rng.choice(["Ry", "Rz", "Hadamard", "MultiControlledRy", *_ARITY])
     if kind in ("Ry", "Rz"):
         return Gate(kind, (rng.randrange(n),), angle=rng.uniform(-3, 3))
     if kind == "Hadamard":
@@ -161,10 +159,6 @@ def _random_logical_gate(rng, n):
         return Gate(kind, tuple(rng.sample(range(n), c + 1)),
                     angle=rng.uniform(-3, 3),
                     mask=tuple(rng.randrange(2) for _ in range(c)))
-    if kind == "UniformlyControlledRy":
-        c = rng.randint(1, 2)
-        return Gate(kind, tuple(rng.sample(range(n), c + 1)),
-                    angles=tuple(rng.uniform(-3, 3) for _ in range(1 << c)))
     return Gate(kind, tuple(rng.sample(range(n), _ARITY[kind])))
 
 
@@ -181,7 +175,7 @@ def test_compile_preserves_unitary_within_budget(mode):
         got = _anc_zero_block(circuit_unitary(out), n, anc)
         want = circuit_unitary(circ)
         assert phase_dist(got, want) <= rep.n_rz_synth * 2.0 ** -b + 1e-9
-    assert len(seen) == 9                  # the draw reached every gate kind
+    assert len(seen) == 8                  # the draw reached every gate kind
 
 
 @pytest.mark.parametrize("mode", TOFFOLI_MODES)
@@ -207,14 +201,6 @@ def test_interned_lowering_equals_plain_gates(mode, monkeypatch):
     plain = build()
     assert len({id(g) for g in plain[0].gates}) == len(plain[0].gates)
     assert interned == plain
-
-
-def test_ucry_lowering_compiles_each_demuxed_rotation():
-    tbl = (0.3, -0.5, 1.1, 0.2)
-    circ = Circuit(3, [Gate("UniformlyControlledRy", (0, 1, 2), angles=tbl)])
-    out, rep = compile_circuit(circ, SynthesisConfig(b=14))
-    d = phase_dist(circuit_unitary(out), circuit_unitary(circ))
-    assert d <= 4 * 2.0 ** -14 + 1e-9
 
 
 def test_memoization_shares_repeated_angles():

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsprep.circuit_core import Gate
+from qsprep.circuit_core import Circuit
 from qsprep.rotation_synthesis import (
-    AngleTable, StateValidationError, TargetState, build_angle_table,
+    AngleTable, StateValidationError, TargetState, _table_from_dict,
     choose_pivot, demux_ucry, prune_constant_controls, synthesize_dense,
     synthesize_sparse,
 )
 from qsprep.simulator import fidelity_state, simulate
-from util import circuit_unitary
+from util import circuit_unitary, ry_matrix
 
 
 def test_target_state_validation():
@@ -108,11 +108,12 @@ def test_demux_matches_ucry_gate(c, data):
     gates = demux_ucry(table)
     assert all(g.tag in ("Ry", "CNOT") for g in gates)
     assert sum(g.tag == "Ry" for g in gates) <= 1 << c
-    from qsprep.circuit_core import Circuit
     got = circuit_unitary(Circuit(c + 1, gates))
-    want = circuit_unitary(Circuit(
-        c + 1, [Gate("UniformlyControlledRy", tuple(range(c + 1)),
-                     angles=thetas)]))
+    # Ry(theta_y) on the pivot (the last qubit, so the least significant bit)
+    # for each control pattern y, controls MSB first: a block-diagonal matrix
+    want = np.zeros((2 << c, 2 << c), dtype=complex)
+    for y, th in enumerate(thetas):
+        want[2 * y:2 * y + 2, 2 * y:2 * y + 2] = ry_matrix(th)
     assert np.allclose(got, want, atol=1e-9)
 
 
@@ -122,14 +123,13 @@ def test_prune_removes_constant_controls():
     assert pruned.controls == (1,)
     assert pruned.thetas == (0.3, 0.7)
     # semantics preserved
-    from qsprep.circuit_core import Circuit
     got = circuit_unitary(Circuit(3, demux_ucry(pruned)))
     want = circuit_unitary(Circuit(3, demux_ucry(table)))
     assert np.allclose(got, want, atol=1e-9)
 
 
-def test_build_angle_table_recovers_product_state_angle():
+def test_angle_table_recovers_product_state_angle():
     th = 0.8342
     s = TargetState(1, {0: math.cos(th / 2), 1: math.sin(th / 2)})
-    table = build_angle_table(s, 0)
+    table = _table_from_dict(s.amplitudes, s.n, 0, ())
     assert table.thetas[0] == pytest.approx(th)

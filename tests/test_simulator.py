@@ -11,6 +11,7 @@ import reference_sim
 from qsprep import simulator
 from qsprep.alias_prepare import prepare_alias_state, realized_marginal
 from qsprep.circuit_core import TAGS, Circuit, Gate
+from qsprep.rotation_synthesis import AngleTable, demux_ucry
 from qsprep.simulator import (
     CapacityError, address_marginal, apply_gate, classical_simulate,
     fidelity_prob, fidelity_state, pipeline_histogram, simulate,
@@ -61,17 +62,6 @@ def test_mcry_applies_only_on_mask_match():
     want[5, 4] = s
     want[5, 5] = c
     assert np.allclose(u, want, atol=1e-12)
-
-
-def test_ucry_angle_indexing_msb_first():
-    angles = (0.0, 0.0, 0.0, 0.9)
-    g = Gate("UniformlyControlledRy", (0, 1, 2), angles=angles)
-    psi0 = np.zeros(8, dtype=complex)
-    psi0[0b110] = 1.0                  # controls (q0,q1) = (1,1) -> table[3]
-    circ = Circuit(3, [g])
-    psi = simulate(circ, initial=psi0)
-    assert abs(psi[0b110]) == pytest.approx(math.cos(0.45))
-    assert abs(psi[0b111]) == pytest.approx(math.sin(0.45))
 
 
 def test_andu_marker_uncomputes_and():
@@ -133,10 +123,6 @@ def _gate(draw, n):
         k = draw(st.integers(1, n - 1))
         mask = tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
         return Gate(tag, tuple(order[:k + 1]), angle=draw(_angle), mask=mask)
-    if tag == "UniformlyControlledRy":
-        k = draw(st.integers(0, n - 1))
-        angles = draw(st.lists(_angle, min_size=1 << k, max_size=1 << k))
-        return Gate(tag, tuple(order[:k + 1]), angles=tuple(angles))
     angle = draw(_angle) if tag in ("Rz", "Ry") else None
     return Gate(tag, tuple(order[:_ARITY.get(tag, 1)]), angle=angle)
 
@@ -174,8 +160,7 @@ def test_kernel_matches_dense_oracle(circ, seed):
     [Gate("Ry", (2,), angle=0.4), Gate("ControlledSwap", (4, 0, 2))],
     [Gate("MultiControlledRy", (4, 1, 3, 0), angle=1.3, mask=(1, 0, 1)),
      Gate("MultiControlledRy", (0, 2), angle=-0.7, mask=(0,))],
-    [Gate("UniformlyControlledRy", (4, 2, 1, 0),
-          angles=tuple(0.1 * (i + 1) for i in range(8)))],
+    demux_ucry(AngleTable(0, (4, 2, 1), tuple(0.1 * (i + 1) for i in range(8)))),
     [Gate("Swap", (4, 1)), Gate("ANDU", (3, 1, 0)), Gate("Rz", (2,), angle=2.1)],
 ])
 def test_kernel_matches_dense_oracle_on_scattered_operands(gates):
