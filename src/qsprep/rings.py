@@ -233,16 +233,6 @@ def _zo_norm_cofactor(v: ZOmega) -> ZOmega:
     return zo_mul(zo_mul(zo_conj(v), g), zo_conj(g))
 
 
-def zo_div_exact(u: ZOmega, v: ZOmega) -> ZOmega:
-    n = zo_norm(v)
-    if n == 0:
-        raise ZeroDivisionError("ZOmega division by zero")
-    w = zo_mul(u, _zo_norm_cofactor(v))
-    if any(x % n for x in w):
-        raise RingError("inexact ZOmega division")
-    return tuple(x // n for x in w)
-
-
 def zo_mod(u: ZOmega, v: ZOmega) -> ZOmega:
     n = zo_norm(v)
     q0 = [round_div(x, n) for x in zo_mul(u, _zo_norm_cofactor(v))]

@@ -211,83 +211,104 @@ def _merge_pivot(s: Dict[int, float], n: int, pivot: int) -> Dict[int, float]:
 # Sparse routine
 
 
-def _greedy_isolate(support: List[int], n: int) -> Tuple[int, List[Tuple[int, int]]]:
-    """Fix informative bits until one index remains; return (i0, fixed)."""
-    T = list(support)
-    fixed: List[Tuple[int, int]] = []
-    while len(T) > 1:
-        best = None  # (minority_size, bit, val)
-        for q in range(n):
-            ones = sum(_bit(j, q, n) for j in T)
-            zeros = len(T) - ones
-            if not ones or not zeros:
-                continue
-            if zeros <= ones:
-                size, val = zeros, 0
-            else:
-                size, val = ones, 1
-            if best is None or size > best[0]:
-                best = (size, q, val)
-        _, q, val = best
-        fixed.append((q, val))
-        T = [j for j in T if _bit(j, q, n) == val]
-    return T[0], fixed
+def _row_index(planes: Sequence[int], row: int) -> int:
+    """Basis index of the one-bit row mask `row`; planes[0] is the MSB."""
+    j = 0
+    for plane in planes:
+        j = (j << 1) | ((plane & row) != 0)
+    return j
 
 
 def synthesize_sparse(state: TargetState) -> Circuit:
-    """Algorithm: support-reduction loop, one merge per iteration."""
+    """Algorithm: support-reduction loop, one merge per iteration.
+
+    The support is held as bit planes: row r is the r-th smallest input
+    index, bit r of planes[q] is qubit q of row r, and `alive` masks the rows
+    not merged away yet.  Each scan of the support is a few big-int ANDs, and
+    a CNOT relabel XORs the control's plane into each flipped plane.
+    Ties break on basis indices, never on rows: the lowest qubit with the
+    largest minority, value 0 when zeros <= ones, the smallest compatible
+    partner index, and the lowest qubit that separates a clash.
+    """
     n = state.n
-    s: Dict[int, float] = dict(state.amplitudes)
+    support = state.support
+    amps = [state.amplitudes[j] for j in support]
+    planes = [sum(1 << r for r, j in enumerate(support) if _bit(j, q, n))
+              for q in range(n)]
+    alive = (1 << len(support)) - 1
     # each record: (cnots, (controls, mask, q, theta))
     records: List[Tuple[List[Tuple[int, int]], Tuple[Tuple[int, ...], Tuple[int, ...], int, float]]] = []
 
-    while len(s) > 1:
-        support = sorted(s)
-        i0, fixed = _greedy_isolate(support, n)
-        q, _v = fixed[-1]
-        prefix = fixed[:-1]
-        compat = [j for j in support
-                  if j != i0 and all(_bit(j, fb, n) == fv for fb, fv in prefix)]
-        i1 = min(compat)
+    while alive & (alive - 1):
+        # greedy isolation: fix the qubit with the largest minority, to the
+        # minority's value, until one row (i0) is left; `prev` keeps the
+        # rows that match every fixed bit but the last
+        fixed: List[Tuple[int, int]] = []
+        rows = prev = alive
+        while rows & (rows - 1):
+            size = rows.bit_count()
+            best = None  # (minority_size, bit, val)
+            for q in range(n):
+                ones = (planes[q] & rows).bit_count()
+                zeros = size - ones
+                if not ones or not zeros:
+                    continue
+                minority = (zeros, q, 0) if zeros <= ones else (ones, q, 1)
+                if best is None or minority[0] > best[0]:
+                    best = minority
+            _, q, val = best
+            fixed.append((q, val))
+            prev = rows
+            rows &= planes[q] if val else ~planes[q]
+        r0 = rows
+        # partner i1: the smallest index among the other rows of `prev`
+        r1 = prev & ~r0
+        for plane in planes:
+            low = r1 & ~plane
+            if low:
+                r1 = low
+        i0, i1 = _row_index(planes, r0), _row_index(planes, r1)
 
         qmask = 1 << (n - 1 - q)
         flip = (i0 ^ i1) & ~qmask
         cnots = [(q, d) for d in range(n) if flip & (1 << (n - 1 - d))]
-        if flip:
-            s = {(j ^ flip) if j & qmask else j: a for j, a in s.items()}
+        for _, d in cnots:
+            planes[d] ^= planes[q]
         j0 = (i0 ^ flip) if i0 & qmask else i0
         j1 = (i1 ^ flip) if i1 & qmask else i1
-        assert (j0 ^ j1) == qmask
+        if (j0 ^ j1) != qmask:
+            raise RuntimeError(
+                f"rotation_synthesis: sparse merge pair {i0}, {i1} differs "
+                f"on more than qubit {q} after its CNOT relabel")
 
         # control set: the remaining fixed-bit conditions, extended until the
-        # pair is isolated from the rest of the (relabeled) support
-        ctrl: Dict[int, int] = {fb: fv for fb, fv in prefix}
-        others = [j for j in s if j not in (j0, j1)]
-        while True:
-            clash = [o for o in others
-                     if all(_bit(o, cb, n) == cv for cb, cv in ctrl.items())]
-            if not clash:
-                break
+        # pair is isolated from the rest of the (relabeled) support; the
+        # prefix bits are not relabeled, so `prev` still matches them
+        ctrl: Dict[int, int] = dict(fixed[:-1])
+        clash = prev & ~(r0 | r1)
+        while clash:
             for d in range(n):
                 if d == q or d in ctrl:
                     continue
-                if any(_bit(o, d, n) != _bit(j0, d, n) for o in clash):
-                    ctrl[d] = _bit(j0, d, n)
+                v = _bit(j0, d, n)
+                agree = clash & (planes[d] if v else ~planes[d])
+                if agree != clash:
+                    ctrl[d] = v
+                    clash = agree
                     break
 
-        idx0, idx1 = (j0, j1) if not j0 & qmask else (j1, j0)
-        a0, a1 = s.get(idx0, 0.0), s.get(idx1, 0.0)
+        keep, drop = (r0, r1) if not j0 & qmask else (r1, r0)
+        k = keep.bit_length() - 1
+        a0, a1 = amps[k], amps[drop.bit_length() - 1]
         theta = 2 * math.atan2(a1, a0)
         controls = tuple(sorted(ctrl))
         mask = tuple(ctrl[c] for c in controls)
         records.append((cnots, (controls, mask, q, theta)))
-
-        s.pop(idx1, None)
-        s.pop(idx0, None)
-        s[idx0] = math.hypot(a0, a1)
+        amps[k] = math.hypot(a0, a1)
+        alive &= ~drop
 
     gates: List[Gate] = []
-    (final_idx,) = s
+    final_idx = _row_index(planes, alive)
     for qq in range(n):
         if _bit(final_idx, qq, n):
             gates.append(Gate("PauliX", (qq,)))

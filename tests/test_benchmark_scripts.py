@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsprep.benchmark_states import make_state
 from qsprep.circuit_core import TAGS, Circuit
 from qsprep.simulator import simulate
 
@@ -40,3 +41,11 @@ def test_rz_bench_phases_name_existing_functions():
     # time_phases() is not called: it patches gridsynth for the whole process
     for owner, attr in _load("rz_bench").PHASES.values():
         assert callable(getattr(owner, attr, None)), attr
+
+
+def test_synth_bench_times_its_smallest_case():
+    synth_bench = _load("synth_bench")
+    _, spec = synth_bench.CASES[0]
+    row = synth_bench.time_case(make_state(spec), min_seconds=0.0)
+    assert set(row) == set(synth_bench.ROUTINES)
+    assert all(ms > 0 for ms in row.values())

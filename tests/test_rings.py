@@ -7,11 +7,11 @@ from sympy import primerange
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from qsprep.rings import (
-    ZO_DELTA, ZO_SQRT2, ZO_UNIT_LOG, ZO_ZERO,
-    zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_exact, zo_div_sqrt2,
-    zo_from_zmd, zo_galois, zo_gcd, zo_mod, zo_mul, zo_rot, zo_sqrt2_divisible,
-    zo_sub, zs_divides, zs_gcd, zs_lambda_power, zs_mul, zs_norm, zs_sign,
-    zs_sqrt2_valuation, zs_totally_positive,
+    ZO_DELTA, ZO_SQRT2, ZO_UNIT_LOG, ZO_ZERO, _zo_norm_cofactor,
+    zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2,
+    zo_from_zmd, zo_galois, zo_gcd, zo_mod, zo_mul, zo_norm, zo_rot,
+    zo_sqrt2_divisible, zo_sub, zs_divides, zs_gcd, zs_lambda_power, zs_mul,
+    zs_norm, zs_sign, zs_sqrt2_valuation, zs_totally_positive,
 )
 
 _i = st.integers(-50, 50)
@@ -19,6 +19,14 @@ _zs = st.tuples(_i, _i)
 _zo = st.tuples(_i, _i, _i, _i)
 
 _W = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+
+
+def zo_div_exact(u, v):
+    """u / v in Z[omega]; fails the calling test unless v divides u."""
+    n = zo_norm(v)
+    w = zo_mul(u, _zo_norm_cofactor(v))
+    assert n and not any(x % n for x in w), (u, v)
+    return tuple(x // n for x in w)
 
 
 def _val(x):

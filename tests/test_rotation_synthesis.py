@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsprep.circuit_core import Circuit
+from qsprep.benchmark_states import BenchmarkSpec, make_state
+from qsprep.circuit_core import Circuit, serialize
 from qsprep.rotation_synthesis import (
     AngleTable, StateValidationError, TargetState, _table_from_dict,
     choose_pivot, demux_ucry, prune_constant_controls, synthesize_dense,
     synthesize_sparse,
 )
 from qsprep.simulator import fidelity_state, simulate
+import reference_sparse
 from util import circuit_unitary, ry_matrix
 
 
@@ -133,3 +135,39 @@ def test_angle_table_recovers_product_state_angle():
     s = TargetState(1, {0: math.cos(th / 2), 1: math.sin(th / 2)})
     table = _table_from_dict(s.amplitudes, s.n, 0, ())
     assert table.thetas[0] == pytest.approx(th)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_sparse_matches_reference_scan(n, data):
+    support = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                 min_size=1, max_size=64, unique=True))
+    signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)),
+                               min_size=len(support), max_size=len(support)))
+    # the routine's choices depend on the support alone; uniform magnitudes,
+    # as in W and Dicke states, add equal-weight merges with repeated angles
+    if data.draw(st.booleans()):
+        mags = [1.0] * len(support)
+    else:
+        mags = data.draw(st.lists(st.floats(0.01, 1.0),
+                                  min_size=len(support), max_size=len(support)))
+    amps = np.array(signs) * np.array(mags)
+    amps /= np.linalg.norm(amps)
+    s = TargetState(n, dict(zip(support, amps.tolist())))
+    assert serialize(synthesize_sparse(s)) == serialize(reference_sparse.synthesize_sparse(s))
+
+
+def test_sparse_matches_reference_on_benchmark_instances():
+    specs = [BenchmarkSpec("thc_toy", seed=3), BenchmarkSpec("thc_toy", seed=4),
+             BenchmarkSpec("magnus", k=4), BenchmarkSpec("dicke", n=6, k=3),
+             BenchmarkSpec("w", n=8), BenchmarkSpec("syk", n=6, seed=1),
+             BenchmarkSpec("dense_random", n=6, seed=1)]
+    relabeled = []
+    for spec in specs:
+        s = make_state(spec)
+        circ = synthesize_sparse(s)
+        assert serialize(circ) == serialize(reference_sparse.synthesize_sparse(s)), spec
+        if any(g.tag == "CNOT" for g in circ.gates):
+            relabeled.append(spec.family)
+    # the CNOT relabel (planes XORed into one another) must be exercised
+    assert relabeled
