@@ -18,7 +18,7 @@ from .benchmark_states import (
     save_thc_coefficients,
 )
 from .circuit_core import (
-    Circuit, CircuitError, Gate, ResourceReport, compose, count_resources,
+    Circuit, CircuitError, Gate, ResourceReport, count_resources,
     deserialize, is_pi4_multiple, serialize,
 )
 from .cliffordt_compile import (

@@ -10,18 +10,20 @@ O(L log L).
 Bins with tau_j = 1 self-alias (alias_j = j, keep_j = 2^b) so the comparator
 outcome is irrelevant for them and they contribute no quantization error.
 
-Quantum stage: uniform superposition on the address register, two reversible
-lookups (alias words of width n, keep words of width b), Hadamards on the
-b-bit sigma register, a ripple comparator writing sigma >= keep into a flag,
-and n flag-controlled swaps between address and alias.  Nothing is
-uncomputed; only the address-register marginal is contractual.
+Quantum stage: uniform superposition on the address register, one
+reversible lookup of the (n + b)-bit word alias_j << b | min(keep_j, 2^b - 1)
+written straight onto the adjacent alias and keep registers (after Babbush
+et al., arXiv:1805.03662, Fig. 11), Hadamards on the b-bit sigma register, a
+ripple comparator writing sigma >= keep into a flag, and n flag-controlled
+swaps between address and alias.  Nothing is uncomputed; only the
+address-register marginal is contractual.
 
-Both lookups come from one emitter, _emit_lookup, written straight onto the
-pipeline's qubits: lambda = 1 is unary-iteration QROM, lambda > 1 is
-SelectSwap.  Under the selectswap backend each lookup's lambda is the power
-of two minimizing its exact proxy cost 4 * (max(0, 2L/lambda - 4) +
-(lambda - 1) * w), ties to the smaller lambda; nothing is built to choose
-it.  optimal_lambda is the separate textbook cost model.
+The lookup comes from _emit_lookup, written straight onto the pipeline's
+qubits: lambda = 1 is unary-iteration QROM, lambda > 1 is SelectSwap.  Its
+exact proxy cost over L words of width w is 4 * (max(0, 2L/lambda - 4) +
+(lambda - 1) * w); under the selectswap backend lambda is the power of two
+minimizing it for w = n + b, ties to the smaller lambda, and nothing is
+built to choose it.  optimal_lambda is the separate textbook cost model.
 """
 from __future__ import annotations
 
@@ -80,9 +82,9 @@ def build_alias_table(p: Sequence[float], b: int) -> AliasTable:
         raise ValidationError("b must be >= 1")
     if any(x < 0 for x in p):
         raise ValidationError("negative probability entry")
-    fracs = [Fraction(x) for x in p]
-    den = math.lcm(*(f.denominator for f in fracs))
-    a = [f.numerator * (den // f.denominator) for f in fracs]
+    ratios = [x.as_integer_ratio() for x in p]
+    den = math.lcm(*(d for _, d in ratios))
+    a = [x * (den // d) for x, d in ratios]
     A = sum(a)       # p_j = a_j / A exactly
     if abs(A / den - 1.0) > 1e-12:
         raise ValidationError(f"probabilities sum to {A / den}, not 1")
@@ -123,12 +125,11 @@ def build_alias_table(p: Sequence[float], b: int) -> AliasTable:
 def realized_marginal(table: AliasTable) -> List[Fraction]:
     """Exact address marginal induced by the quantized circuit."""
     L, two_b = table.L, 1 << table.b
-    num = [Fraction(table.keep[j]) for j in range(L)]
-    for k in range(L):
-        j = table.alias[k]
+    num = list(table.keep)
+    for k, j in enumerate(table.alias):
         if j != k:
             num[j] += two_b - table.keep[k]
-    return [x / (two_b * L) for x in num]
+    return [Fraction(x, two_b * L) for x in num]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,7 @@ class AliasPipeline:
     circuit: Circuit
     table: AliasTable
     stages: Dict[str, ResourceReport]
-    lam: Dict[str, int]     # chosen lambda per lookup ("alias", "keep")
+    lam: int                # lambda of the lookup (1 under qrom)
 
 
 def _lambda_for(L: int, w: int, backend: str, lam: Optional[int]) -> int:
@@ -325,12 +326,12 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
     table = build_alias_table(p, b)
     L, n = table.L, table.L.bit_length() - 1
 
-    alias_words = table.alias
-    # keep = 2^b (self-alias) stores as all-ones; the swap branch is then
+    # one word per address, alias_j above min(keep_j, 2^b - 1): keep = 2^b
+    # (self-alias) stores as all-ones; the swap branch is then
     # index-invariant so the off-by-one cannot change the marginal
-    keep_words = [min(k, (1 << b) - 1) for k in table.keep]
-    lam_a = _lambda_for(L, n, backend, lam)
-    lam_k = _lambda_for(L, b, backend, lam)
+    w = n + b
+    words = [a << b | min(k, (1 << b) - 1) for a, k in zip(table.alias, table.keep)]
+    lam = _lambda_for(L, w, backend, lam)
 
     addr = list(range(n))
     alias_out = list(range(n, 2 * n))
@@ -338,9 +339,8 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
     sigma = list(range(2 * n + b, 2 * n + 2 * b))
     flag = 2 * n + 2 * b
     comp_work = list(range(flag + 1, flag + 1 + b))
-    alias_work = range(flag + 1 + b, flag + 1 + b + _lookup_work(n, n, lam_a))
-    keep_work = range(alias_work.stop, alias_work.stop + _lookup_work(n, b, lam_k))
-    cursor = keep_work.stop
+    lookup_work = range(flag + 1 + b, flag + 1 + b + _lookup_work(n, w, lam))
+    cursor = lookup_work.stop
 
     gates: List[Gate] = []
     marks: List[Tuple[str, int]] = []
@@ -351,10 +351,8 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
     stage("superposition")
     for q in addr:
         gates.append(gate("Hadamard", (q,)))
-    stage("lookup_alias")
-    _emit_lookup(gates, alias_words, n, lam_a, addr, alias_out, alias_work)
-    stage("lookup_keep")
-    _emit_lookup(gates, keep_words, b, lam_k, addr, keep_out, keep_work)
+    stage("lookup")
+    _emit_lookup(gates, words, w, lam, addr, alias_out + keep_out, lookup_work)
     stage("random")
     for q in sigma:
         gates.append(gate("Hadamard", (q,)))
@@ -374,5 +372,4 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
 
     stages = {name: tally_gates(gates[start:stop], cursor)
               for (name, start), (_, stop) in zip(marks, marks[1:])}
-    return AliasPipeline(circuit=circ, table=table, stages=stages,
-                         lam={"alias": lam_a, "keep": lam_k})
+    return AliasPipeline(circuit=circ, table=table, stages=stages, lam=lam)

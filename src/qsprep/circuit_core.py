@@ -29,6 +29,8 @@ TAGS = (
 
 _ANGLED = {"Rz", "Ry", "MultiControlledRy"}
 
+_PI4_TOL = 1e-12    # is_pi4_multiple's tolerance, in units of pi/4
+
 # arity by tag; None means variable
 _ARITY = {
     "PauliX": 1, "Hadamard": 1, "S": 1, "Sdg": 1, "T": 1, "Tdg": 1,
@@ -149,29 +151,6 @@ def count_resources(circuit: Circuit) -> ResourceReport:
     return tally_gates(circuit.gates, circuit.n_qubits)
 
 
-def remap_gate(g: Gate, mapping: Mapping[int, int]) -> Gate:
-    return Gate(g.tag, tuple(mapping[q] for q in g.qubits),
-                angle=g.angle, mask=g.mask)
-
-
-def compose(a: Circuit, b: Circuit, mapping: Optional[Mapping[int, int]] = None) -> Circuit:
-    """Append b's gates (remapped into a's qubit space) after a's gates.
-
-    mapping must be injective from b's qubits; identity by default.  The
-    result's qubit count extends a's if the mapping lands above it.
-    """
-    if mapping is None:
-        mapping = {q: q for q in range(b.n_qubits)}
-    vals = [mapping[q] for q in range(b.n_qubits)]
-    if len(set(vals)) != len(vals):
-        raise CircuitError("compose mapping is not injective")
-    if any(v < 0 for v in vals):
-        raise CircuitError("compose mapping has negative targets")
-    n = max([a.n_qubits] + [v + 1 for v in vals])
-    gates = list(a.gates) + [remap_gate(g, mapping) for g in b.gates]
-    return Circuit(n, gates, a.registers)
-
-
 def _fmt_angle(x: float) -> str:
     return repr(float(x))
 
@@ -226,7 +205,7 @@ def deserialize(text: str) -> Circuit:
     return Circuit(n_qubits, gates, registers)
 
 
-def is_pi4_multiple(theta: float, tol: float = 1e-12) -> bool:
+def is_pi4_multiple(theta: float) -> bool:
     """True when theta is an exact multiple of pi/4 (Clifford+T angle)."""
     r = theta / (math.pi / 4)
-    return abs(r - round(r)) <= tol
+    return abs(r - round(r)) <= _PI4_TOL

@@ -21,7 +21,8 @@ import numpy as np
 
 from .circuit_core import Circuit, Gate
 
-_ANGLE_TOL = 1e-12
+_ANGLE_TOL = 1e-12      # angles closer than this count as equal
+_AMP_TOL = 1e-14        # from_vector drops amplitudes at or below this
 
 
 class StateValidationError(ValueError):
@@ -57,12 +58,12 @@ class TargetState:
         return self.to_vector() ** 2
 
     @staticmethod
-    def from_vector(vec: Sequence[float], tol: float = 1e-14) -> "TargetState":
+    def from_vector(vec: Sequence[float]) -> "TargetState":
         vec = np.asarray(vec, dtype=float)
         n = int(round(math.log2(len(vec))))
         if 1 << n != len(vec):
             raise StateValidationError("vector length must be a power of two")
-        amps = {int(j): float(vec[j]) for j in np.nonzero(np.abs(vec) > tol)[0]}
+        amps = {int(j): float(vec[j]) for j in np.nonzero(np.abs(vec) > _AMP_TOL)[0]}
         return TargetState(n, amps)
 
 
@@ -103,7 +104,7 @@ class AngleTable:
     thetas: Tuple[float, ...]     # length 2^len(controls); theta_y in (-2pi, 2pi]
 
 
-def prune_constant_controls(table: AngleTable, tol: float = _ANGLE_TOL) -> AngleTable:
+def prune_constant_controls(table: AngleTable) -> AngleTable:
     controls, thetas = list(table.controls), list(table.thetas)
     changed = True
     while changed and controls:
@@ -112,7 +113,7 @@ def prune_constant_controls(table: AngleTable, tol: float = _ANGLE_TOL) -> Angle
         for i in range(c):
             stride = 1 << (c - 1 - i)
             const = all(
-                abs(thetas[y] - thetas[y | stride]) <= tol
+                abs(thetas[y] - thetas[y | stride]) <= _ANGLE_TOL
                 for y in range(1 << c) if not y & stride)
             if const:
                 thetas = [thetas[y] for y in range(1 << c) if not y & stride]
@@ -123,9 +124,12 @@ def prune_constant_controls(table: AngleTable, tol: float = _ANGLE_TOL) -> Angle
 
 
 def demux_ucry(table: AngleTable) -> List[Gate]:
-    """Gray-code demultiplexing: 2^c Ry + 2^c CNOT implementing the table."""
+    """Gray-code demultiplexing: 2^c CNOT and up to 2^c Ry implementing the
+    table; a leaf Ry with |theta| <= 1e-15 is the identity and is skipped."""
     def rec(thetas: Sequence[float], ctrls: Sequence[int]) -> List[Gate]:
         if not ctrls:
+            if abs(thetas[0]) <= 1e-15:
+                return []
             return [Gate("Ry", (table.pivot,), angle=thetas[0])]
         half = len(thetas) // 2
         t0, t1 = thetas[:half], thetas[half:]
@@ -138,8 +142,6 @@ def demux_ucry(table: AngleTable) -> List[Gate]:
         out.append(Gate("CNOT", (q, table.pivot)))
         return out
 
-    if not table.controls and abs(table.thetas[0]) <= 1e-15:
-        return []
     return rec(list(table.thetas), list(table.controls))
 
 

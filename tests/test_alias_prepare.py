@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference_alias
 from qsprep.alias_prepare import (
-    LookupSpec, ValidationError, build_alias_table, build_qrom,
-    build_selectswap, optimal_lambda, prepare_alias_state, realized_marginal,
+    LookupSpec, ValidationError, _lookup_t_proxy, build_alias_table,
+    build_qrom, build_selectswap, optimal_lambda, prepare_alias_state,
+    realized_marginal,
 )
 from qsprep.benchmark_states import BenchmarkSpec, make_state
 from qsprep.circuit_core import Circuit, count_resources, serialize
@@ -207,18 +209,21 @@ def test_lookup_cost_closed_form_matches_built_circuits():
                 assert built == 4 * (max(0, 2 * L // lam - 4) + (lam - 1) * w), (L, w, lam)
 
 
-@pytest.mark.parametrize("L, b", [(2, 3), (8, 2), (16, 5), (64, 1), (256, 8)])
+@pytest.mark.parametrize("L, b", [(2, 3), (8, 2), (16, 5), (32, 3), (64, 1), (256, 8)])
 def test_pipeline_lambda_is_argmin_of_built_cost(L, b):
-    # (8, 2): the keep lookup ties at lam = 2 and 4; the smaller one wins
+    # (32, 3): the word of width 8 ties at lam = 2 and 4 (144 each); the
+    # smaller one wins
     n = L.bit_length() - 1
     pipe = prepare_alias_state(_rand_dist(L, random.Random(L + b)), b,
                                backend="selectswap")
-    for name, words, w in (("alias", pipe.table.alias, n),
-                           ("keep", [min(k, (1 << b) - 1) for k in pipe.table.keep], b)):
-        costs = [(count_resources(build_selectswap(
-            LookupSpec(L, w, tuple(words), "selectswap", lam))).t_proxy, lam)
-            for lam in _pow2_upto(L)]
-        assert pipe.lam[name] == min(costs)[1], (name, costs)
+    words = tuple(a << b | min(k, (1 << b) - 1)
+                  for a, k in zip(pipe.table.alias, pipe.table.keep))
+    costs = [(count_resources(build_selectswap(
+        LookupSpec(L, n + b, words, "selectswap", lam))).t_proxy, lam)
+        for lam in _pow2_upto(L)]
+    assert pipe.lam == min(costs)[1], costs
+    if (L, b) == (32, 3):
+        assert costs[1][0] == costs[2][0] == 144 and pipe.lam == 2
 
 
 @pytest.mark.parametrize("lam_of_L", [lambda L: 0, lambda L: 3, lambda L: 2 * L],
@@ -229,8 +234,43 @@ def test_explicit_lambda_is_validated_and_ignored_under_qrom(lam_of_L):
     with pytest.raises(ValidationError, match="lambda must be a power of two"):
         prepare_alias_state(p, 4, backend="selectswap", lam=lam)
     pipe = prepare_alias_state(p, 4, backend="qrom", lam=lam)
-    assert pipe.lam == {"alias": 1, "keep": 1}
+    assert pipe.lam == 1
     assert serialize(pipe.circuit) == serialize(prepare_alias_state(p, 4).circuit)
+
+
+def _lookup_slice(pipe):
+    """The pipeline's lookup stage as a circuit of its own."""
+    sizes = [r.total_gates for r in pipe.stages.values()]
+    start = dict(zip(pipe.stages, itertools.accumulate([0] + sizes)))["lookup"]
+    stop = start + pipe.stages["lookup"].total_gates
+    return Circuit(pipe.circuit.n_qubits, pipe.circuit.gates[start:stop],
+                   pipe.circuit.registers)
+
+
+def _read(bits, n_qubits, qubits):
+    word = 0
+    for q in qubits:
+        word = (word << 1) | ((bits >> (n_qubits - 1 - q)) & 1)
+    return word
+
+
+@pytest.mark.parametrize("log_l", [1, 2, 3, 4])
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_lookup_word_puts_alias_and_keep_on_their_registers(log_l, b):
+    L, n = 1 << log_l, log_l
+    p = _rand_dist(L, random.Random(10 * log_l + b), zeros=L // 4)
+    for backend, lam in [("qrom", None)] + [("selectswap", lam) for lam in _pow2_upto(L)]:
+        pipe = prepare_alias_state(p, b, backend=backend, lam=lam)
+        assert pipe.lam == (lam or 1)
+        circ = _lookup_slice(pipe)
+        nq = circ.n_qubits
+        assert count_resources(circ).t_proxy == _lookup_t_proxy(L, n + b, pipe.lam)
+        for j in range(L):
+            out = classical_simulate(circ, j << (nq - n))
+            assert _read(out, nq, circ.register("address")) == j
+            assert _read(out, nq, circ.register("alias")) == pipe.table.alias[j]
+            assert _read(out, nq, circ.register("keep")) == \
+                min(pipe.table.keep[j], (1 << b) - 1), (backend, lam, j)
 
 
 _PIPELINE_GOLDEN = os.path.join(os.path.dirname(__file__), "alias_pipeline_golden.json")
@@ -259,7 +299,6 @@ def _pipeline_records():
 
 
 def test_pipeline_gate_streams_match_golden():
-    # recorded before the lookups were emitted straight onto pipeline qubits
     with open(_PIPELINE_GOLDEN, encoding="utf-8") as f:
         want = json.load(f)["cases"]
     assert len(want) == 30
@@ -284,12 +323,12 @@ def test_pipeline_stages_equal_counts_of_their_slices():
 
 
 def test_compile_path_builds_each_distinct_gate_once():
-    # 15,876 logical and 73,408 compiled gates share a few hundred Gate objects
+    # 11,786 logical and 40,702 compiled gates share a few hundred Gate objects
     p = make_state(BenchmarkSpec("dense_random", n=10, seed=1)).probabilities()
     pipe = prepare_alias_state(p, 10, backend="qrom")
     compiled, _ = compile_circuit(pipe.circuit, SynthesisConfig(b=10))
     objects = {id(g) for g in pipe.circuit.gates} | {id(g) for g in compiled.gates}
-    assert len(compiled.gates) > 50_000
+    assert len(compiled.gates) > 40_000
     assert len(objects) <= 1000
 
 
@@ -345,8 +384,8 @@ def test_pipeline_marginal_matches_analytic(backend):
 
 def test_pipeline_stage_reports_present():
     pipe = prepare_alias_state([0.6, 0.4], b=4)
-    assert set(pipe.stages) >= {"superposition", "lookup_alias", "lookup_keep",
-                                "random", "comparator", "swap"}
+    assert list(pipe.stages) == ["superposition", "lookup", "random",
+                                 "comparator", "swap"]
     # comparator + swap at n = 1: 4b + 4
     t = pipe.stages["comparator"].t_proxy + pipe.stages["swap"].t_proxy
     assert t == 4 * 4 + 4

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qsprep.circuit_core import (
-    Circuit, CircuitError, Gate, compose, count_resources, deserialize, gate,
+    Circuit, CircuitError, Gate, count_resources, deserialize, gate,
     is_pi4_multiple, serialize,
 )
 
@@ -133,16 +133,6 @@ def test_deserialize_reports_line_numbers():
         deserialize("qubits 2\nCNOT 0\n")
     with pytest.raises(CircuitError, match="qubits"):
         deserialize("CNOT 0 1\n")
-
-
-def test_compose_remaps_and_extends():
-    a = Circuit(2, [Gate("Hadamard", (0,))])
-    b = Circuit(2, [Gate("CNOT", (0, 1))])
-    c = compose(a, b, {0: 2, 1: 3})
-    assert c.n_qubits == 4
-    assert c.gates[-1].qubits == (2, 3)
-    with pytest.raises(CircuitError):
-        compose(a, b, {0: 1, 1: 1})
 
 
 def test_is_pi4_multiple():
