@@ -1,7 +1,8 @@
 """Rz synthesis cost as precision grows: median ms per angle at b = 10..40.
 
 Synthesizes fixed seeded angles at eps = 2^-b and prints, per b, the
-median and worst wall time per angle and the mean T-count.  The 2D grid
+median and worst wall time per angle, the mean T-count and the mean gate
+count of the words.  The 2D grid
 solver keeps the time roughly flat in b; a solver whose work grows like
 2^(b/2) shows up here first.
 
@@ -52,7 +53,7 @@ def time_phases() -> dict:
 
 
 def bench(b: int, angles, spent: dict) -> dict:
-    times, tcounts = [], []
+    times, tcounts, lengths = [], [], []
     phase_times = {name: [] for name in PHASES}
     for theta in angles:
         for name in PHASES:
@@ -61,10 +62,12 @@ def bench(b: int, angles, spent: dict) -> dict:
         tags = synthesize_rz_tags(theta, 2.0 ** -b)
         times.append(time.perf_counter() - t0)
         tcounts.append(sum(1 for t in tags if t in ("T", "Tdg")))
+        lengths.append(len(tags))
         for name in PHASES:
             phase_times[name].append(spent[name])
     out = {"b": b, "median_ms": statistics.median(times) * 1e3,
-           "max_ms": max(times) * 1e3, "mean_T": statistics.fmean(tcounts)}
+           "max_ms": max(times) * 1e3, "mean_T": statistics.fmean(tcounts),
+           "mean_gates": statistics.fmean(lengths)}
     for name in PHASES:
         out[name] = statistics.median(phase_times[name]) * 1e3
     return out
@@ -74,11 +77,12 @@ def main() -> None:
     spent = time_phases()
     rng = random.Random(SEED)
     angles = [rng.uniform(-math.pi, math.pi) for _ in range(N_ANGLES)]
-    print(f"{'b':>3} {'median ms/angle':>16} {'max ms':>9} {'mean T':>7}"
+    print(f"{'b':>3} {'median ms/angle':>16} {'max ms':>9} {'mean T':>7} {'mean gates':>10}"
           + "".join(f" {name + ' ms':>13}" for name in PHASES) + f"  ({N_ANGLES} angles)")
     for b in B_VALUES:
         r = bench(b, angles, spent)
         print(f"{r['b']:>3} {r['median_ms']:>16.1f} {r['max_ms']:>9.1f} {r['mean_T']:>7.1f}"
+              f" {r['mean_gates']:>10.1f}"
               + "".join(f" {r[name]:>13.2f}" for name in PHASES))
 
 

@@ -8,8 +8,8 @@ One precision parameter b drives both sides of every comparison: rotation
 methods synthesize at eps = 2^-b, sampling methods use b-bit alias keep
 thresholds.  Rotation rows report 1 - F_state (statevector overlap); sampling
 rows report 1 - F_prob of the address marginal, counted exactly by bit planes
-over the logical pipeline when it fits the qubit budget (equal bit for bit to
-the alias table's analytic realized marginal, which rows over it report).
+over the logical pipeline within the qubit and input bounds (equal bit for bit
+to the alias table's analytic realized marginal, which rows over them report).
 """
 from __future__ import annotations
 
@@ -52,6 +52,9 @@ FAMILIES = ("w", "dicke", "dense_random", "sparse_uniform", "sparse_random",
 
 # fixed settings for distribution-loading benchmarks over permutation weights
 MAGNUS_B_DEFAULT = (11, 18, 25)
+# sampling rows with more Hadamard inputs than this report the analytic
+# marginal: each bit plane of the histogram has 2^inputs bits
+HISTOGRAM_MAX_INPUTS = 24
 
 
 @dataclass(frozen=True)
@@ -108,9 +111,9 @@ def _sampling_row(state: TargetState, method: str, b: int,
     L = pipe.table.L
     target = np.zeros(L)
     target[:len(p)] = p
-    if pipe.circuit.n_qubits <= budget:
-        counts, total = pipeline_histogram(pipe.circuit,
-                                           pipe.circuit.register("address"))
+    address = pipe.circuit.register("address")
+    if pipe.circuit.n_qubits <= budget and len(address) + b <= HISTOGRAM_MAX_INPUTS:
+        counts, total = pipeline_histogram(pipe.circuit, address)
         marg = counts / total
     else:
         marg = np.array([float(x) for x in realized_marginal(pipe.table)])

@@ -2,7 +2,7 @@
 
 Pipeline per precision eps = 2^-b:
   1. octant reduction: theta = m*(pi/4) + theta', |theta'| <= pi/8; the
-     m-part is an exact S/T word, theta' goes through grid search.
+     m-part is an exact T^m, theta' goes through grid search.
   2. for increasing denominator exponent k, enumerate ring candidates
      u in Z[omega] with |u| <= sqrt2^k, |u_galois| <= sqrt2^k and
      Re(conj(z) u) >= sqrt2^k (1 - eps^2/2) for z = e^{-i theta'/2}.
@@ -13,7 +13,9 @@ Pipeline per precision eps = 2^-b:
   3. for each candidate solve the Diophantine equation t.conj t = xi with
      xi = 2^k - u.conj u over Z[sqrt2] by factoring its integer norm and
      splitting primes in Z[omega] / Z[i] / Z[sqrt-2].
-  4. exactly synthesize the resulting ring unitary into H/T/S/X gates.
+  4. exactly synthesize the resulting ring unitary, times the octant's
+     T^m, into H/T/S/X gates by H T^-j steps that each lower the sde (no
+     search, no H.H pair), each j or j + 4, whichever costs fewer gates.
 
 The candidate constraint guarantees the phase-invariant operator distance
 ||U - e^{i phi} Rz(theta)|| <= eps.
@@ -34,7 +36,7 @@ from .rings import (
     ZO_DELTA, ZO_UNIT_LOG, ZO_ZERO,
     round_div, zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2, zo_from_zmd,
     zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_pow, zo_rot,
-    zo_sqrt2_divisible, zo_sub, zo_value,
+    zo_sqrt2_divisible, zo_sub,
     zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_mul, zs_norm,
     zs_sqrt2_valuation, zs_totally_positive,
 )
@@ -192,12 +194,6 @@ class RingMatrix:
     m11: ZOmega
     k: int
 
-    def value(self):
-        import numpy as np
-        s = SQRT2 ** self.k
-        return np.array([[zo_value(self.m00), zo_value(self.m01)],
-                         [zo_value(self.m10), zo_value(self.m11)]], dtype=complex) / s
-
 
 def _strip(u: ZOmega, t: ZOmega, k: int) -> Tuple[ZOmega, ZOmega, int]:
     """The column (u,t)/sqrt2^k with its denominator exponent k lowest."""
@@ -206,32 +202,27 @@ def _strip(u: ZOmega, t: ZOmega, k: int) -> Tuple[ZOmega, ZOmega, int]:
     return u, t, k
 
 
+def _sde(u: ZOmega, k: int) -> int:
+    """sde(|u|^2) of the entry u / sqrt2^k, 2k - v_sqrt2(|u|^2); -1 for 0."""
+    if u == ZO_ZERO:
+        return -1
+    return 2 * k - zs_sqrt2_valuation(zo_abs_sq(u))[0]
+
+
 def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> Tuple[List[int], ZOmega, ZOmega]:
     """j-sequence of H T^{-j} steps taking the unit column (u,t)/sqrt2^k
     down to denominator exponent 0, and the column it ends at.
 
-    A single step does not always shrink k (small-k plateaus exist), so this
-    runs best-first search over the four residue choices with a visited set;
-    termination is guaranteed because the reachable states at bounded
-    exponent are finite and a Clifford+T word for any ring unitary exists.
-    Each state links to the (j, link) of its parent, so a push copies
-    nothing and the j-sequence is read back once, at the end.
+    Each step takes the j in 0..3 whose column has the lowest sde(|u|^2):
+    one j lowers it by one, or more at the last step (Kliuchnikov, Maslov
+    & Mosca, arXiv:1206.5236), so the steps are the fewest H.  A unit
+    column with sde <= 0 has k = 0 once stripped; a step that lowers
+    nothing means the column was not unit.
     """
-    stack = [(u, t, k, None)]
-    seen = set()
-    while stack:
-        u, t, k, link = stack.pop()
-        if k == 0:
-            seq = []
-            while link is not None:
-                j, link = link
-                seq.append(j)
-            return seq[::-1], u, t
-        key = (u, t, k)
-        if key in seen:
-            continue
-        seen.add(key)
-        opts = []
+    seq = []
+    sde = _sde(u, k)
+    while k > 0:
+        best = None
         ta, tb, tc, td = t
         # t * w^(8-j) for j = 0..3
         for j, tw in enumerate(((ta, tb, tc, td), (tb, tc, td, -ta),
@@ -241,23 +232,31 @@ def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> Tuple[List[int], ZOmega, ZOm
                 continue
             # divisibility of the sum implies it for the difference (= 2u - s)
             u2, t2, k2 = _strip(zo_div_sqrt2(s), zo_div_sqrt2(zo_sub(u, tw)), k)
-            opts.append((k2, j, u2, t2))
-        # push worst option first so the lowest exponent is explored next
-        for k2, j, u2, t2 in sorted(opts, reverse=True):
-            stack.append((u2, t2, k2, (j, link)))
-    raise RuntimeError("column reduction failed (input not unitary?)")
+            sde2 = _sde(u2, k2)
+            if best is None or sde2 < best[0]:
+                best = (sde2, j, u2, t2, k2)
+        if best is None or best[0] >= sde:
+            raise RuntimeError("column reduction failed (input not unitary?)")
+        sde, j, u, t, k = best
+        seq.append(j)
+    return seq, u, t
 
 
 def exact_synthesize(mat: RingMatrix) -> List[str]:
     """Gate tags (temporal order) realizing mat up to global phase.
 
-    The H T^{-j} steps that reduce the first column take mat to a Clifford
-    phase matrix R whose first column is the unit column the reduction ends
-    at, (w^l, 0) or (0, w^l).  Its determinant fixes the rest
-    (Kliuchnikov, Maslov & Mosca, arXiv:1206.5236): det R = w^D with
-    det(mat) = w^d and D = d + sum(4 - j), as det(H T^{-j}) = w^(4-j).  So
-    R = diag(w^l, w^(D-l)), which is T^(D-2l) up to phase, or R =
-    [[0, w^(D+4-l)], [w^l, 0]], which is T^(D+4-2l) followed by X.
+    The H T^{-j} steps that reduce the first column leave a Clifford phase
+    matrix R with first column (w^l, 0) or (0, w^l) and det R = w^D, D =
+    d + sum(4 - j) for det(mat) = w^d (Kliuchnikov, Maslov & Mosca,
+    arXiv:1206.5236).  So R = X^x T^a up to phase, with x = 0, a = D - 2l
+    or x = 1, a = D + 4 - 2l, and mat = T^j1 H ... T^jn H R.
+
+    As T^j = T^(j+4) Z, a step may emit j + 4 and push a Z right into a
+    Pauli frame X^p Z^q, which negates the powers it passes (X T^j ~ T^-j X),
+    passes H as X^q Z^p and meets R as X^(x^p) T^(a+4q).  The cheaper power
+    for j = 0..3 (0, +-1, +-2, -+1) saves 2, 1, 0, 1 gates over the other,
+    and flipping step i's choice flips the tail's X if n - 1 - i is even,
+    else its Z: the fewest gates flip at most the cheapest step of each.
     """
     seq, u, t = _reduce_column(*_strip(mat.m00, mat.m10, mat.k))
     det = zo_sub(zo_mul(mat.m00, mat.m11), zo_mul(mat.m01, mat.m10))
@@ -266,15 +265,26 @@ def exact_synthesize(mat: RingMatrix) -> List[str]:
         raise RuntimeError(f"determinant {det} / 2^{mat.k} is not a power of omega")
     D = ZO_UNIT_LOG[unit] + sum(4 - j for j in seq)
     if t == ZO_ZERO and u in ZO_UNIT_LOG:
-        gates = list(_T_WORD[(D - 2 * ZO_UNIT_LOG[u]) % 8])
+        a, x = D - 2 * ZO_UNIT_LOG[u], 0
     elif u == ZO_ZERO and t in ZO_UNIT_LOG:
-        gates = _T_WORD[(D + 4 - 2 * ZO_UNIT_LOG[t]) % 8] + ["PauliX"]
+        a, x = D + 4 - 2 * ZO_UNIT_LOG[t], 1
     else:
         raise RuntimeError(f"column reduction ended at {(u, t)}, not a unit column")
-    for j in reversed(seq):
-        gates.append("Hadamard")
-        gates += _T_WORD[j]
-    return gates
+    p, q, swap = 0, 0, [(3, 0), (3, 0)]   # cheapest flip of an even, odd step
+    for i, j in enumerate(seq):
+        p, q = q ^ (j == 3), p
+        swap[i & 1] = min(swap[i & 1], ((2, 1, 0, 1)[j], i))
+    sx, sz = swap[(len(seq) - 1) & 1], swap[len(seq) & 1]
+    _, dx, dz = min((dx * sx[0] + dz * sz[0] + len(_T_WORD[(a + 4 * (q ^ dz)) % 8])
+                     + (x ^ p ^ dx), dx, dz) for dx in (0, 1) for dz in (0, 1))
+    flipped = {i for d, (_, i) in ((dx, sx), (dz, sz)) if d}
+    tail = _T_WORD[(a + 4 * (q ^ dz)) % 8] + ["PauliX"] * (x ^ p ^ dx)
+    rev, p, q = [], 0, 0                # the steps, last gate first
+    for i, j in enumerate(seq):
+        f = (j == 3) ^ (i in flipped)
+        rev += _T_WORD[((-j if p else j) + 4 * f) % 8][::-1] + ["Hadamard"]
+        p, q = q ^ f, p
+    return tail + rev[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +767,9 @@ def synthesize_rz_tags(theta: float, eps: float) -> List[str]:
                 t = solve_diophantine(((1 << k) - n, -m))
                 if t is None:
                     continue
-                # [[u, -conj t], [t, conj u]]; w^4 = -1
-                matu = RingMatrix(u, zo_rot(zo_conj(t), 4), t, zo_conj(u), k)
-                gates = exact_synthesize(matu)
-                return gates + _T_WORD[mth % 8]
+                # T^m [[u, -conj t], [t, conj u]], octant included; w^4 = -1
+                return exact_synthesize(RingMatrix(
+                    u, zo_rot(zo_conj(t), 4), zo_rot(t, mth), zo_rot(zo_conj(u), mth), k))
             k += 1
         raise SynthesisError(f"no candidate found up to k={k_cap}")
     except RuntimeError as e:

@@ -20,10 +20,7 @@ falls back to a small perturbation search around the rounded quotient.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Tuple
-
-SQRT2 = math.sqrt(2.0)
 
 
 class RingError(ArithmeticError):
@@ -214,12 +211,6 @@ def zo_abs_sq(u: ZOmega) -> ZSqrt2:
 
 def zo_norm(u: ZOmega) -> int:
     return zs_norm(zo_abs_sq(u))
-
-
-def zo_value(u: ZOmega) -> complex:
-    a, b, c, d = u
-    w = complex(SQRT2 / 2, SQRT2 / 2)
-    return a + b * w + c * 1j + d * (w * 1j)
 
 
 def zo_from_zsqrt2(x: ZSqrt2) -> ZOmega:

@@ -124,8 +124,9 @@ def prune_constant_controls(table: AngleTable) -> AngleTable:
 
 
 def demux_ucry(table: AngleTable) -> List[Gate]:
-    """Gray-code demultiplexing: 2^c CNOT and up to 2^c Ry implementing the
-    table; a leaf Ry with |theta| <= 1e-15 is the identity and is skipped."""
+    """Gray-code demultiplexing: up to 2^c CNOT and 2^c Ry implementing the
+    table; a leaf Ry with |theta| <= 1e-15 is the identity and is skipped,
+    and so is the CNOT pair around a subtree of skipped leaves."""
     def rec(thetas: Sequence[float], ctrls: Sequence[int]) -> List[Gate]:
         if not ctrls:
             if abs(thetas[0]) <= 1e-15:
@@ -137,9 +138,10 @@ def demux_ucry(table: AngleTable) -> List[Gate]:
         right = [(x - y) / 2 for x, y in zip(t0, t1)]
         q = ctrls[0]
         out = rec(left, ctrls[1:])
-        out.append(Gate("CNOT", (q, table.pivot)))
-        out += rec(right, ctrls[1:])
-        out.append(Gate("CNOT", (q, table.pivot)))
+        inner = rec(right, ctrls[1:])
+        if inner:              # else the two CNOTs cancel
+            cnot = Gate("CNOT", (q, table.pivot))
+            out += [cnot, *inner, cnot]
         return out
 
     return rec(list(table.thetas), list(table.controls))

@@ -1,7 +1,8 @@
-"""The exact back end that `gridsynth` replaced, kept verbatim as the test
-oracle for its shorter form: exact synthesis that replays every H T^{-j}
-step onto the whole matrix to find the Clifford tail, and the Diophantine
-solver with its defensive branches."""
+"""The exact back end that `gridsynth` replaced, kept as the test oracle
+for its shorter form: exact synthesis by best-first search over the column
+steps, the replay of every H T^{-j} step onto the whole matrix that finds
+the Clifford tail, and the Diophantine solver with its defensive
+branches."""
 from __future__ import annotations
 
 import math
@@ -174,10 +175,15 @@ def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
 
 def exact_synthesize(mat: RingMatrix) -> List[str]:
     """Gate tags (temporal order) realizing mat up to global phase."""
+    # reduce the first column by H T^{-j} steps
+    (u, t), k = _strip([mat.m00, mat.m10], mat.k)
+    return replay(mat, _reduce_column(u, t, k))
+
+
+def replay(mat: RingMatrix, seq: List[int]) -> List[str]:
+    """Gate tags of the H T^{-j} steps `seq` that reduce mat's first column,
+    preceded by the Clifford tail read off the full residual matrix."""
     m00, m01, m10, m11 = mat.m00, mat.m01, mat.m10, mat.m11
-    # reduce the first column by H T^{-j} steps, accumulating G exactly
-    (u, t), k = _strip([m00, m10], mat.k)
-    seq = _reduce_column(u, t, k)
     # apply the recorded steps to the full matrix exactly to get the residual
     g00, g01, g10, g11 = ZO_ONE, ZO_ZERO, ZO_ZERO, ZO_ONE
     for j in seq:

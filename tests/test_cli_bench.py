@@ -354,6 +354,21 @@ def test_sampling_row_evaluates_the_circuit_not_the_table(stage, method, monkeyp
     assert cli_bench._sampling_row(state, method, 4, cfg, 64)[1] != want
 
 
+def test_sampling_row_over_the_input_bound_reports_the_analytic_marginal(monkeypatch):
+    # n + b = 3 + 4 Hadamard inputs: counted at a bound of 7, not at 6
+    state = benchmark_states.make_state(BenchmarkSpec("dense_random", n=3, seed=1))
+    cfg = SynthesisConfig(b=4)
+    want = _analytic_infidelity(state, 4, "qrom")
+    calls, real = [], cli_bench.pipeline_histogram
+    monkeypatch.setattr(cli_bench, "pipeline_histogram", lambda circuit, address:
+                        calls.append(len(address)) or real(circuit, address))
+    for bound, counted in ((7, [3]), (6, [])):
+        calls.clear()
+        monkeypatch.setattr(cli_bench, "HISTOGRAM_MAX_INPUTS", bound)
+        assert cli_bench._sampling_row(state, "qrom", 4, cfg, 64)[1] == want
+        assert calls == counted
+
+
 def test_negative_budget_is_a_usage_error(capsys):
     assert main(["bench", "--family", "w", "--n", "3", "--b", "4",
                  "--budget-qubits", "-5", "--out", os.devnull]) == 2

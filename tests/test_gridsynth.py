@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from qsprep.gridsynth import (
     solve_diophantine, solve_grid_1d, synthesize_rz_tags,
 )
 from qsprep.rings import (
-    ZO_ONE, ZO_ZERO, zo_abs_sq, zo_add, zo_from_zsqrt2, zo_mul,
+    ZO_ONE, ZO_ZERO, zo_abs_sq, zo_add, zo_from_zsqrt2, zo_mul, zo_rot, zo_sub,
     zs_lambda_power, zs_mul,
 )
 from reference_preparable import search_preparable
@@ -161,17 +162,75 @@ def _word_matrix(word):
     return m
 
 
+_T_POWER = {"T": 1, "S": 2, "Sdg": 6, "Tdg": 7}
+
+
+def _tcount(tags):
+    return sum(g in ("T", "Tdg") for g in tags)
+
+
+def _has_hh(tags):
+    return any(a == b == "Hadamard" for a, b in zip(tags, tags[1:]))
+
+
+def _column_steps(mat):
+    seq, _, _ = gridsynth._reduce_column(*gridsynth._strip(mat.m00, mat.m10, mat.k))
+    return seq
+
+
+def _word_steps(tags):
+    """The T power j of each H T^j step of a word, in the order of the
+    column reduction (the word's last step first)."""
+    _, *steps = " ".join(tags).split("Hadamard")
+    return [sum(map(_T_POWER.get, x.split())) % 8 for x in reversed(steps)]
+
+
+def _check_against_reference(mat):
+    # the reference searches for a j-sequence; the sde rule takes the one
+    # with the fewest H (Kliuchnikov, Maslov & Mosca) and the same unitary
+    # and T-count, and no H.H pair
+    tags = exact_synthesize(mat)
+    ref = reference_exact.exact_synthesize(mat)
+    assert phase_dist_1q(tags_to_unitary(tags), tags_to_unitary(ref)) < 1e-12
+    assert _tcount(tags) == _tcount(ref)
+    assert tags.count("Hadamard") <= ref.count("Hadamard")
+    assert len(tags) <= len(ref)
+    assert not _has_hh(tags)
+    # the tail read off the determinant is the one the full replay of the
+    # word's own steps finds
+    assert tags == reference_exact.replay(mat, _word_steps(tags))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.sampled_from(_CLIFFT), max_size=40))
 def test_exact_synthesize_recovers_random_words(word):
     m = _word_matrix(word)
     tags = exact_synthesize(m)
-    import numpy as np
-    got = tags_to_unitary(tags)
-    want = np.array(m.value())
-    assert phase_dist_1q(got, want) < 1e-9
-    # the tail read off the determinant is the one the full replay found
-    assert tags == reference_exact.exact_synthesize(m)
+    assert phase_dist_1q(tags_to_unitary(tags), tags_to_unitary(word)) < 1e-9
+    _check_against_reference(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(_CLIFFT), min_size=20, max_size=60))
+def test_each_column_step_lowers_the_sde_by_one_but_the_last(word):
+    # the steps are replayed on the unstripped column; sde(|u|^2) does not
+    # depend on the denominator exponent it is written with
+    m = _word_matrix(word)
+    u, t, k = m.m00, m.m10, m.k
+    sdes = [gridsynth._sde(u, k)]
+    for j in _column_steps(m):
+        # H T^-j for every j: the chosen one is the only one at the minimum
+        # (j and j + 4 swap the two entries, which have the same sde)
+        after = [gridsynth._sde(zo_add(u, zo_rot(t, 8 - i)), k + 1)
+                 for i in range(4)]
+        assert after.count(min(after)) == 1 and after[j % 4] == min(after)
+        tw = zo_rot(t, 8 - j)
+        u, t, k = zo_add(u, tw), zo_sub(u, tw), k + 1
+        sdes.append(gridsynth._sde(u, k))
+    drops = [x - y for x, y in zip(sdes, sdes[1:])]
+    assert all(d == 1 for d in drops[:-1]), drops
+    assert not drops or drops[-1] >= 1, drops
+    assert sdes[-1] <= 0          # a unit column: |u|^2 = 1 or u = 0
 
 
 def _synthesized_matrices(theta, b):
@@ -193,7 +252,7 @@ def _synthesized_matrices(theta, b):
 @given(st.floats(-math.pi, math.pi), st.sampled_from([8, 12, 16]))
 def test_exact_synthesize_matches_reference_on_rz_matrices(theta, b):
     for mat in _synthesized_matrices(theta, b):
-        assert exact_synthesize(mat) == reference_exact.exact_synthesize(mat)
+        _check_against_reference(mat)
 
 
 def test_exact_synthesize_rejects_a_non_unit_determinant():
@@ -225,6 +284,9 @@ def test_rz_distance_spot_checks(b):
         th = rng.uniform(-math.pi, math.pi)
         tags = synthesize_rz_tags(th, eps)
         assert phase_dist_1q(tags_to_unitary(tags), rz_matrix(th)) <= eps
+        # the octant word is merged into the trailing run of T powers
+        run = list(itertools.takewhile(_T_POWER.__contains__, tags[::-1]))
+        assert run[::-1] in gridsynth._T_WORD.values()
 
 
 def test_rz_rejects_bad_eps():
@@ -305,6 +367,7 @@ def test_rz_words_match_golden(name, count):
         theta = float.fromhex(c["theta"])
         got = " ".join(synthesize_rz_tags(theta, 2.0 ** -c["b"]))
         assert got == c["tags"], (c["b"], theta)
+        assert "Hadamard Hadamard" not in got
 
 
 def test_rz_words_ignore_the_global_mpmath_precision():

@@ -101,15 +101,22 @@ def test_single_basis_state_emits_only_x():
         assert np.argmax(np.abs(simulate(circ))) == 9
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3), st.data())
+def _adjacent_equal_cnots(gates):
+    return any(a.tag == "CNOT" and a == b for a, b in zip(gates, gates[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
 def test_demux_matches_ucry_gate(c, data):
-    thetas = tuple(data.draw(st.floats(-3.0, 3.0, allow_nan=False))
-                   for _ in range(1 << c))
+    # repeated angles make whole subtrees of the Gray-code split vanish
+    angle = st.one_of(st.sampled_from([0.0, 0.4, -1.3]),
+                      st.floats(-3.0, 3.0, allow_nan=False))
+    thetas = tuple(data.draw(angle) for _ in range(1 << c))
     table = AngleTable(pivot=c, controls=tuple(range(c)), thetas=thetas)
     gates = demux_ucry(table)
     assert all(g.tag in ("Ry", "CNOT") for g in gates)
     assert sum(g.tag == "Ry" for g in gates) <= 1 << c
+    assert not _adjacent_equal_cnots(gates)
     got = circuit_unitary(Circuit(c + 1, gates))
     # Ry(theta_y) on the pivot (the last qubit, so the least significant bit)
     # for each control pattern y, controls MSB first: a block-diagonal matrix
@@ -117,6 +124,12 @@ def test_demux_matches_ucry_gate(c, data):
     for y, th in enumerate(thetas):
         want[2 * y:2 * y + 2, 2 * y:2 * y + 2] = ry_matrix(th)
     assert np.allclose(got, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("spec", [BenchmarkSpec("magnus", k=4),
+                                  BenchmarkSpec("dicke", n=8, k=2)])
+def test_dense_circuit_has_no_adjacent_equal_cnots(spec):
+    assert not _adjacent_equal_cnots(synthesize_dense(make_state(spec)).gates)
 
 
 def test_prune_removes_constant_controls():
