@@ -1,7 +1,11 @@
 """Lowering of logical circuits to explicit Clifford+T gate streams.
 
 `compile_circuit` is the one path from a logical gate to Clifford+T
-gates; `_Lowerer` emits every gate of the output stream.
+gates.  `_lower` maps one logical gate to its block of gates, the ancillas
+it uses and its count of non-exact rotations, from the gate alone; a dict
+local to each call lowers every distinct gate once.  Between two
+consecutive MultiControlledRy gates the X flips of a control that both
+masks flip cancel (X.X = I), so neither block emits them.
 
 - Rz: a multiple of pi/4 becomes its minimal S/T word (zero error); any
   other angle becomes a grid-synthesized word within eps = 2^-b.  Every
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circuit_core import (
     Circuit, Gate, ResourceReport, count_resources, gate, is_pi4_multiple,
@@ -132,97 +136,69 @@ def lower_mcx(controls: Sequence[int], target: int, ancillas: Sequence[int],
     return compute + [gate("CNOT", (top, target))] + uncompute
 
 
-@lru_cache(maxsize=1 << 16)
-def _lowered_toffoli(a: int, b: int, t: int, anc: Optional[int],
-                     mode: str) -> Tuple[Gate, ...]:
-    """One Toffoli as explicit gates; gidney mode borrows ancilla `anc`."""
-    return tuple(_toffoli_7t(a, b, t) if mode == "textbook_7T"
-                 else lower_mcx((a, b), t, (anc,), mode))
-
-
 # ---------------------------------------------------------------------------
 # Full-circuit compilation
 
 _PASSTHROUGH = {"PauliX", "Hadamard", "S", "Sdg", "T", "Tdg", "CNOT", "ANDU"}
 
 
-class _Lowerer:
-    def __init__(self, n_logical: int, cfg: SynthesisConfig):
-        self.n = n_logical
-        self.cfg = cfg
-        self.gates: List[Gate] = []
-        self.max_anc = 0
-        self.n_rz_synth = 0
-        self.n_placeholders = 0
+def _rz(q: int, theta: float, eps: Optional[float]) -> Tuple[List[Gate], int]:
+    """Rz(theta) on q and its count of non-exact rotations (0 or 1)."""
+    exact = is_pi4_multiple(theta)
+    if not exact and eps is None:
+        return [Gate("Rz", (q,), angle=theta)], 1
+    word = _rz_tags(theta, 1.0 if exact else eps)
+    on_q = {tag: gate(tag, (q,)) for tag in set(word)}
+    return [on_q[tag] for tag in word], 0 if exact else 1
 
-    def ancillas(self, count: int) -> List[int]:
-        self.max_anc = max(self.max_anc, count)
-        return [self.n + i for i in range(count)]
 
-    def emit_rz(self, q: int, theta: float) -> None:
-        if is_pi4_multiple(theta):
-            for tag in _rz_tags(theta, 1.0):
-                self.gates.append(gate(tag, (q,)))
-            return
-        self.n_rz_synth += 1
-        if self.cfg.rz_mode == "cost-model":
-            self.n_placeholders += 1
-            self.gates.append(Gate("Rz", (q,), angle=theta))
-            return
-        for tag in _rz_tags(theta, self.cfg.eps):
-            self.gates.append(gate(tag, (q,)))
+def _ry(q: int, theta: float, eps: Optional[float]) -> Tuple[List[Gate], int]:
+    rz, rot = _rz(q, theta, eps)
+    return [gate("Sdg", (q,)), gate("Hadamard", (q,)), *rz,
+            gate("Hadamard", (q,)), gate("S", (q,))], rot
 
-    def emit_ry(self, q: int, theta: float) -> None:
-        self.gates.append(gate("Sdg", (q,)))
-        self.gates.append(gate("Hadamard", (q,)))
-        self.emit_rz(q, theta)
-        self.gates.append(gate("Hadamard", (q,)))
-        self.gates.append(gate("S", (q,)))
 
-    def emit_cry(self, c: int, t: int, theta: float) -> None:
-        # Ry(theta/2) . CNOT . Ry(-theta/2) . CNOT as a matrix product
-        self.gates.append(gate("CNOT", (c, t)))
-        self.emit_ry(t, -theta / 2)
-        self.gates.append(gate("CNOT", (c, t)))
-        self.emit_ry(t, theta / 2)
+def _zero_controls(g: Gate) -> List[int]:
+    """The controls a MultiControlledRy flips with X before and after."""
+    if g.tag != "MultiControlledRy":
+        return []
+    return [q for q, m in zip(g.qubits, g.mask) if m == 0]
 
-    def emit_toffoli(self, a: int, b: int, t: int) -> None:
-        mode = self.cfg.toffoli_mode
-        anc = self.ancillas(1)[0] if mode == "gidney_and_measured" else None
-        self.gates += _lowered_toffoli(a, b, t, anc, mode)
 
-    def emit_mcry(self, controls: Sequence[int], target: int,
-                  mask: Sequence[int], theta: float) -> None:
-        flips = [gate("PauliX", (q,)) for q, m in zip(controls, mask) if m == 0]
-        compute, top, uncompute = _v_chain(
-            controls, self.ancillas(len(controls) - 1), self.cfg.toffoli_mode)
-        self.gates += flips + compute
-        self.emit_cry(top, target, theta)
-        self.gates += uncompute + flips
+def _lower(g: Gate, n: int, toffoli_mode: str, eps: Optional[float]
+           ) -> Tuple[List[Gate], int, int]:
+    """One logical gate on n qubits as (gates, ancillas, rotations).
 
-    def lower(self, g: Gate) -> None:
-        tag = g.tag
-        if tag in _PASSTHROUGH:
-            self.gates.append(g)
-        elif tag == "Swap":
-            a, b = g.qubits
-            self.gates += [gate("CNOT", (a, b)), gate("CNOT", (b, a)),
-                           gate("CNOT", (a, b))]
-        elif tag == "Toffoli":
-            self.emit_toffoli(*g.qubits)
-        elif tag == "ControlledSwap":
-            c, x, y = g.qubits
-            self.gates.append(gate("CNOT", (y, x)))
-            self.emit_toffoli(c, x, y)
-            self.gates.append(gate("CNOT", (y, x)))
-        elif tag == "Rz":
-            self.emit_rz(g.qubits[0], g.angle)
-        elif tag == "Ry":
-            self.emit_ry(g.qubits[0], g.angle)
-        elif tag == "MultiControlledRy":
-            self.emit_mcry(g.qubits[:-1], g.qubits[-1], g.mask, g.angle)
-        else:
-            raise CompileError(f"cannot lower gate tag {tag!r}")
+    The gates use the ancillas n, n+1, ...; rotations counts the non-exact
+    Rz among them, each a placeholder Rz gate when eps is None.
+    """
+    tag, qs = g.tag, g.qubits
+    if tag in _PASSTHROUGH:
+        return [g], 0, 0
+    if tag == "Swap":
+        a, b = qs
+        return [gate("CNOT", (a, b)), gate("CNOT", (b, a)), gate("CNOT", (a, b))], 0, 0
+    if tag in ("Toffoli", "ControlledSwap"):
+        c, x, y = qs
+        tof, anc = ((_toffoli_7t(c, x, y), 0) if toffoli_mode == "textbook_7T"
+                    else (lower_mcx((c, x), y, (n,), toffoli_mode), 1))
+        if tag == "ControlledSwap":
+            tof = [gate("CNOT", (y, x))] + tof + [gate("CNOT", (y, x))]
+        return tof, anc, 0
+    if tag in ("Rz", "Ry"):
+        rot_gates, rot = (_rz if tag == "Rz" else _ry)(qs[0], g.angle, eps)
+        return rot_gates, 0, rot
+    if tag == "MultiControlledRy":
+        controls, t, half = qs[:-1], qs[-1], g.angle / 2
+        anc = len(controls) - 1
+        flips = [gate("PauliX", (q,)) for q in _zero_controls(g)]
+        compute, top, uncompute = _v_chain(controls, range(n, n + anc), toffoli_mode)
+        # controlled Ry(theta) = Ry(theta/2) . CNOT . Ry(-theta/2) . CNOT
+        ry1, r1 = _ry(t, -half, eps)
+        ry2, r2 = _ry(t, half, eps)
+        cnot = gate("CNOT", (top, t))
+        return [*flips, *compute, cnot, *ry1, cnot, *ry2, *uncompute, *flips], anc, r1 + r2
+    raise CompileError(f"cannot lower gate tag {tag!r}")
 
 
 def compile_circuit(circuit: Circuit,
@@ -232,18 +208,39 @@ def compile_circuit(circuit: Circuit,
     Returns the compiled circuit and its resource report; in cost-model
     mode each Rz placeholder is charged ceil(3b)+11 toward compiled_T.
     """
-    low = _Lowerer(circuit.n_qubits, cfg)
+    n = circuit.n_qubits
+    eps = cfg.eps if cfg.rz_mode == "gridsynth" else None
+    # gate -> (its _lower triple, the controls it flips)
+    blocks: Dict[Gate, Tuple[List[Gate], int, int, List[int]]] = {}
+    gates: List[Gate] = []
+    n_anc = n_rot = 0
+    flips: List[int] = []        # the X-flipped controls closing the last gate
     for g in circuit.gates:
-        low.lower(g)
+        if g.tag in _PASSTHROUGH:
+            gates.append(g)
+            flips = []
+            continue
+        block = blocks.get(g)
+        if block is None:
+            block = blocks[g] = (*_lower(g, n, cfg.toffoli_mode, eps), _zero_controls(g))
+        body, anc, rot, new = block
+        both = set(flips).intersection(new) if flips and new else None
+        if both:
+            # the last gate's closing X and this one's opening X on a qubit
+            # in both masks cancel; copies keep the memoized blocks intact
+            k = len(gates) - len(flips)
+            gates[k:] = [x for x in gates[k:] if x.qubits[0] not in both]
+            body = [x for x in body[:len(new)] if x.qubits[0] not in both] + body[len(new):]
+        gates += body
+        flips = new
+        n_anc = max(n_anc, anc)
+        n_rot += rot
     registers = dict(circuit.registers)
-    if low.max_anc and "ancilla" not in registers:
-        registers["ancilla"] = (circuit.n_qubits,
-                                circuit.n_qubits + low.max_anc)
-    out = Circuit(circuit.n_qubits + low.max_anc, low.gates, registers)
+    if n_anc and "ancilla" not in registers:
+        registers["ancilla"] = (n, n + n_anc)
+    out = Circuit(n + n_anc, gates, registers)
     report = count_resources(out)
-    extra = low.n_placeholders * cost_model_t_count(cfg.eps)
-    report = replace(report,
-                     n_rz_synth=low.n_rz_synth,
-                     compiled_T=report.compiled_T + extra,
+    extra = n_rot * cost_model_t_count(cfg.eps) if eps is None else 0
+    report = replace(report, n_rz_synth=n_rot, compiled_T=report.compiled_T + extra,
                      t_proxy=report.t_proxy + extra)
     return out, report

@@ -34,7 +34,7 @@ from .circuit_core import is_pi4_multiple
 from .rings import (
     RingError, ZOmega, ZSqrt2,
     ZO_DELTA, ZO_UNIT_LOG, ZO_ZERO,
-    round_div, zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2, zo_from_zmd,
+    round_div, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2,
     zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_pow, zo_rot,
     zo_sqrt2_divisible, zo_sub,
     zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_mul, zs_norm,
@@ -157,10 +157,11 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
             else:
                 t = zo_mul(t, zo_pow(zo_from_zsqrt2(pi), v1 // 2))
                 t = zo_mul(t, zo_pow(zo_from_zsqrt2((pi[0], -pi[1])), v2 // 2))
-        else:  # p inert in Z[sqrt2], so f is even; p = x^2 + d y^2
-            d = 1 if r == 5 else 2
-            eta = zmd_gcd((p, 0), (sqrt_mod(p - d, p), -1), d)
-            t = zo_mul(t, zo_pow(zo_from_zmd(eta, d), f // 2))
+        else:  # p inert in Z[sqrt2], so f is even; p = eta.conj * eta for
+            # eta = gcd(p, x - sqrt(-d)), x^2 = -d (mod p), d = 1 (r = 5) or 2
+            x = sqrt_mod(p - 1 if r == 5 else p - 2, p)
+            eta = zo_gcd((p, 0, 0, 0), (x, 0, -1, 0) if r == 5 else (x, -1, 0, -1))
+            t = zo_mul(t, zo_pow(eta, f // 2))
     # fix the remaining totally positive unit s = lambda^(2m) = a + b sqrt2:
     # 2a = lambda^2|m| + lambda^-2|m| and sign(b) = sign(m), as a + b sqrt2
     # cancels to noise in floats for m < -10.  Wrong factors fail the check.

@@ -1,19 +1,20 @@
 """Exact arithmetic in the rings behind Clifford+T synthesis.
 
 Every ring element is a plain int tuple, and every operation on it is a
-module-level function here (zs_*, zo_*, zmd_*), so exact synthesis, the
-grid operators and the Diophantine solver share one implementation:
+module-level function here (zs_*, zo_*), so exact synthesis, the grid
+operators and the Diophantine solver share one implementation:
 
 ZSqrt2 : a + b*sqrt(2) as the pair (a, b)                (real quadratic ring)
 ZOmega : a + b*w + c*w^2 + d*w^3 with w = e^{i pi/4} as the tuple
          (a, b, c, d)                            (8th cyclotomic integers)
-Z[sqrt(-d)], d in {1, 2}: x + y*sqrt(-d) as the pair (x, y), used only by
-         zmd_gcd to split primes p = 3, 5 (mod 8)
 
 Addition, negation, the Galois conjugate (a, -b) and the zero test of a
 ZSqrt2 are written inline where they occur.
 
-All are norm-Euclidean, so gcds run by rounded division; ZOmega's
+ZOmega holds i = w^2 and sqrt(-2) = w + w^3, so a ZOmega gcd also splits the
+primes p = 3, 5 (mod 8) that stay prime in ZSqrt2 (the Diophantine solver).
+
+Both are norm-Euclidean, so gcds run by rounded division; ZOmega's
 coefficient-wise rounding is not always a Euclidean witness, so its mod step
 falls back to a small perturbation search around the rounded quotient.
 """
@@ -252,27 +253,3 @@ def zo_gcd(u: ZOmega, v: ZOmega) -> ZOmega:
     while v != ZO_ZERO:
         u, v = v, zo_mod(u, v)
     return u
-
-
-# ---------------------------------------------------------------------------
-# Z[sqrt(-d)] for d in {1, 2}, element x + y sqrt(-d) as the pair (x, y);
-# used by the Diophantine solver to split primes p = 5 (d = 1) and p = 3
-# (d = 2) mod 8
-
-
-def zmd_gcd(u: Tuple[int, int], v: Tuple[int, int], d: int) -> Tuple[int, int]:
-    """Euclidean gcd in Z[sqrt(-d)], quotients rounded coefficient-wise."""
-    while v != (0, 0):
-        (a, b), (c, e) = u, v
-        n = c * c + d * e * e
-        # u conj(v) / n, rounded
-        qa = round_div(a * c + d * b * e, n)
-        qb = round_div(b * c - a * e, n)
-        u, v = v, (a - c * qa + d * e * qb, b - c * qb - e * qa)
-    return u
-
-
-def zo_from_zmd(u: Tuple[int, int], d: int) -> ZOmega:
-    """Embed x + y sqrt(-d): i = w^2 and sqrt(-2) = w + w^3."""
-    x, y = u
-    return (x, 0, y, 0) if d == 1 else (x, y, 0, y)

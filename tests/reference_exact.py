@@ -2,7 +2,7 @@
 for its shorter form: exact synthesis by best-first search over the column
 steps, the replay of every H T^{-j} step onto the whole matrix that finds
 the Clifford tail, and the Diophantine solver with its defensive
-branches."""
+branches and its gcd in Z[sqrt(-d)] for the primes p = 3, 5 (mod 8)."""
 from __future__ import annotations
 
 import math
@@ -15,12 +15,36 @@ from qsprep.gridsynth import _LOG_LAMBDA, _T_WORD, RingMatrix
 from qsprep.rings import (
     RingError, ZOmega, ZSqrt2,
     ZO_DELTA, ZO_ONE, ZO_UNIT_LOG, ZO_ZERO,
-    zmd_gcd, zo_abs_sq, zo_add, zo_div_sqrt2, zo_from_zmd,
+    round_div, zo_abs_sq, zo_add, zo_div_sqrt2,
     zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_pow, zo_rot,
     zo_sqrt2_divisible, zo_sub,
     zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_norm,
     zs_sqrt2_valuation, zs_totally_positive,
 )
+
+
+# ---------------------------------------------------------------------------
+# Z[sqrt(-d)] for d in {1, 2}, element x + y sqrt(-d) as the pair (x, y);
+# used by the Diophantine solver to split primes p = 5 (d = 1) and p = 3
+# (d = 2) mod 8
+
+
+def zmd_gcd(u: Tuple[int, int], v: Tuple[int, int], d: int) -> Tuple[int, int]:
+    """Euclidean gcd in Z[sqrt(-d)], quotients rounded coefficient-wise."""
+    while v != (0, 0):
+        (a, b), (c, e) = u, v
+        n = c * c + d * e * e
+        # u conj(v) / n, rounded
+        qa = round_div(a * c + d * b * e, n)
+        qb = round_div(b * c - a * e, n)
+        u, v = v, (a - c * qa + d * e * qb, b - c * qb - e * qa)
+    return u
+
+
+def zo_from_zmd(u: Tuple[int, int], d: int) -> ZOmega:
+    """Embed x + y sqrt(-d): i = w^2 and sqrt(-2) = w + w^3."""
+    x, y = u
+    return (x, 0, y, 0) if d == 1 else (x, y, 0, y)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qsprep.benchmark_states import BenchmarkSpec, make_state
 from qsprep.circuit_core import Circuit, Gate, count_resources
 from qsprep.cliffordt_compile import (
     TOFFOLI_MODES, CompileError, SynthesisConfig, compile_circuit,
-    _lowered_toffoli, cost_model_t_count, lower_mcx,
+    _lower, _zero_controls, cost_model_t_count, lower_mcx,
 )
 from qsprep.gridsynth import exactly_preparable
+from qsprep.rotation_synthesis import synthesize_sparse
+from qsprep.simulator import simulate
 from util import circuit_unitary, phase_dist, ry_matrix, rz_matrix, tags_to_unitary
 
 TOFFOLI = np.eye(8, dtype=complex)
@@ -80,7 +84,8 @@ def test_rewrite_ry_matrix_checks():
 
 
 def test_gidney_toffoli_counts_and_action():
-    gates = _lowered_toffoli(0, 1, 2, 3, "gidney_and_measured")
+    gates, anc, rot = _lower(Gate("Toffoli", (0, 1, 2)), 3, "gidney_and_measured", None)
+    assert (anc, rot) == (1, 0)
     rep = count_resources(Circuit(4, gates))
     assert rep.compiled_T == 4
     u = circuit_unitary(Circuit(4, gates))
@@ -88,7 +93,8 @@ def test_gidney_toffoli_counts_and_action():
 
 
 def test_textbook_toffoli_counts_and_action():
-    gates = _lowered_toffoli(0, 1, 2, None, "textbook_7T")
+    gates, anc, rot = _lower(Gate("Toffoli", (0, 1, 2)), 3, "textbook_7T", None)
+    assert (anc, rot) == (0, 0)
     rep = count_resources(Circuit(3, gates))
     assert rep.compiled_T == 7
     assert np.allclose(circuit_unitary(Circuit(3, gates)), TOFFOLI, atol=1e-12)
@@ -183,24 +189,26 @@ def test_interned_lowering_equals_plain_gates(mode, monkeypatch):
     # the pipeline exercises every interned gadget; rebuilding it with a
     # plain Gate(...) per emission must give the same gate stream
     from qsprep import alias_prepare, cliffordt_compile
-    from qsprep.benchmark_states import BenchmarkSpec, make_state
 
     p = make_state(BenchmarkSpec("dense_random", n=4, seed=3)).probabilities()
     circ = Circuit(5, [_random_logical_gate(random.Random(5), 5) for _ in range(40)])
     cfg = SynthesisConfig(b=8, toffoli_mode=mode)
 
     def build():
+        # one _lower call per gate: compile_circuit shares repeated blocks
         pipe = alias_prepare.prepare_alias_state(p, 5, backend="selectswap")
-        return [compile_circuit(c, cfg)[0] for c in (pipe.circuit, circ)]
+        return pipe.circuit, [[x for g in c.gates
+                               for x in _lower(g, c.n_qubits, mode, cfg.eps)[0]]
+                              for c in (pipe.circuit, circ)]
 
-    interned = build()
+    pipeline, interned = build()
     for mod in (alias_prepare, cliffordt_compile):
         monkeypatch.setattr(mod, "gate", Gate)
-    monkeypatch.setattr(cliffordt_compile, "_lowered_toffoli",
-                        cliffordt_compile._lowered_toffoli.__wrapped__)
-    plain = build()
-    assert len({id(g) for g in plain[0].gates}) == len(plain[0].gates)
+    plain = build()[1]
+    assert len({id(g) for g in plain[0]}) == len(plain[0])
     assert interned == plain
+    # the pipeline has no MultiControlledRy, so no mask flip cancels
+    assert list(compile_circuit(pipeline, cfg)[0].gates) == interned[0]
 
 
 def test_memoization_shares_repeated_angles():
@@ -218,11 +226,62 @@ def test_unknown_tag_is_compile_error():
     class Fake:
         tag = "Mystery"
         qubits = (0,)
-    circ = Circuit(1, [])
-    from qsprep.cliffordt_compile import _Lowerer
-    low = _Lowerer(1, SynthesisConfig(b=4))
     with pytest.raises(CompileError):
-        low.lower(Fake())
+        _lower(Fake(), 1, "gidney_and_measured", 2.0 ** -4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TOFFOLI_MODES), st.data())
+def test_consecutive_mcry_flips_cancel_and_keep_the_state(mode, data):
+    # every MultiControlledRy has qubit 0 as a zero control, so consecutive
+    # ones always share a flip; a CNOT between two stops the rule
+    n = 5
+    gates = []
+    for _ in range(data.draw(st.integers(2, 7))):
+        if gates and data.draw(st.booleans()):
+            gates.append(Gate("CNOT", tuple(data.draw(st.permutations(range(n)))[:2])))
+        rest = data.draw(st.permutations(range(1, n)))
+        c = data.draw(st.integers(0, 2))
+        mask = (0,) + tuple(data.draw(st.lists(st.integers(0, 1), min_size=c, max_size=c)))
+        angle = data.draw(st.one_of(st.sampled_from([math.pi / 2, -math.pi]),
+                                    st.floats(-3.0, 3.0, allow_nan=False)))
+        gates.append(Gate("MultiControlledRy", (0, *rest[:c + 1]), angle=angle, mask=mask))
+    circ = Circuit(n, gates)
+    # cost-model keeps every non-exact Rz as an exact placeholder rotation
+    cfg = SynthesisConfig(b=10, toffoli_mode=mode, rz_mode="cost-model")
+    out, _ = compile_circuit(circ, cfg)
+    cancelled = sum(len(set(_zero_controls(a)) & set(_zero_controls(b)))
+                    for a, b in zip(gates, gates[1:]))
+    blocks = sum(len(_lower(g, n, mode, None)[0]) for g in gates)
+    assert len(out.gates) == blocks - 2 * cancelled
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi /= np.linalg.norm(psi)
+    anc0 = np.zeros(1 << (out.n_qubits - n))
+    anc0[0] = 1.0
+    got = simulate(out, initial=np.kron(psi, anc0))
+    want = np.kron(simulate(circ, initial=psi), anc0)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [BenchmarkSpec("thc_toy", seed=3),
+                                  BenchmarkSpec("magnus", k=4),
+                                  BenchmarkSpec("dicke", n=8, k=2)])
+def test_no_x_pair_at_a_junction_of_consecutive_mcry(spec):
+    # the closing flips of one gate and the opening flips of the next form
+    # one run of X gates; no qubit may appear twice in such a run
+    logical = synthesize_sparse(make_state(spec))
+    out, _ = compile_circuit(logical, SynthesisConfig(b=4, rz_mode="cost-model"))
+    junctions = sum(a.tag == b.tag == "MultiControlledRy"
+                    for a, b in zip(logical.gates, logical.gates[1:]))
+    assert junctions > 0
+    run = []
+    for g in (*out.gates, None):
+        if g is not None and g.tag == "PauliX":
+            run.append(g.qubits[0])
+            continue
+        assert len(run) == len(set(run)), run
+        run = []
 
 
 def test_cost_model_fallback():

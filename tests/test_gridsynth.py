@@ -124,11 +124,11 @@ def test_diophantine_matches_reference_on_totally_positive_xi(xi, factors):
     assert t is None or zo_abs_sq(t) == xi
 
 
-@pytest.mark.parametrize("factor", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("factor", [(1, 0, 0, 0), (2, 1, 0, 1)])
 def test_diophantine_wrong_factor_is_an_internal_error(factor, monkeypatch):
     # 9 = 3^2 is solvable, so a prime split that does not multiply back is
     # a bug to report, not a candidate to skip
-    monkeypatch.setattr(gridsynth, "zmd_gcd", lambda u, v, d: factor)
+    monkeypatch.setattr(gridsynth, "zo_gcd", lambda u, v: factor)
     with pytest.raises(RuntimeError, match="no root"):
         solve_diophantine((9, 0))
 

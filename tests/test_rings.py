@@ -8,11 +8,12 @@ from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from qsprep.rings import (
     ZO_DELTA, ZO_SQRT2, ZO_UNIT_LOG, ZO_ZERO, _zo_norm_cofactor,
-    zmd_gcd, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2,
-    zo_from_zmd, zo_galois, zo_gcd, zo_mod, zo_mul, zo_norm, zo_rot,
+    zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2,
+    zo_galois, zo_gcd, zo_mod, zo_mul, zo_norm, zo_rot,
     zo_sqrt2_divisible, zo_sub, zs_divides, zs_gcd, zs_lambda_power, zs_mul,
     zs_norm, zs_sign, zs_sqrt2_valuation, zs_totally_positive,
 )
+from reference_exact import zmd_gcd, zo_from_zmd
 
 _i = st.integers(-50, 50)
 _zs = st.tuples(_i, _i)
@@ -199,14 +200,18 @@ def test_unit_log():
 
 def test_zmd_gcd_splits_primes():
     # p = 5 (mod 8) splits in Z[i], p = 3 (mod 8) in Z[sqrt(-2)]: the gcd of
-    # p and sqrt(-d) mod p - sqrt(-d) is a prime x + y sqrt(-d) over p
+    # p and x - sqrt(-d), x^2 = -d (mod p), is a prime over p, and taken in
+    # Z[omega] (i = w^2, sqrt(-2) = w + w^3) it is the reference's Z[sqrt(-d)]
+    # gcd embedded
     checked = {1: 0, 2: 0}
     for p in primerange(3, 5000):
         d = {5: 1, 3: 2}.get(p % 8)
         if d is None:
             continue
-        x, y = eta = zmd_gcd((p, 0), (sqrt_mod(p - d, p), -1), d)
-        assert x * x + d * y * y == p, (p, eta)
-        assert zo_abs_sq(zo_from_zmd(eta, d)) == (p, 0)
+        x = sqrt_mod(p - d, p)
+        eta = zo_gcd((p, 0, 0, 0), (x, 0, -1, 0) if d == 1 else (x, -1, 0, -1))
+        ref = zmd_gcd((p, 0), (x, -1), d)
+        assert eta == zo_from_zmd(ref, d), (p, eta, ref)
+        assert zo_abs_sq(eta) == (p, 0)
         checked[d] += 1
     assert checked[1] > 100 and checked[2] > 100
