@@ -11,8 +11,11 @@ Pipeline per precision eps = 2^-b:
      in ellipses, a grid operator found once per angle makes both upright,
      and each k enumerates the upright pair with four 1D grid problems.
   3. for each candidate solve the Diophantine equation t.conj t = xi with
-     xi = 2^k - u.conj u over Z[sqrt2] by factoring its integer norm and
-     splitting primes in Z[omega] / Z[i] / Z[sqrt-2].
+     xi = 2^k - u.conj u over Z[sqrt2] by factoring its integer norm
+     (`rings.factorize`, under a fixed effort cap) and splitting each prime
+     by a gcd: in Z[sqrt2] for p = 1, 7 (mod 8), then in Z[omega] for
+     p = 1 (mod 8) and the inert p = 3, 5 (mod 8).  A candidate whose norm
+     does not factor within the cap is skipped, as Ross and Selinger do.
   4. exactly synthesize the resulting ring unitary, times the octant's
      T^m, into H/T/S/X gates by H T^-j steps that each lower the sde (no
      search, no H.H pair), each j or j + 4, whichever costs fewer gates.
@@ -27,14 +30,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
-from sympy import factorint
-from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from .circuit_core import is_pi4_multiple
 from .rings import (
     RingError, ZOmega, ZSqrt2,
     ZO_DELTA, ZO_UNIT_LOG, ZO_ZERO,
-    round_div, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2,
+    factorize, round_div, sqrt_mod_prime, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2,
     zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_pow, zo_rot,
     zo_sqrt2_divisible, zo_sub,
     zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_mul, zs_norm,
@@ -118,7 +119,7 @@ def _split_prime_1mod8(pi: ZSqrt2, p: int) -> ZOmega:
     lies over pi, i.e. with pi(w -> y) = 0 (mod p).  w -> y and w -> -y
     send sqrt2 = w - w^3 to the two opposite roots of 2 mod p, so exactly
     one of y and p - y does."""
-    y = sqrt_mod(sqrt_mod(p - 1, p), p)
+    y = sqrt_mod_prime(sqrt_mod_prime(p - 1, p), p)
     if (pi[0] + pi[1] * (y - pow(y, 3, p))) % p:
         y = p - y
     return zo_gcd(zo_from_zsqrt2(pi), (-y, 1, 0, 0))
@@ -131,9 +132,10 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
     prime of Z[sqrt2] over a p = 7 (mod 8) divides it to an even power
     (Ross & Selinger, arXiv:1403.2975): those primes stay prime in
     Z[omega], while sqrt2, the primes over p = 1 (mod 8) and the inert
-    p = 3, 5 (mod 8) all are t.conj * t up to a unit.  Those two tests are
-    the only None returns; a root that does not multiply back to xi is a
-    bug and raises RuntimeError.
+    p = 3, 5 (mod 8) all are t.conj * t up to a unit.  Those two tests,
+    and a norm that `rings.factorize` gives up on after FACTOR_EFFORT rho
+    steps, are the only None returns; a root that does not multiply back
+    to xi is a bug and raises RuntimeError.
     """
     if xi == (0, 0):
         return ZO_ZERO
@@ -143,10 +145,13 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
     t = zo_pow(ZO_DELTA, m)
     # the norm is odd, and negative for an odd sqrt2 valuation; the sign
     # lands in the unit fix
-    for p, f in factorint(abs(zs_norm(xi0))).items():
+    factors = factorize(abs(zs_norm(xi0)))
+    if factors is None:       # over the effort cap: skip this candidate
+        return None
+    for p, f in factors.items():
         r = p % 8
         if r in (1, 7):  # p = pi pi* splits in Z[sqrt2]
-            pi = zs_gcd((p, 0), (sqrt_mod(2, p), -1))
+            pi = zs_gcd((p, 0), (sqrt_mod_prime(2, p), -1))
             v1 = _zs_valuation(xi0, pi)
             v2 = f - v1
             if r == 1:
@@ -159,7 +164,7 @@ def solve_diophantine(xi: ZSqrt2) -> Optional[ZOmega]:
                 t = zo_mul(t, zo_pow(zo_from_zsqrt2((pi[0], -pi[1])), v2 // 2))
         else:  # p inert in Z[sqrt2], so f is even; p = eta.conj * eta for
             # eta = gcd(p, x - sqrt(-d)), x^2 = -d (mod p), d = 1 (r = 5) or 2
-            x = sqrt_mod(p - 1 if r == 5 else p - 2, p)
+            x = sqrt_mod_prime(p - 1 if r == 5 else p - 2, p)
             eta = zo_gcd((p, 0, 0, 0), (x, 0, -1, 0) if r == 5 else (x, -1, 0, -1))
             t = zo_mul(t, zo_pow(eta, f // 2))
     # fix the remaining totally positive unit s = lambda^(2m) = a + b sqrt2:

@@ -21,6 +21,16 @@ cost of building the unitary.  The unitary is the product of per-gate local
 matrices that `_apply` itself builds on an identity.  Any other group, and
 every Rz and Ry-family gate, goes through `_apply` gate by gate.
 
+`simulate` allocates one scratch array per call, at most two states long.
+Every temporary of the gate loop is written into it with `out=` or
+`np.copyto`: the swap copy, the Hadamard and Ry products (two half-state
+slots), and a dense pass's gathered chunk and matmul product (two chunk
+slots).  So the loop allocates nothing per gate; a fresh half-state
+temporary per gate costs a page fault per 4 KiB whenever the allocator
+returns its memory to the system.  The arithmetic is the same with or
+without scratch, so the states are bit-identical; `apply_gate` and
+`_local_matrix` pass none and get fresh arrays.
+
 A sampling pipeline is Hadamards on m fresh inputs plus classical gates, so
 `pipeline_histogram` runs all 2^m input assignments at once on bit planes
 (one Python int per qubit, one bit per assignment) and counts the address
@@ -62,27 +72,37 @@ def _halves(v: np.ndarray, q: int, pins: Iterable = ()):
     return _pin(v, pins + ((q, 0),)), _pin(v, pins + ((q, 1),))
 
 
-def _swap(a: np.ndarray, b: np.ndarray) -> None:
-    t = a.copy()
+def _tmp(scratch: Optional[np.ndarray], like: np.ndarray, slot: int = 0) -> np.ndarray:
+    """An uninitialized C-ordered array of like's shape: slot 0 or 1 of
+    `scratch` (each slot like.size long), or a new array if scratch is None."""
+    if scratch is None:
+        return np.empty(like.shape, dtype=complex)
+    return scratch[slot * like.size:(slot + 1) * like.size].reshape(like.shape)
+
+
+def _swap(a: np.ndarray, b: np.ndarray, scratch: Optional[np.ndarray]) -> None:
+    t = _tmp(scratch, a)
+    np.copyto(t, a)
     a[...] = b
     b[...] = t
 
 
-def _apply(v: np.ndarray, g: Gate) -> None:
-    """Apply g in place to the (2,)*n view v."""
+def _apply(v: np.ndarray, g: Gate, scratch: Optional[np.ndarray] = None) -> None:
+    """Apply g in place to the (2,)*n view v; its temporaries, half the
+    state at most, go to `scratch` (v.size amplitudes) if given."""
     tag, qs = g.tag, g.qubits
     if tag in _PHASES:
         a = _pin(v, ((qs[0], 1),))
         a *= _PHASES[tag]
     elif tag in ("PauliX", "CNOT", "Toffoli", "ANDU"):    # X on the last operand
-        _swap(*_halves(v, qs[-1], ((c, 1) for c in qs[:-1])))
+        _swap(*_halves(v, qs[-1], ((c, 1) for c in qs[:-1])), scratch)
     elif tag in ("Swap", "ControlledSwap"):
         *flag, a, b = qs
         on = tuple((f, 1) for f in flag)
-        _swap(_pin(v, on + ((a, 0), (b, 1))), _pin(v, on + ((a, 1), (b, 0))))
+        _swap(_pin(v, on + ((a, 0), (b, 1))), _pin(v, on + ((a, 1), (b, 0))), scratch)
     elif tag == "Hadamard":
         a0, a1 = _halves(v, qs[0])
-        t = a1 * _R
+        t = np.multiply(a1, _R, out=_tmp(scratch, a1))
         a0 *= _R
         np.subtract(a0, t, out=a1)
         a0 += t
@@ -94,9 +114,9 @@ def _apply(v: np.ndarray, g: Gate) -> None:
         # (a0, a1) <- (c a0 - s a1, s a0 + c a1) where the controls match
         a0, a1 = _halves(v, qs[-1], zip(qs[:-1], g.mask or ()))
         c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
-        t = a0 * s
+        t = np.multiply(a0, s, out=_tmp(scratch, a0))
         a0 *= c
-        a0 -= a1 * s
+        a0 -= np.multiply(a1, s, out=_tmp(scratch, a1, 1))
         a1 *= c
         a1 += t
     else:
@@ -193,15 +213,26 @@ def _group_unitary(group: Sequence[Gate], qs: List[int]) -> np.ndarray:
     return u
 
 
-def _apply_matrix(v: np.ndarray, u: np.ndarray, qs: Sequence[int]) -> None:
+def _apply_matrix(v: np.ndarray, u: np.ndarray, qs: Sequence[int],
+                  scratch: Optional[np.ndarray] = None) -> None:
     """v <- u on the qubits qs (the row index reads them MSB first), in place,
-    one chunk of the other qubits' values at a time."""
+    one chunk of the other qubits' values at a time.  A chunk whose axes do
+    not merge into a 2^k-row matrix is gathered first; the gathered chunk
+    and the product go to `scratch` (twice the chunk size) if given."""
     k = len(qs)
     outer = [q for q in range(v.ndim) if q not in qs][:max(0, v.ndim - _CHUNK_QUBITS)]
     moved = np.moveaxis(v, outer + list(qs), range(len(outer) + k))
     for i in np.ndindex(moved.shape[:len(outer)]):
         x = moved[i]
-        x[...] = np.dot(u, x.reshape(1 << k, -1)).reshape(x.shape)
+        try:
+            rows = x.reshape(1 << k, -1, copy=False)
+        except ValueError:
+            gathered = _tmp(scratch, x)
+            np.copyto(gathered, x)
+            rows = gathered.reshape(1 << k, -1)
+        out = _tmp(scratch, x, 1)
+        np.dot(u, rows, out=out.reshape(1 << k, -1))
+        np.copyto(x, out)
 
 
 def _fusion_plan(gates: Sequence[Gate], size: int) -> List[Tuple[int, int, int]]:
@@ -266,21 +297,29 @@ def simulate(circuit: Circuit, initial: Optional[np.ndarray] = None,
         state = np.asarray(initial, dtype=complex).reshape(-1).copy()
         if state.size != 1 << n:
             raise ValueError("initial state dimension mismatch")
-    v = state.reshape((2,) * n)
-    gates = circuit.gates
+    # room for two half-state temporaries of `_apply`, or two chunks of a
+    # dense pass: one state at n > _CHUNK_QUBITS, else two
+    scratch = np.empty(max(state.size, 2 * min(state.size, 1 << _CHUNK_QUBITS)),
+                       dtype=complex)
+    _run(state.reshape((2,) * n), circuit.gates, scratch)
+    return state
+
+
+def _run(v: np.ndarray, gates: Sequence[Gate], scratch: Optional[np.ndarray] = None) -> None:
+    """Apply gates in place to the (2,)*n view v, fused as `_fusion_plan`
+    says, with every temporary in `scratch` if given."""
     done = 0
     with np.errstate():
         # restored on exit; 1024-value ufunc buffers ran strided slices ~18 % faster
         np.setbufsize(1024)
-        for start, stop, mask in _fusion_plan(gates, state.size):
+        for start, stop, mask in _fusion_plan(gates, v.size):
             for g in gates[done:start]:
-                _apply(v, g)
-            qs = [q for q in range(n) if mask >> q & 1]
-            _apply_matrix(v, _group_unitary(gates[start:stop], qs), qs)
+                _apply(v, g, scratch)
+            qs = [q for q in range(v.ndim) if mask >> q & 1]
+            _apply_matrix(v, _group_unitary(gates[start:stop], qs), qs, scratch)
             done = stop
         for g in gates[done:]:
-            _apply(v, g)
-    return state
+            _apply(v, g, scratch)
 
 
 def _propagate(circuit: Circuit, planes: List[int], ones: int, inputs: Dict[int, int]) -> None:

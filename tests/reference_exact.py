@@ -1,8 +1,9 @@
 """The exact back end that `gridsynth` replaced, kept as the test oracle
 for its shorter form: exact synthesis by best-first search over the column
 steps, the replay of every H T^{-j} step onto the whole matrix that finds
-the Clifford tail, and the Diophantine solver with its defensive
-branches and its gcd in Z[sqrt(-d)] for the primes p = 3, 5 (mod 8)."""
+the Clifford tail, the Diophantine solver with its defensive
+branches and its gcd in Z[sqrt(-d)] for the primes p = 3, 5 (mod 8), and
+the Z[omega] Euclidean step that multiplies out each quotient it tries."""
 from __future__ import annotations
 
 import math
@@ -15,12 +16,41 @@ from qsprep.gridsynth import _LOG_LAMBDA, _T_WORD, RingMatrix
 from qsprep.rings import (
     RingError, ZOmega, ZSqrt2,
     ZO_DELTA, ZO_ONE, ZO_UNIT_LOG, ZO_ZERO,
-    round_div, zo_abs_sq, zo_add, zo_div_sqrt2,
-    zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_pow, zo_rot,
+    _zo_norm_cofactor, round_div, zo_abs_sq, zo_add, zo_div_sqrt2,
+    zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_norm, zo_pow, zo_rot,
     zo_sqrt2_divisible, zo_sub,
     zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_norm,
     zs_sqrt2_valuation, zs_totally_positive,
 )
+
+
+# ---------------------------------------------------------------------------
+# Z[omega] remainder: a product v q and a subtraction for each of the 27+
+# quotients q around the rounded one
+
+
+def zo_mod(u: ZOmega, v: ZOmega) -> ZOmega:
+    n = zo_norm(v)
+    q0 = [round_div(x, n) for x in zo_mul(u, _zo_norm_cofactor(v))]
+    best = None
+    nv = abs(n)
+    # coefficient rounding may miss the Euclidean witness; search nearby
+    for da in (0, -1, 1):
+        for db in (0, -1, 1):
+            for dc in (0, -1, 1):
+                for dd in (0, -1, 1):
+                    q = (q0[0] + da, q0[1] + db, q0[2] + dc, q0[3] + dd)
+                    r = zo_sub(u, zo_mul(v, q))
+                    nr = abs(zo_norm(r))
+                    if best is None or nr < best[0]:
+                        best = (nr, r)
+                    if nr == 0:
+                        return r
+        if best[0] < nv and da == 0:
+            break  # plain rounding already gave a Euclidean witness
+    if best[0] >= nv:
+        raise RingError("ZOmega Euclidean step failed")
+    return best[1]
 
 
 # ---------------------------------------------------------------------------

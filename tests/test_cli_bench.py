@@ -399,6 +399,23 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
     assert "usage: qsprep" in proc.stdout
 
 
+def test_importing_the_package_loads_no_sympy(tmp_path):
+    # sympy is a test dependency only: the Diophantine solver factors with
+    # rings.factorize
+    src = str(Path(qsprep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, sys, qsprep, qsprep.cli_bench; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('sympy', 'qsprep'))))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "qsprep.gridsynth" in loaded and "qsprep.cli_bench" in loaded
+    assert not [m for m in loaded if m.startswith("sympy")]
+
+
 def test_estimate_at_b30_exits_zero(capsys):
     assert main(["estimate", "--family", "w", "--n", "3", "--method", "dense",
                  "--b", "30"]) == 0

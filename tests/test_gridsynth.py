@@ -3,22 +3,24 @@ import json
 import math
 import os
 import random
+import time
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import factorint, nextprime
 
 import reference_exact
 import reference_scan
-from qsprep import gridsynth
+from qsprep import gridsynth, rings
 from qsprep.gridsynth import (
     RingMatrix, SynthesisError, _EpsRegion, _op_value, exact_synthesize,
     exactly_preparable,
     solve_diophantine, solve_grid_1d, synthesize_rz_tags,
 )
 from qsprep.rings import (
-    ZO_ONE, ZO_ZERO, zo_abs_sq, zo_add, zo_from_zsqrt2, zo_mul, zo_rot, zo_sub,
-    zs_lambda_power, zs_mul,
+    ZO_ONE, ZO_ZERO, factorize, zo_abs_sq, zo_add, zo_from_zsqrt2, zo_mul, zo_rot,
+    zo_sub, zs_lambda_power, zs_mul, zs_norm, zs_sqrt2_valuation,
 )
 from reference_preparable import search_preparable
 from util import phase_dist_1q, phase_dist_1q_mp, rz_matrix, tags_to_unitary
@@ -122,6 +124,79 @@ def test_diophantine_matches_reference_on_totally_positive_xi(xi, factors):
     t = solve_diophantine(xi)
     assert t == reference_exact.solve_diophantine(xi)
     assert t is None or zo_abs_sq(t) == xi
+
+
+def _candidate_norms(count):
+    """|N(xi0)|, the integer `solve_diophantine` factors, of every candidate
+    u at k0 + 2 .. k0 + 7 (xi = 2^k - |u|^2 = sqrt2^m xi0) for seeded angles
+    at b = 10, 20, 30 and 40."""
+    rng = random.Random(19)
+    norms = []
+    while len(norms) < count:
+        theta = rng.uniform(-math.pi, math.pi)
+        phi0 = -(theta - round(theta / (math.pi / 4)) * math.pi / 4) / 2
+        for b in (10, 20, 30, 40):
+            region = _EpsRegion(phi0, 2.0 ** -b)
+            k0 = int(1.5 * b) - 2
+            for k in range(k0 + 2, k0 + 8):
+                for u in region.candidates(k):
+                    n, m = zo_abs_sq(u)
+                    if (n, m) != (1 << k, 0):
+                        norms.append(abs(zs_norm(zs_sqrt2_valuation(((1 << k) - n, -m))[1])))
+    return norms
+
+
+def test_factorize_matches_factorint_on_candidate_norms():
+    norms = _candidate_norms(10_000)
+    assert max(norms).bit_length() >= 44
+    for n in norms:
+        assert factorize(n) == factorint(n), n
+
+
+def _prime_1mod8(start):
+    p = nextprime(start)
+    while p % 8 != 1:
+        p = nextprime(p)
+    return p
+
+
+def test_a_norm_past_the_factoring_cap_skips_the_candidate():
+    # p q with p, q = 1 (mod 8) is some t.conj t, as both primes split in
+    # Z[omega]; but its norm (p q)^2 needs ~2^20 rho steps for 40-bit p
+    p, q = _prime_1mod8(1 << 40), _prime_1mod8(1 << 41)
+    t0 = time.perf_counter()
+    assert solve_diophantine((p * q, 0)) is None
+    assert time.perf_counter() - t0 < 1.0
+    # within the cap the same kind of xi is solved
+    p, q = _prime_1mod8(1 << 12), _prime_1mod8(1 << 13)
+    t = solve_diophantine((p * q, 0))
+    assert t is not None and zo_abs_sq(t) == (p * q, 0)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Records what each `factorize` call of the Diophantine solver returns."""
+    seen = []
+
+    def spy(n, _real=gridsynth.factorize):
+        seen.append(_real(n))
+        return seen[-1]
+
+    monkeypatch.setattr(gridsynth, "factorize", spy)
+    return seen
+
+
+def test_rz_words_meet_eps_when_the_cap_skips_candidates(monkeypatch, factorizations):
+    # with no rho steps allowed every norm with a composite part above the
+    # trial primes is skipped; the next candidates still give a word
+    monkeypatch.setattr(rings, "FACTOR_EFFORT", 0)
+    rng = random.Random(23)
+    for b in (12, 24, 40):
+        for _ in range(5):
+            theta = rng.uniform(-math.pi, math.pi)
+            tags = synthesize_rz_tags(theta, 2.0 ** -b)
+            assert float(phase_dist_1q_mp(tags, theta)) <= 2.0 ** -b, (b, theta)
+    assert factorizations.count(None) >= 5
 
 
 @pytest.mark.parametrize("factor", [(1, 0, 0, 0), (2, 1, 0, 1)])
@@ -359,7 +434,7 @@ _GOLDEN = os.path.join(os.path.dirname(__file__), "rz_golden.json")
     # exact quality; same_as_nested_scan marks (b <= 14) the words the
     # nested-1D scan also gave
     ("rz_golden_lattice.json", 162)])
-def test_rz_words_match_golden(name, count):
+def test_rz_words_match_golden(name, count, factorizations):
     with open(os.path.join(os.path.dirname(__file__), name), encoding="utf-8") as f:
         cases = json.load(f)["cases"]
     assert len(cases) == count
@@ -368,6 +443,7 @@ def test_rz_words_match_golden(name, count):
         got = " ".join(synthesize_rz_tags(theta, 2.0 ** -c["b"]))
         assert got == c["tags"], (c["b"], theta)
         assert "Hadamard Hadamard" not in got
+    assert factorizations and None not in factorizations    # no golden angle reaches the cap
 
 
 def test_rz_words_ignore_the_global_mpmath_precision():

@@ -1,13 +1,19 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import primerange
+from sympy import factorint, isprime, nextprime, primerange
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
+import reference_exact
+from qsprep import rings
 from qsprep.rings import (
     ZO_DELTA, ZO_SQRT2, ZO_UNIT_LOG, ZO_ZERO, _zo_norm_cofactor,
+    factorize, is_prime, sqrt_mod_prime,
     zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2,
     zo_galois, zo_gcd, zo_mod, zo_mul, zo_norm, zo_rot,
     zo_sqrt2_divisible, zo_sub, zs_divides, zs_gcd, zs_lambda_power, zs_mul,
@@ -215,3 +221,128 @@ def test_zmd_gcd_splits_primes():
         assert zo_abs_sq(eta) == (p, 0)
         checked[d] += 1
     assert checked[1] > 100 and checked[2] > 100
+
+
+def test_zo_mod_matches_the_one_product_per_quotient_reference():
+    # same search order, same early exits, so the same remainder
+    rng = random.Random(19)
+    checked = 0
+    while checked < 10_000:
+        bound = rng.choice((3, 50, 1 << 20, 1 << 45))
+        u = tuple(rng.randint(-bound, bound) for _ in range(4))
+        v = tuple(rng.randint(-bound, bound) for _ in range(4))
+        if v == ZO_ZERO:
+            continue
+        assert zo_mod(u, v) == reference_exact.zo_mod(u, v), (u, v)
+        checked += 1
+
+
+def test_zo_mod_matches_the_reference_along_every_inert_prime_gcd():
+    # each Euclidean step of the gcds that split p = 3, 5 (mod 8) in the
+    # Diophantine solver
+    steps = 0
+    for p in primerange(3, 5000):
+        if p % 8 not in (3, 5):
+            continue
+        x = sqrt_mod(p - 1 if p % 8 == 5 else p - 2, p)
+        u, v = (p, 0, 0, 0), (x, 0, -1, 0) if p % 8 == 5 else (x, -1, 0, -1)
+        while v != ZO_ZERO:
+            r = zo_mod(u, v)
+            assert r == reference_exact.zo_mod(u, v), (p, u, v)
+            u, v = v, r
+            steps += 1
+    assert steps > 900
+
+
+# ---------------------------------------------------------------------------
+# Integers: primality, the capped factorizer and Tonelli-Shanks against sympy
+
+
+def test_is_prime_matches_sympy():
+    rng = random.Random(5)
+    cases = [rng.randrange(1, 1 << rng.randint(1, 120)) for _ in range(5000)]
+    # products of two primes on both sides of the exact Miller-Rabin bound
+    for bits in (30, 41, 45, 60):
+        cases += [nextprime(rng.getrandbits(bits)) * nextprime(rng.getrandbits(bits))
+                  for _ in range(20)]
+    cases += [nextprime(rng.getrandbits(bits))
+              for bits in (70, 82, 83, 100, 160) for _ in range(10)]
+    # the least strong pseudoprime to the bases 2..37: base 41 exposes it
+    cases.append(318665857834031151167461)
+    for n in cases:
+        assert is_prime(n) == isprime(n), n
+
+
+def _chernick(ks):
+    """Carmichael numbers (6k + 1)(12k + 1)(18k + 1) with all three prime."""
+    return [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in ks
+            if isprime(6 * k + 1) and isprime(12 * k + 1) and isprime(18 * k + 1)]
+
+
+def test_carmichael_numbers_are_composite_past_the_miller_rabin_bound():
+    # above 3.3e24 the strong Lucas test decides; Carmichael numbers pass
+    # Fermat's test to every coprime base
+    big = _chernick(range(10 ** 8, 10 ** 8 + 20_000))
+    assert len(big) >= 3 and min(big) > rings._MR_EXACT_BELOW
+    assert not any(is_prime(n) for n in big)
+
+
+def test_factorize_matches_factorint_on_hard_inputs():
+    rng = random.Random(7)
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+                  41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921]
+    # factors above the trial primes, up to ~2^24
+    carmichael += _chernick(range(200, 2000)) + _chernick(range(10 ** 6, 10 ** 6 + 1000))
+    assert len(carmichael) > 40
+    p40, p20, p13 = nextprime(1 << 40), nextprime(1 << 20), nextprime(1 << 13)
+    powers = [p40 ** 2, p20 ** 3, p13 ** 5, 1009 ** 7, 3 ** 30, p20 ** 2 * p13,
+              p40 ** 2 * 1009 ** 2, (nextprime(10 ** 6) * nextprime(2 * 10 ** 6)) ** 2]
+    # strong pseudoprimes to the bases 2..23 and to 2, 3
+    pseudoprimes = [3825123056546413051, 2047, 1373653]
+    # balanced semiprimes up to the largest the cap is sized for
+    semiprimes = [nextprime(rng.getrandbits(bits)) * nextprime(rng.getrandbits(bits))
+                  for bits in range(11, 27) for _ in range(3)]
+    for n in [1, 2, 97, 1000003] + carmichael + powers + pseudoprimes + semiprimes:
+        assert factorize(n) == factorint(n), n
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_factorize_gives_up_past_the_cap():
+    n = nextprime(1 << 40) * nextprime(1 << 41)
+    t0 = time.perf_counter()
+    assert factorize(n) is None
+    assert factorize(n * 3 * 5 ** 4) is None
+    assert time.perf_counter() - t0 < 2.0
+
+
+def _primes_by_class(start, count):
+    out = {r: [] for r in (1, 3, 5, 7)}
+    p = start
+    while min(len(v) for v in out.values()) < count:
+        p = nextprime(p)
+        if len(out[p % 8]) < count:
+            out[p % 8].append(p)
+    return [p for v in out.values() for p in v]
+
+
+def test_sqrt_mod_prime_matches_sqrt_mod():
+    rng = random.Random(11)
+    primes = _primes_by_class(2, 30) + _primes_by_class(10 ** 12, 15) + _primes_by_class(1 << 70, 5)
+    # p = 1 (mod 2^20): twenty rounds of Tonelli-Shanks
+    primes += [p for p in (j * (1 << 20) + 1 for j in range(1, 400)) if isprime(p)][:8]
+    assert len(primes) == 4 * (30 + 15 + 5) + 8
+    for p in primes:
+        for _ in range(12):
+            a = pow(rng.randrange(1, p), 2, p)
+            assert sqrt_mod_prime(a, p) == sqrt_mod(a, p), (a, p)
+        assert sqrt_mod_prime(0, p) == 0
+    # the roots the Diophantine solver takes
+    for p in primerange(3, 3000):
+        for a in {1: (p - 1, 2), 7: (2,), 5: (p - 1,), 3: (p - 2,)}[p % 8]:
+            assert sqrt_mod_prime(a, p) == sqrt_mod(a, p), (a, p)
+
+
+def test_sqrt_mod_prime_rejects_a_non_residue():
+    with pytest.raises(ValueError, match="not a square"):
+        sqrt_mod_prime(3, 17)

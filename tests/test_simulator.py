@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +296,86 @@ def test_a_single_gate_circuit_is_applied_by_apply(tag):
     psi0 = _random_state(n, seed=2)
     want = apply_gate(psi0.copy(), g, n)
     assert np.array_equal(simulate(Circuit(n, [g]), initial=psi0), want)
+
+
+# ---------------------------------------------------------------------------
+# the scratch buffers: same states, no per-gate allocation
+
+
+def _every_tag_gates(rng, n, blocks):
+    """Windowed fixed-matrix runs, each followed by an Rz, Ry or
+    MultiControlledRy on random qubits."""
+    gates = []
+    for _ in range(blocks):
+        gates += _windowed_gates(rng, n, rng.randint(5, 40), _FIXED, 4, drift=0.2)
+        tag = rng.choice(("Rz", "Ry", "MultiControlledRy"))
+        qs = rng.sample(range(n), rng.randint(2, 4) if tag == "MultiControlledRy" else 1)
+        mask = tuple(rng.randint(0, 1) for _ in qs[:-1]) if len(qs) > 1 else None
+        gates.append(Gate(tag, tuple(qs), angle=rng.uniform(-3, 3), mask=mask))
+    return gates
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 15])
+def test_scratch_kernel_gives_the_allocating_kernels_states(n, fused_groups):
+    # n = 15 runs its dense passes in chunks of 2^_CHUNK_QUBITS amplitudes
+    rng = random.Random(n)
+    for _ in range(3):
+        gates = _every_tag_gates(rng, max(n, 4), 12)
+        if n < 4:     # keep the gates that fit
+            gates = [g for g in gates if max(g.qubits) < n]
+        psi0 = _random_state(n, seed=rng.randrange(1 << 32))
+        want = psi0.copy()
+        simulator._run(want.reshape((2,) * n), gates)          # no scratch
+        assert np.array_equal(simulate(Circuit(n, gates), initial=psi0), want)
+    if n >= 6:
+        assert fused_groups and {g.tag for g in gates} == set(TAGS)
+
+
+# a 14-qubit circuit of 2,000 gates, every tag, in the layout that fuses
+_FAULTS_SCRIPT = """
+import random, resource
+from qsprep.circuit_core import Circuit, Gate
+from qsprep.simulator import simulate
+
+n, rng = 14, random.Random(1)
+arity = {"Hadamard": 1, "S": 1, "Sdg": 1, "T": 1, "Tdg": 1, "PauliX": 1,
+         "CNOT": 2, "Swap": 2, "Toffoli": 3, "ANDU": 3, "ControlledSwap": 3}
+gates, lo = [], 0
+while len(gates) < 2000:
+    if rng.random() < 0.2:
+        lo = rng.randrange(n - 3)
+    if rng.random() < 0.1:
+        tag = rng.choice(("Rz", "Ry", "MultiControlledRy"))
+        qs = rng.sample(range(n), 3 if tag == "MultiControlledRy" else 1)
+        gates.append(Gate(tag, tuple(qs), angle=rng.uniform(-3, 3),
+                          mask=(1, 0) if len(qs) == 3 else None))
+    else:
+        tag = rng.choice(list(arity))
+        gates.append(Gate(tag, tuple(rng.sample(range(lo, lo + 4), arity[tag]))))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+simulate(Circuit(n, gates))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+# the state and the scratch take 192 pages of 4 KiB; a kernel that
+# allocates half-state temporaries per gate took ~5,800 faults here
+_MAX_FAULTS = 1500
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+@pytest.mark.parametrize("blas_threads", [None, "1"])
+def test_simulation_stays_within_its_page_fault_budget(blas_threads, tmp_path):
+    # in a fresh interpreter, so no earlier allocation has left heap room
+    src = str(Path(simulator.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if blas_threads:
+        env.update(OMP_NUM_THREADS=blas_threads, OPENBLAS_NUM_THREADS=blas_threads,
+                   MKL_NUM_THREADS=blas_threads)
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= _MAX_FAULTS
 
 
 # ---------------------------------------------------------------------------
