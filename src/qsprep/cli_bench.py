@@ -82,11 +82,22 @@ def _logical_circuit(state: TargetState, method: str) -> Circuit:
     return synthesize_dense(state) if method == "dense" else synthesize_sparse(state)
 
 
+def _build_and_compile(state: TargetState, method: str, cfg: SynthesisConfig):
+    """A method's logical circuit (for a sampling method, its alias
+    pipeline at b = cfg.b) compiled: (pipeline or None, compiled, report)."""
+    if method in ROTATION_METHODS:
+        pipe, logical = None, _logical_circuit(state, method)
+    else:
+        pipe = prepare_alias_state(state.probabilities(), cfg.b, backend=method)
+        logical = pipe.circuit
+    compiled, rep = compile_circuit(logical, cfg)
+    return pipe, compiled, rep
+
+
 def _rotation_row(state: TargetState, method: str, cfg: SynthesisConfig,
                   budget: int):
     t0 = time.perf_counter()
-    logical = _logical_circuit(state, method)
-    compiled, rep = compile_circuit(logical, cfg)
+    _, compiled, rep = _build_and_compile(state, method, cfg)
     ms = (time.perf_counter() - t0) * 1e3
     infid = float("nan")
     if cfg.rz_mode == "gridsynth" and compiled.n_qubits <= budget:
@@ -101,18 +112,15 @@ def _rotation_row(state: TargetState, method: str, cfg: SynthesisConfig,
     return rep, infid, "state", ms
 
 
-def _sampling_row(state: TargetState, method: str, b: int,
-                  cfg: SynthesisConfig, budget: int):
-    p = state.probabilities()
+def _sampling_row(state: TargetState, method: str, cfg: SynthesisConfig, budget: int):
     t0 = time.perf_counter()
-    pipe = prepare_alias_state(p, b, backend=method)
-    compiled, rep = compile_circuit(pipe.circuit, cfg)
+    pipe, _, rep = _build_and_compile(state, method, cfg)
     ms = (time.perf_counter() - t0) * 1e3
-    L = pipe.table.L
-    target = np.zeros(L)
+    p = state.probabilities()
+    target = np.zeros(pipe.table.L)
     target[:len(p)] = p
     address = pipe.circuit.register("address")
-    if pipe.circuit.n_qubits <= budget and len(address) + b <= HISTOGRAM_MAX_INPUTS:
+    if pipe.circuit.n_qubits <= budget and len(address) + cfg.b <= HISTOGRAM_MAX_INPUTS:
         counts, total = pipeline_histogram(pipe.circuit, address)
         marg = counts / total
     else:
@@ -139,10 +147,8 @@ def run_sweep(spec: BenchmarkSpec, methods: Sequence[str], bs: Sequence[int],
     for method in sorted(methods, key=METHODS.index):
         for b in sorted(bs):
             c = replace(cfg or SynthesisConfig(), b=b)
-            if method in ROTATION_METHODS:
-                rep, infid, kind, ms = _rotation_row(state, method, c, budget)
-            else:
-                rep, infid, kind, ms = _sampling_row(state, method, b, c, budget)
+            row = _rotation_row if method in ROTATION_METHODS else _sampling_row
+            rep, infid, kind, ms = row(state, method, c, budget)
             rows.append(SweepRow(
                 family=spec.family, n=state.n, seed=spec.seed, method=method,
                 b=b, t_proxy=rep.t_proxy, compiled_T=rep.compiled_T,
@@ -295,14 +301,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_estimate(args) -> int:
     state = make_state(_spec_from(args))
-    cfg = _cfg_from(args)
-    if args.method in ROTATION_METHODS:
-        logical = _logical_circuit(state, args.method)
-        _, rep = compile_circuit(logical, cfg)
-    else:
-        pipe = prepare_alias_state(state.probabilities(), args.b,
-                                   backend=args.method)
-        _, rep = compile_circuit(pipe.circuit, cfg)
+    _, _, rep = _build_and_compile(state, args.method, _cfg_from(args))
     _write_out(_report_json(rep), args.out)
     return 0
 

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .circuit_core import (
     Circuit, Gate, ResourceReport, count_resources, gate, is_pi4_multiple,
 )
-from .gridsynth import synthesize_rz_tags
+from .gridsynth import SynthesisError, synthesize_rz_tags
 
 
 class CompileError(ValueError):
@@ -147,6 +147,9 @@ def _rz(q: int, theta: float, eps: Optional[float]) -> Tuple[List[Gate], int]:
     exact = is_pi4_multiple(theta)
     if not exact and eps is None:
         return [Gate("Rz", (q,), angle=theta)], 1
+    if not exact and eps == 0.0:
+        raise SynthesisError(f"Rz synthesis failed for theta={theta!r}: "
+                             "eps = 2^-b underflows to 0.0 for b >= 1075")
     word = _rz_tags(theta, 1.0 if exact else eps)
     on_q = {tag: gate(tag, (q,)) for tag in set(word)}
     return [on_q[tag] for tag in word], 0 if exact else 1
@@ -240,7 +243,8 @@ def compile_circuit(circuit: Circuit,
         registers["ancilla"] = (n, n + n_anc)
     out = Circuit(n + n_anc, gates, registers)
     report = count_resources(out)
-    extra = n_rot * cost_model_t_count(cfg.eps) if eps is None else 0
+    # cost_model_t_count(2^-b), from b: 2^-b underflows from b = 1075 on
+    extra = n_rot * (3 * cfg.b + 11) if eps is None else 0
     report = replace(report, n_rz_synth=n_rot, compiled_T=report.compiled_T + extra,
                      t_proxy=report.t_proxy + extra)
     return out, report

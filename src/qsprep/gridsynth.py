@@ -10,6 +10,8 @@ Pipeline per precision eps = 2^-b:
      arXiv:1403.2975): the eps-region and the conjugate disk are enclosed
      in ellipses, a grid operator found once per angle makes both upright,
      and each k enumerates the upright pair with four 1D grid problems.
+     The set-up runs on integers with 4b + 100 fraction bits; mpmath only
+     reduces the octant and gives cos phi0, sin phi0 once per angle.
   3. for each candidate solve the Diophantine equation t.conj t = xi with
      xi = 2^k - u.conj u over Z[sqrt2] by factoring its integer norm
      (`rings.factorize`, under a fixed effort cap) and splitting each prime
@@ -26,7 +28,9 @@ The candidate constraint guarantees the phase-invariant operator distance
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -49,8 +53,8 @@ _GRID_ROW_LIMIT = 2_000_000
 
 class SynthesisError(RuntimeError):
     """No word meets the precision within the search limits: the
-    denominator exponent cap or the 1D enumeration size.  Broken internal
-    invariants raise a plain RuntimeError instead."""
+    denominator exponent cap, a grid enumeration's size or float64's range.
+    Broken internal invariants raise a plain RuntimeError instead."""
 
 
 def solve_grid_1d(l1: float, u1: float, l2: float, u2: float,
@@ -94,8 +98,10 @@ def solve_grid_1d(l1: float, u1: float, l2: float, u2: float,
     out = []
     for b in range(b_lo, b_hi + 1):
         r = b * SQRT2
-        for a in range(math.ceil(max(a1 - r, a2 + r)),
-                       math.floor(min(b1 - r, b2 + r)) + 1):
+        lo, hi = math.ceil(max(a1 - r, a2 + r)), math.floor(min(b1 - r, b2 + r))
+        if len(out) + hi - lo >= _GRID_ROW_LIMIT:
+            raise SynthesisError(f"grid enumeration too large: over {_GRID_ROW_LIMIT} points")
+        for a in range(lo, hi + 1):
             out.append(zs_mul((a, b), back))
     return out
 
@@ -309,7 +315,7 @@ def exact_synthesize(mat: RingMatrix) -> List[str]:
 # (D, Delta) -> (G^T D G, G*^T Delta G*).
 
 _Op = Tuple[ZSqrt2, ZSqrt2, ZSqrt2, ZSqrt2]
-_Sym = Tuple[mp.mpf, mp.mpf, mp.mpf]             # (p, q, r) ~ [[p, q], [q, r]]
+_Sym = Tuple[int, int, int]     # (p, q, r) ~ [[p, q], [q, r]], in fixed point
 
 _R2 = (0, 1)
 _OP_I: _Op = (_R2, (0, 0), (0, 0), _R2)
@@ -359,23 +365,21 @@ def _op_shift(g: _Op, k: int) -> _Op:
     return (zs_mul(g11, zs_lambda_power(k)), g12, g21, zs_mul(g22, zs_lambda_power(-k)))
 
 
-def _op_value(g: _Op, conj: bool = False) -> Tuple[mp.mpf, ...]:
-    """Entries of G (or of G*) in mpmath at the working precision."""
-    r2 = -mp.sqrt(2) if conj else mp.sqrt(2)
-    return tuple((a + b * r2) / r2 for a, b in g)
-
-
-def _congruence(m: _Sym, g: Sequence, shift: Optional[int] = None) -> _Sym:
-    """G^T M G, in mpmath or (with `shift`) on fixed-point integers that
-    carry `shift` fraction bits."""
+def _congruence(m: _Sym, g: Sequence[int], shift: int) -> _Sym:
+    """G^T M G on fixed-point integers that carry `shift` fraction bits."""
     p, q, r = m
     g11, g12, g21, g22 = g
-    rows = (p * g11 + q * g21, p * g12 + q * g22, q * g11 + r * g21, q * g12 + r * g22)
-    if shift is not None:
-        rows = tuple(x >> shift for x in rows)
-    a11, a12, a21, a22 = rows
-    out = (g11 * a11 + g21 * a21, g11 * a12 + g21 * a22, g12 * a12 + g22 * a22)
-    return out if shift is None else tuple(x >> shift for x in out)
+    a11, a12, a21, a22 = (x >> shift for x in (p * g11 + q * g21, p * g12 + q * g22,
+                                               q * g11 + r * g21, q * g12 + r * g22))
+    return tuple(x >> shift for x in (g11 * a11 + g21 * a21, g11 * a12 + g21 * a22,
+                                      g12 * a12 + g22 * a22))
+
+
+def _op_fixed(g: _Op, prec: int, r2: int, conj: bool = False) -> List[int]:
+    """Entries of G (or of G*) times 2^prec, for r2 = sqrt2 * 2^prec:
+    (a + b sqrt2) / sqrt2 = b + a sqrt2 / 2, and the conjugate flips sqrt2."""
+    sign = -1 if conj else 1
+    return [(b << prec) + sign * ((a * r2) >> 1) for a, b in g]
 
 
 def _step(z: float, b: float, zeta: float, beta: float) -> _Op:
@@ -404,31 +408,27 @@ def _step(z: float, b: float, zeta: float, beta: float) -> _Op:
     return _op_shift(_op_mul(op, g), k)
 
 
-def _upright_operator(d: _Sym, delta: _Sym, prec: int) -> _Op:
-    """Special grid operator H with skew(H^T D H, H*^T Delta H*) < 15.
+def _upright_operator(d: _Sym, delta: _Sym, prec: int) -> Tuple[_Op, _Sym, _Sym]:
+    """Special grid operator H with skew(H^T D H, H*^T Delta H*) < 15, and
+    that upright pair.
 
-    The states run on fixed-point integers (value * 2^prec): the skew
-    falls from ~eps^-2 to O(1), so its updates cancel ~2b bits, which
-    prec covers; the step decisions only need float accuracy.
+    The states are fixed-point integers (value * 2^prec): the skew falls
+    from ~eps^-2 to O(1), so its updates cancel ~2b bits, which prec
+    covers; the step decisions only need float accuracy (the skew
+    overflows float64 from b ~ 512 on).
     """
-    one = 1 << prec
     r2 = math.isqrt(2 << (2 * prec))                 # sqrt2 * 2^prec
-
-    def entries(g: _Op, sign: int):
-        # (a + b sqrt2) / sqrt2 = b + a sqrt2 / 2; the conjugate flips sqrt2
-        return [(b << prec) + sign * ((a * r2) >> 1) for a, b in g]
 
     def params(m):
         p, q, r = m
         return math.log(r / p) / (2 * _LOG_LAMBDA), q / math.isqrt(p * r - q * q)
 
-    d, delta = ([int(mp.nint(x * one)) for x in m] for m in (d, delta))
     h, steps = _OP_I, None
     while True:
         (z, b), (zeta, beta) = params(d), params(delta)
         skew = b * b + beta * beta
         if skew < _SKEW_UPRIGHT:
-            return h
+            return h, d, delta
         if steps is None:
             steps = int(math.log(skew) / -math.log(0.9)) + 1
         elif steps == 0:
@@ -436,8 +436,8 @@ def _upright_operator(d: _Sym, delta: _Sym, prec: int) -> _Op:
         steps -= 1
         g = _step(z, b, zeta, beta)
         h = _op_mul(h, g)
-        d = _congruence(d, entries(g, 1), prec)
-        delta = _congruence(delta, entries(g, -1), prec)
+        d = _congruence(d, _op_fixed(g, prec, r2), prec)
+        delta = _congruence(delta, _op_fixed(g, prec, r2, True), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -533,55 +533,61 @@ class _EpsRegion:
     inner axis has many (the angle points along a lattice element, as the
     W-state angle 2 arccos(1/sqrt3) does, and the solutions come in long
     rows of nearly equal quality), each outer solution walks the part of
-    its line inside the segment (found in mpmath) from the end where the
-    quality grows, in chunks of doubling width, until it has `limit`
-    verified candidates: quality is affine along the line, so those are
-    its best.
+    its line inside the segment from the end where the quality grows, in
+    chunks of doubling width, until it has `limit` verified candidates:
+    quality is affine along the line, so those are its best.
 
-    Geometry runs in mpmath at a precision that grows with b: the upright
-    ellipse is ~eps^1.5 R wide at ~eps^-1.5 R from the origin, and in
-    float64 1 - eps^2/2 rounds to 1 from b = 27 on.  What each k and each
-    candidate needs of it is turned into integers once per angle: the
-    ellipse centres (for the axis set-up) and cos phi0, sin phi0 (for the
-    quality) in fixed point.  Only the lattice walk stays in mpmath.
+    The geometry runs on integers with `prec` = 4b + 100 fraction bits
+    (the upright ellipse is ~eps^1.5 R wide at ~eps^-1.5 R from the origin,
+    and in float64 1 - eps^2/2 rounds to 1 from b = 27 on): the ellipse's
+    exact coefficients, one fixed-point cos phi0, sin phi0 (the only mpmath
+    call, also the quality's), and the upright pair the operator search
+    returns, from which forms, half widths, centre and walk chords derive.
     """
 
     def __init__(self, phi0, eps: float):
         self.phi0, self.eps = phi0, eps
-        self.prec = 4 * max(1, math.ceil(-math.log2(eps))) + 100
-        with mp.workprec(self.prec):
-            cos_d = 1 - mp.mpf(eps) ** 2 / 2
-            h = 1 - cos_d
-            grow = 1 + mp.mpf(2) ** -20
-            pr = (2 * h / 3 * grow) ** -2                           # radial
-            pt = (2 * mp.sqrt(1 - cos_d * cos_d) / mp.sqrt(3) * grow) ** -2
-            c, s = mp.cos(phi0), mp.sin(phi0)
-            d = (pr * c * c + pt * s * s, (pr - pt) * c * s, pr * s * s + pt * c * c)
-            disk = (mp.mpf(1), mp.mpf(0), mp.mpf(1))
-            self.op = _upright_operator(d, disk, self.prec)
-            g11, g12, g21, g22 = g = _op_value(self.op)
-            self.ell = (_congruence(d, g), _congruence(disk, _op_value(self.op, True)))
-            # centre of the segment's ellipse in v coordinates: H^-1 centre
-            rc = cos_d + h / 3
-            det = g11 * g22 - g12 * g21
-            self.centre = ((g22 * c - g12 * s) * rc / det,
-                           (g11 * s - g21 * c) * rc / det)
-            # bounding-box half widths (x, y) of both ellipses at k = 0
-            self.half = [[float(mp.sqrt(x / (p * r - q * q))) for x in (r, p)]
-                         for p, q, r in self.ell]
-            self.forms = [[float(x) for x in m] for m in self.ell]
-            self.r2 = mp.sqrt(2)
-            self.centre_fx = [int(mp.nint(mp.ldexp(x, self.prec))) for x in self.centre]
-        self.r2_fx = math.isqrt(2 << (2 * self.prec))
-        self._trig = (0, 0, 0, 0)        # (bits, cos phi0, sin phi0, sqrt2)
+        self.prec = prec = 4 * max(1, math.ceil(-math.log2(eps))) + 100
+        one = 1 << prec
+        # cos phi0, sin phi0 times 2^bits, with 64 bits over the quality's
+        # at the last exponent, which each k shifts away
+        bits = _quality_bits(_k_range(eps)[1]) + 64
+        with mp.workprec(bits + 16):
+            self._trig = (bits, *(int(mp.nint(mp.ldexp(x, bits)))
+                                  for x in mp.cos_sin(mp.mpf(phi0))))
+        # the segment has height h below radius 1 and half chord sin(delta),
+        # sin(delta)^2 = h (2 - h); the ellipse's semi-axes grow by 2^-20
+        h = Fraction(eps) ** 2 / 2
+        grow = (1 + Fraction(1, 1 << 20)) ** 2
+        pr = 9 / (4 * h * h * grow)                  # (2h/3)^-2, radial
+        pt = 3 / (4 * h * (2 - h) * grow)            # (2 sin(delta)/sqrt3)^-2
+        rc = 1 - 2 * h / 3                           # radius of its centre
+        c, s = (x >> (bits - prec) for x in self._trig[1:])
+        # pr c^2 + pt s^2, (pr - pt) c s, pr s^2 + pt c^2 over a common denominator
+        a, t = pr.numerator * pt.denominator, pt.numerator * pr.denominator
+        den = pr.denominator * pt.denominator << prec
+        d = tuple(round_div(x, den) for x in (a * c * c + t * s * s, (a - t) * c * s,
+                                              a * s * s + t * c * c))
+        self.op, *self.ell = _upright_operator(d, (one, 0, one), prec)
+        # bounding-box half widths (x, y) of both ellipses at k = 0
+        self.half = [[_sqrt_ratio(x << prec, p * r - q * q) for x in (r, p)]
+                     for p, q, r in self.ell]
         ha, hb = self.half
         self.outer = 0 if ha[0] * hb[0] <= ha[1] * hb[1] else 1
-        if self.outer:                   # forms in (outer, inner) coordinates
-            self.forms = [f[::-1] for f in self.forms]
-        # u-space directions of v's outer and inner axes: columns of H
+        # centre of the segment's ellipse in v coordinates, H^-1 rc (c, s),
+        # with H^-1 the adjugate over det H = +-1
+        self.r2_fx = math.isqrt(2 << (2 * prec))
+        g11, g12, g21, g22 = _op_fixed(self.op, prec, self.r2_fx)
+        rc_det = rc.numerator if g11 * g22 > g12 * g21 else -rc.numerator
+        self.centre_fx = [round_div(rc_det * x, rc.denominator << prec)
+                          for x in (g22 * c - g12 * s, g11 * s - g21 * c)]
+        # the segment along v's outer and inner axes (o, i: the columns of H,
+        # their u-space directions): H^T H, H^T (c, s), rc, h/3 and rc^2 - 1
         cols = ((g11, g21), (g12, g22))
-        self.dirs = (cols[self.outer], cols[1 - self.outer])
-        self.seg = (c, s, rc, h)
+        (o1, o2), (i1, i2) = cols[self.outer], cols[1 - self.outer]
+        self.seg = (o1 * o1 + o2 * o2, o1 * i1 + o2 * i2, i1 * i1 + i2 * i2,
+                    c * o1 + s * o2, c * i1 + s * i2,
+                    round(rc * one), round(h / 3 * one), round((rc * rc - 1) * one * one))
 
     def _lift(self, outer: ZSqrt2, inner: ZSqrt2, o: int) -> ZOmega:
         """u = H v for v = alpha + i beta + o w."""
@@ -597,8 +603,9 @@ class _EpsRegion:
         """The best `limit` (default all) verified candidates at exponent
         k, best quality first."""
         found = {}
-        # both ellipses at scale sqrt2^k: forms / 2^k, half widths * sqrt2^k
-        forms = [[x / 2.0 ** k for x in f] for f in self.forms]
+        # both ellipses at scale sqrt2^k: forms / 2^k (outer, inner), half widths * sqrt2^k
+        forms = [[x / (1 << (self.prec + k)) for x in (m[::-1] if self.outer else m)]
+                 for m in self.ell]
         half = [[w * SQRT2 ** k for w in hw] for hw in self.half]
         # slack for float error in the offsets (~1e-15 absolute)
         lim = 1 + 1e-6 + 1e-11 / min(min(hw) for hw in half)
@@ -615,53 +622,56 @@ class _EpsRegion:
             if not xs:
                 continue
             inner = axis(1 - self.outer, o)
-            if inner.expected() <= _INNER_MAX:
-                ys = inner.solve_all()
+            walk = inner.expected() > _INNER_MAX
+            ys = [] if walk else inner.solve_all()
+            # the product's points, or a first chunk on every walked line
+            n = len(xs) * (_CHUNK if walk else len(ys))
+            if n > _GRID_ROW_LIMIT:
+                raise SynthesisError(f"grid enumeration too large at k={k}: {n} points")
+            if walk:
+                for x, _, xb in xs:
+                    found.update(self._walk(k, x, o, inner, self._segment_chord(k, x, o),
+                                            _chord(forms[1], xb, lim), limit))
+            else:
                 cands = [self._lift(x, y, o)
                          for x, xa, xb in xs for y, ya, yb in ys
                          if _inside(forms[0], xa, ya, lim)
                          and _inside(forms[1], xb, yb, lim)]
                 found.update(self._verify(k, cands))
-                continue
-            with mp.workprec(self.prec):
-                scale = self.r2 ** k
-                for x, _, xb in xs:
-                    offset = (x[0] + x[1] * self.r2 + o / self.r2
-                              - self.centre[self.outer] * scale)
-                    found.update(self._walk(k, x, o, inner,
-                                            self._segment_chord(scale, offset),
-                                            _chord(forms[1], xb, lim), limit))
         best = sorted(found, key=found.get, reverse=True)
         return best if limit is None else best[:limit]
 
-    def _segment_chord(self, scale: mp.mpf, offset: mp.mpf):
-        """Inner offsets (from the ellipse centre) of the line at the given
-        outer offset inside the scaled segment, in mpmath, or None.
+    def _segment_chord(self, k: int, x: ZSqrt2, o: int):
+        """Inner offsets (from the ellipse centre) of the line at outer
+        coordinate x + o/sqrt2 inside the segment scaled by sqrt2^k, or None.
 
-        With u = C + u1 + t d (C the segment ellipse's centre, u1 and d the
-        outer and inner directions), |u| <= R is a quadratic in t and the
-        quality bound is linear; all terms are of the segment's size."""
-        c, s, rc, h = self.seg
-        (o1, o2), (d1, d2) = self.dirs
-        u1, u2 = offset * o1, offset * o2
-        p1, p2 = scale * rc * c + u1, scale * rc * s + u2
-        a = d1 * d1 + d2 * d2
-        b = p1 * d1 + p2 * d2
-        cc = (scale ** 2 * (rc - 1) * (rc + 1)
-              + 2 * scale * rc * (c * u1 + s * u2) + u1 * u1 + u2 * u2)
-        disc = b * b - a * cc
+        At outer offset dv from the centre, u = H v is the segment ellipse's
+        centre plus dv o + t i, so |u| <= sqrt2^k is a quadratic in t and
+        the quality bound is linear, with all terms of the segment's size
+        (integers with up to 6 prec fraction bits, exact but for the rounded
+        inputs and the square root)."""
+        prec, r2 = self.prec, self.r2_fx
+        m_oo, m_oi, m_ii, w_o, w_i, rc, h3, rc2m1 = self.seg
+        scale = (r2 if k & 1 else 1 << prec) << (k >> 1)            # sqrt2^k
+        dv = ((x[0] << prec) + ((2 * x[1] + o) * r2 >> 1)
+              - (self.centre_fx[self.outer] * scale >> prec))
+        rcs = scale * rc >> prec
+        b = rcs * w_i + dv * m_oi
+        cc = (rc2m1 << (k + 2 * prec)) + dv * (2 * rcs * w_o + dv * m_oo)
+        disc = b * b - m_ii * cc
         if disc < 0:
             return None
-        lo, hi = (-b - mp.sqrt(disc)) / a, (-b + mp.sqrt(disc)) / a
-        # quality: t (dir . d) >= -scale h / 3 - dir . u1
-        slope, rhs = c * d1 + s * d2, -scale * h / 3 - (c * u1 + s * u2)
-        if slope > 0:
-            lo = max(lo, rhs / slope)
-        elif slope < 0:
-            hi = min(hi, rhs / slope)
+        sq, den = math.isqrt(disc), m_ii << prec
+        lo, hi = (-b - sq) / den, (-b + sq) / den
+        # quality: t w_i >= -sqrt2^k h / 3 - dv w_o
+        rhs = -(scale * h3 << prec) - dv * w_o
+        if w_i > 0:
+            lo = max(lo, rhs / (w_i << prec))
+        elif w_i < 0:
+            hi = min(hi, rhs / (w_i << prec))
         elif rhs > 0:
             return None
-        return (float(lo), float(hi)) if lo <= hi else None
+        return (lo, hi) if lo <= hi else None
 
     def _walk(self, k, x, o, axis, ca, cb, limit):
         """Verified candidates on the inner chord of outer solution x, best
@@ -670,8 +680,7 @@ class _EpsRegion:
             return {}
         lo, hi = ca
         step = _CHUNK * 2 * SQRT2 / (cb[1] - cb[0])
-        (c, s, _, _), (d1, d2) = self.seg, self.dirs[1]
-        rising = c * d1 + s * d2 >= 0
+        rising = self.seg[4] >= 0                 # the quality grows along t
         got, done = {}, False
         while not done and (limit is None or len(got) < limit):
             if rising:
@@ -685,35 +694,21 @@ class _EpsRegion:
             step *= 2
         return got
 
-    def _quality_scale(self, k: int) -> Tuple[int, int, int, int, int]:
-        """(P, C, S, R2, T): cos phi0, sin phi0 and sqrt2 times 2^P and the
-        threshold sqrt2^k (1 - eps^2/2) times 2^2P, as integers.
-
-        cos and sin come from mpmath once per angle, with 64 bits of room
-        (ten more exponents) that later k shift away."""
-        P = _quality_bits(k)
-        if self._trig[0] < P:
-            bits = P + 64
-            with mp.workprec(bits + 16):
-                c, s = mp.cos_sin(mp.mpf(self.phi0))
-                self._trig = (bits, int(mp.nint(mp.ldexp(c, bits))),
-                              int(mp.nint(mp.ldexp(s, bits))), math.isqrt(2 << (2 * bits)))
-        bits, C, S, R2 = self._trig
-        sh = bits - P
-        # with eps = n / d, T^2 = 2^(k + 4P) ((2d^2 - n^2) / 2d^2)^2, floored
-        n, d = self.eps.as_integer_ratio()
-        T = math.isqrt(((2 * d * d - n * n) ** 2 << (k + 4 * P)) // (4 * d ** 4))
-        return P, C >> sh, S >> sh, R2 >> sh, T
-
     def _verify(self, k: int, cands: Sequence[ZOmega]) -> dict:
         """{u: quality} for the candidates with xi = 2^k - |u|^2 totally
         >= 0 and quality Re(e^{-i phi0} u) >= sqrt2^k (1 - eps^2/2).
 
         xi is checked exactly.  The quality is the integer
-        Q = (Re u 2^P) C + (Im u 2^P) S with the constants of
-        `_quality_scale`; Q / (sqrt2^k 2^2P) is within ~2^(2 - P) of the
-        true quality, so Q also serves as the sort key."""
-        P, C, S, R2, T = self._quality_scale(k)
+        Q = (Re u 2^P) C + (Im u 2^P) S, with C, S and R2 cos phi0, sin phi0
+        and sqrt2 times 2^P, and its threshold T = sqrt2^k (1 - eps^2/2)
+        2^2P; Q / (sqrt2^k 2^2P) is within ~2^(2 - P) of the true quality,
+        so Q also serves as the sort key."""
+        P = _quality_bits(k)
+        bits, C, S = self._trig
+        C, S, R2 = C >> (bits - P), S >> (bits - P), math.isqrt(2 << (2 * P))
+        # with eps = n / d, T^2 = 2^(k + 4P) ((2d^2 - n^2) / 2d^2)^2, floored
+        n, d = self.eps.as_integer_ratio()
+        T = math.isqrt(((2 * d * d - n * n) ** 2 << (k + 4 * P)) // (4 * d ** 4))
         top = 1 << k
         out = {}
         for u in cands:
@@ -741,6 +736,20 @@ def _quality_bits(k: int) -> int:
     return math.ceil((30 + 2 * k) * math.log2(10)) + 32
 
 
+def _k_range(eps: float) -> Tuple[int, int]:
+    """The first and the last denominator exponent tried at eps."""
+    return max(0, int(1.5 * math.log2(1 / eps)) - 2), int(3 * math.log2(1 / eps)) + 40
+
+
+def _sqrt_ratio(n: int, d: int) -> float:
+    """sqrt(n / d) for positive integers, correctly rounded: the root of a
+    quotient of >= 120 bits, with a sticky last bit when it is inexact."""
+    sh = max(0, 120 - n.bit_length() + d.bit_length()) // 2
+    q, rest = divmod(n << (2 * sh), d)
+    root = math.isqrt(q)
+    return math.ldexp(root | (rest != 0 or root * root != q), -sh)
+
+
 def synthesize_rz_tags(theta: float, eps: float) -> List[str]:
     """Clifford+T tag sequence U with min_phi ||U - e^{i phi} Rz(theta)|| <= eps.
 
@@ -750,9 +759,11 @@ def synthesize_rz_tags(theta: float, eps: float) -> List[str]:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if eps < sys.float_info.min:
+        raise SynthesisError(f"Rz synthesis failed for theta={theta!r} at eps={eps!r} "
+                             f"(b={-math.log2(eps):g}): eps is not a normal float")
     eps = min(eps, 1.0)
-    k = max(0, int(1.5 * math.log2(1 / eps)) - 2)
-    k_cap = int(3 * math.log2(1 / eps)) + 40
+    k, k_cap = _k_range(eps)
     # octant reduction in high precision: in floats it errs by ~1e-16,
     # which exceeds eps from b ~ 50 on
     with mp.workdps(30 + 2 * k_cap):
@@ -778,8 +789,11 @@ def synthesize_rz_tags(theta: float, eps: float) -> List[str]:
                     u, zo_rot(zo_conj(t), 4), zo_rot(t, mth), zo_rot(zo_conj(u), mth), k))
             k += 1
         raise SynthesisError(f"no candidate found up to k={k_cap}")
-    except RuntimeError as e:
+    except (RuntimeError, OverflowError) as e:
         where = f"theta={theta!r} at eps={eps!r} (b={-math.log2(eps):g})"
+        if isinstance(e, OverflowError):       # the grid problem's floats, b > 512
+            raise SynthesisError(f"Rz synthesis failed for {where}: "
+                                 f"float64 overflows ({e})") from None
         if isinstance(e, SynthesisError):
             raise SynthesisError(f"Rz synthesis failed for {where}: {e}") from None
         raise RuntimeError(f"internal error in Rz synthesis for {where}: {e}") from e

@@ -9,13 +9,20 @@ the order gridsynth tries them.
 `verify(k, phi0, eps, cands)` is the candidate check gridsynth ran in
 mpmath before it moved to fixed-point integers: exact feasibility, and
 the quality in high precision.
+
+`region_setup(phi0, eps)` and `segment_chord(ref, k, x, o)` are the 2D
+solver's per-angle set-up as gridsynth computed it in mpmath at 4b + 100
+bits before it moved to the operator search's fixed-point integers: the
+segment ellipse, the upright pair under the grid operator, the half widths,
+the ellipse centre and the chord of a walked line.
 """
 import math
+from types import SimpleNamespace
 from typing import Dict, List, Sequence, Tuple
 
 import mpmath as mp
 
-from qsprep.gridsynth import solve_grid_1d
+from qsprep.gridsynth import _upright_operator, solve_grid_1d
 from qsprep.rings import ZOmega, zo_abs_sq, zs_sign
 
 SQRT2 = math.sqrt(2.0)
@@ -93,3 +100,84 @@ def candidates(k: int, phi0: float, eps: float) -> List[ZOmega]:
     # by the quality rounded to a float, ties in scan order
     verified = verify(k, phi0, eps, [u for _, u in out])
     return sorted(verified, key=lambda u: -float(verified[u]))
+
+
+def op_value(g, conj: bool = False):
+    """Entries of the grid operator G (or of G*), stored as those of sqrt2 G
+    in Z[sqrt2], in mpmath at the working precision."""
+    r2 = -mp.sqrt(2) if conj else mp.sqrt(2)
+    return tuple((a + b * r2) / r2 for a, b in g)
+
+
+def _congruence(m, g):
+    """G^T M G in mpmath for the symmetric M = (p, q, r)."""
+    p, q, r = m
+    g11, g12, g21, g22 = g
+    a11, a12, a21, a22 = (p * g11 + q * g21, p * g12 + q * g22,
+                          q * g11 + r * g21, q * g12 + r * g22)
+    return (g11 * a11 + g21 * a21, g11 * a12 + g21 * a22, g12 * a12 + g22 * a22)
+
+
+def region_setup(phi0, eps: float) -> SimpleNamespace:
+    """The set-up of `gridsynth._EpsRegion` in mpmath: the grid operator
+    (found by the fixed-point operator search from the ellipse rounded to
+    prec bits), the upright pair's float forms, half widths, the centre,
+    its fixed-point value, the outer axis and what `segment_chord` needs."""
+    prec = 4 * max(1, math.ceil(-math.log2(eps))) + 100
+    with mp.workprec(prec):
+        cos_d = 1 - mp.mpf(eps) ** 2 / 2
+        h = 1 - cos_d
+        grow = 1 + mp.mpf(2) ** -20
+        pr = (2 * h / 3 * grow) ** -2                           # radial
+        pt = (2 * mp.sqrt(1 - cos_d * cos_d) / mp.sqrt(3) * grow) ** -2
+        c, s = mp.cos(phi0), mp.sin(phi0)
+        d = (pr * c * c + pt * s * s, (pr - pt) * c * s, pr * s * s + pt * c * c)
+        disk = (mp.mpf(1), mp.mpf(0), mp.mpf(1))
+        op = _upright_operator(*([int(mp.nint(x * (1 << prec))) for x in m]
+                                 for m in (d, disk)), prec)[0]
+        g11, g12, g21, g22 = g = op_value(op)
+        ell = (_congruence(d, g), _congruence(disk, op_value(op, True)))
+        # centre of the segment's ellipse in v coordinates: H^-1 centre
+        rc = cos_d + h / 3
+        det = g11 * g22 - g12 * g21
+        centre = ((g22 * c - g12 * s) * rc / det, (g11 * s - g21 * c) * rc / det)
+        half = [[float(mp.sqrt(x / (p * r - q * q))) for x in (r, p)] for p, q, r in ell]
+        forms = [[float(x) for x in m] for m in ell]
+        centre_fx = [int(mp.nint(mp.ldexp(x, prec))) for x in centre]
+    ha, hb = half
+    outer = 0 if ha[0] * hb[0] <= ha[1] * hb[1] else 1
+    cols = ((g11, g21), (g12, g22))
+    return SimpleNamespace(prec=prec, op=op, forms=forms, half=half,
+                           centre=centre, centre_fx=centre_fx, outer=outer,
+                           dirs=(cols[outer], cols[1 - outer]), seg=(c, s, rc, h))
+
+
+def segment_chord(ref: SimpleNamespace, k: int, x, o: int):
+    """Inner offsets (from the ellipse centre) of the line at outer
+    coordinate x + o/sqrt2 inside the segment scaled by sqrt2^k, as floats,
+    or None; computed in mpmath at the set-up's precision."""
+    with mp.workprec(ref.prec):
+        r2 = mp.sqrt(2)
+        scale = r2 ** k
+        offset = x[0] + x[1] * r2 + o / r2 - ref.centre[ref.outer] * scale
+        c, s, rc, h = ref.seg
+        (o1, o2), (d1, d2) = ref.dirs
+        u1, u2 = offset * o1, offset * o2
+        p1, p2 = scale * rc * c + u1, scale * rc * s + u2
+        a = d1 * d1 + d2 * d2
+        b = p1 * d1 + p2 * d2
+        cc = (scale ** 2 * (rc - 1) * (rc + 1)
+              + 2 * scale * rc * (c * u1 + s * u2) + u1 * u1 + u2 * u2)
+        disc = b * b - a * cc
+        if disc < 0:
+            return None
+        lo, hi = (-b - mp.sqrt(disc)) / a, (-b + mp.sqrt(disc)) / a
+        # quality: t (dir . d) >= -scale h / 3 - dir . u1
+        slope, rhs = c * d1 + s * d2, -scale * h / 3 - (c * u1 + s * u2)
+        if slope > 0:
+            lo = max(lo, rhs / slope)
+        elif slope < 0:
+            hi = min(hi, rhs / slope)
+        elif rhs > 0:
+            return None
+        return (float(lo), float(hi)) if lo <= hi else None

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -340,7 +341,7 @@ def test_sampling_row_evaluates_the_circuit_not_the_table(stage, method, monkeyp
     state = benchmark_states.make_state(BenchmarkSpec("dense_random", n=3, seed=1))
     cfg = SynthesisConfig(b=4)
     want = _analytic_infidelity(state, 4, method)
-    assert cli_bench._sampling_row(state, method, 4, cfg, 64)[1] == want
+    assert cli_bench._sampling_row(state, method, cfg, 64)[1] == want
 
     def drop_one(p, b, backend):   # the first gate of `stage`
         pipe = prepare_alias_state(p, b, backend=backend)
@@ -351,7 +352,7 @@ def test_sampling_row_evaluates_the_circuit_not_the_table(stage, method, monkeyp
         return replace(pipe, circuit=Circuit(pipe.circuit.n_qubits, gates,
                                              pipe.circuit.registers))
     monkeypatch.setattr(cli_bench, "prepare_alias_state", drop_one)
-    assert cli_bench._sampling_row(state, method, 4, cfg, 64)[1] != want
+    assert cli_bench._sampling_row(state, method, cfg, 64)[1] != want
 
 
 def test_sampling_row_over_the_input_bound_reports_the_analytic_marginal(monkeypatch):
@@ -365,7 +366,7 @@ def test_sampling_row_over_the_input_bound_reports_the_analytic_marginal(monkeyp
     for bound, counted in ((7, [3]), (6, [])):
         calls.clear()
         monkeypatch.setattr(cli_bench, "HISTOGRAM_MAX_INPUTS", bound)
-        assert cli_bench._sampling_row(state, "qrom", 4, cfg, 64)[1] == want
+        assert cli_bench._sampling_row(state, "qrom", cfg, 64)[1] == want
         assert calls == counted
 
 
@@ -421,6 +422,23 @@ def test_estimate_at_b30_exits_zero(capsys):
                  "--b", "30"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["compiled_T"] > 0
+
+
+@pytest.mark.parametrize("b", [100, 1000, 2000])
+def test_rz_beyond_reach_exits_4_without_a_traceback(b, tmp_path, capsys):
+    # b = 100 overflows the grid enumeration, b = 1000 the float64 range of
+    # the grid problem, and b = 2000 the float eps = 2^-b itself; each must
+    # end in exit 4 naming the angle and the precision, within 20 s (b = 100
+    # once ran for minutes)
+    path = tmp_path / "rz.qc"
+    path.write_text("qubits 1\nRz 0 angle=0.3\n", encoding="utf-8")
+    t0 = time.perf_counter()
+    assert main(["compile", str(path), "--b", str(b), "--out", os.devnull]) == 4
+    assert time.perf_counter() - t0 < 20
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: Rz synthesis failed for theta=0.3")
+    assert f"b={b}" in err if b < 1075 else "b >= 1075" in err
+    assert "Traceback" not in err
 
 
 def test_rz_synthesis_failure_is_a_capacity_error(monkeypatch, capsys):

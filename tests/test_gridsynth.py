@@ -14,7 +14,7 @@ import reference_exact
 import reference_scan
 from qsprep import gridsynth, rings
 from qsprep.gridsynth import (
-    RingMatrix, SynthesisError, _EpsRegion, _op_value, exact_synthesize,
+    RingMatrix, SynthesisError, _EpsRegion, exact_synthesize,
     exactly_preparable,
     solve_diophantine, solve_grid_1d, synthesize_rz_tags,
 )
@@ -23,6 +23,7 @@ from qsprep.rings import (
     zo_sub, zs_lambda_power, zs_mul, zs_norm, zs_sqrt2_valuation,
 )
 from reference_preparable import search_preparable
+from reference_scan import op_value
 from util import phase_dist_1q, phase_dist_1q_mp, rz_matrix, tags_to_unitary
 
 SQRT2 = math.sqrt(2)
@@ -505,6 +506,50 @@ def test_fixed_point_quality_matches_mpmath_oracle(b, monkeypatch):
         assert got[i] == want, i
 
 
+@pytest.mark.parametrize("b", [4, 12, 30, 48, 60])
+def test_region_setup_matches_the_mpmath_oracle(b):
+    # the set-up on the operator search's integers must give the grid
+    # operator, float forms (of the upright pair) and half widths the mpmath
+    # set-up gave, the centre far below float resolution, and the same walk
+    # chords
+    rng = random.Random(1500 + b)
+    eps = 2.0 ** -b
+    k0 = max(0, int(1.5 * b) - 2)
+    chords = hits = 0
+    for theta in [rng.uniform(-math.pi, math.pi) for _ in range(6)] + _LATTICE_ANGLES:
+        theta_p = theta - round(theta / (math.pi / 4)) * math.pi / 4
+        if abs(theta_p) <= 1e-12:                 # snapped to an S/T word
+            continue
+        region = _EpsRegion(-theta_p / 2, eps)
+        ref = reference_scan.region_setup(-theta_p / 2, eps)
+        assert (region.op, region.outer) == (ref.op, ref.outer), theta
+        forms = [[x / (1 << region.prec) for x in m] for m in region.ell]
+        assert forms == ref.forms and region.half == ref.half, theta
+        for got, want in zip(region.centre_fx, ref.centre_fx):
+            assert abs(got - want) < 1 << (region.prec - 96), theta
+        # the lines the walk would take at the first exponents (the outer
+        # axis's solutions), and shifted ones that may miss the segment
+        for k in range(k0, k0 + 4):
+            centre = [c << (k >> 1) for c in region.centre_fx]
+            if k & 1:
+                centre = [c * region.r2_fx >> region.prec for c in centre]
+            hx, hy = ([w * SQRT2 ** k for w in hw] for hw in region.half)
+            for o in (0, 1):
+                axis = gridsynth._Axis1D(centre[region.outer], o, region.r2_fx,
+                                         region.prec, hx[region.outer], hy[region.outer])
+                for x, _, _ in axis.solve_all()[:20]:
+                    for line in [(x[0] + j, x[1]) for j in range(-2, 3)]:
+                        got = region._segment_chord(k, line, o)
+                        want = reference_scan.segment_chord(ref, k, line, o)
+                        chords, hits = chords + 1, hits + (want is not None)
+                        if got != want:
+                            # a tangent line: the exact chord is one point,
+                            # which both round differently; _verify decides it
+                            assert all(c is None or c[1] - c[0] < 1e-12
+                                       for c in (got, want)), (theta, k, line, o)
+    assert chords > 600 and hits > 100
+
+
 @pytest.mark.parametrize("b", [12, 30, 60])
 def test_grid_operator_makes_the_pair_upright(b):
     rng = random.Random(b)
@@ -514,7 +559,7 @@ def test_grid_operator_makes_the_pair_upright(b):
             # skew: squared off-diagonals of the determinant-1 ellipses
             assert sum(q * q / (p * r - q * q) for p, q, r in region.ell) < 15
             # a special grid operator has determinant +-1
-            g11, g12, g21, g22 = _op_value(region.op)
+            g11, g12, g21, g22 = op_value(region.op)
             assert abs(abs(g11 * g22 - g12 * g21) - 1) < 1e-30
 
 
@@ -546,13 +591,13 @@ def test_op_mul_matches_mpmath_product():
     with mp.workprec(400):
         for _ in range(200):
             g = _random_step_op(rng)
-            want, want_conj = _op_value(g), _op_value(g, True)
+            want, want_conj = op_value(g), op_value(g, True)
             for _ in range(rng.randint(1, 6)):
                 h = _random_step_op(rng)
                 g = gridsynth._op_mul(g, h)
-                want = _mp_matmul(want, _op_value(h))
-                want_conj = _mp_matmul(want_conj, _op_value(h, True))
-            for got, ref in ((_op_value(g), want), (_op_value(g, True), want_conj)):
+                want = _mp_matmul(want, op_value(h))
+                want_conj = _mp_matmul(want_conj, op_value(h, True))
+            for got, ref in ((op_value(g), want), (op_value(g, True), want_conj)):
                 assert all(abs(x - y) <= 1e-80 * (1 + abs(y)) for x, y in zip(got, ref))
 
 
@@ -561,7 +606,7 @@ def test_lift_is_the_grid_operator_applied_to_v():
     with mp.workprec(400):
         for b in (12, 30, 60):
             region = _EpsRegion(rng.uniform(-math.pi / 16, math.pi / 16), 2.0 ** -b)
-            h11, h12, h21, h22 = _op_value(region.op)
+            h11, h12, h21, h22 = op_value(region.op)
             r2 = mp.sqrt(2)
             for outer in (0, 1):
                 region.outer = outer
