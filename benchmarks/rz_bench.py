@@ -1,4 +1,4 @@
-"""Rz synthesis cost as precision grows: median ms per angle at b = 10..40.
+"""Rz synthesis cost as precision grows: median ms per angle at b = 10..150.
 
 Synthesizes fixed seeded angles at eps = 2^-b and prints, per b, the
 median and worst wall time per angle, the mean T-count and the mean gate
@@ -24,7 +24,7 @@ from qsprep import gridsynth
 from qsprep.gridsynth import synthesize_rz_tags
 
 N_ANGLES = 20
-B_VALUES = (10, 20, 30, 40)
+B_VALUES = (10, 20, 30, 40, 60, 100, 150)
 SEED = 12345
 # phase name -> (owner, attribute) of the function it times
 PHASES = {

@@ -10,8 +10,9 @@ Pipeline per precision eps = 2^-b:
      arXiv:1403.2975): the eps-region and the conjugate disk are enclosed
      in ellipses, a grid operator found once per angle makes both upright,
      and each k enumerates the upright pair with four 1D grid problems.
-     The set-up runs on integers with 4b + 100 fraction bits; mpmath only
-     reduces the octant and gives cos phi0, sin phi0 once per angle.
+     The set-up and the 1D problems run exactly on integers with 4b + 100
+     fraction bits; mpmath only reduces the octant and gives cos phi0,
+     sin phi0 once per angle.
   3. for each candidate solve the Diophantine equation t.conj t = xi with
      xi = 2^k - u.conj u over Z[sqrt2] by factoring its integer norm
      (`rings.factorize`, under a fixed effort cap) and splitting each prime
@@ -27,6 +28,7 @@ The candidate constraint guarantees the phase-invariant operator distance
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,6 +50,7 @@ from .rings import (
 
 SQRT2 = math.sqrt(2.0)
 _LOG_LAMBDA = math.log(1.0 + SQRT2)
+_LOG2_LAMBDA2 = 2 * math.log2(1.0 + SQRT2)
 _GRID_ROW_LIMIT = 2_000_000
 
 
@@ -57,52 +60,64 @@ class SynthesisError(RuntimeError):
     Broken internal invariants raise a plain RuntimeError instead."""
 
 
-def solve_grid_1d(l1: float, u1: float, l2: float, u2: float,
-                  pad: float = 1e-10) -> List[ZSqrt2]:
-    """All x in Z[sqrt2] with value in [l1,u1] and conjugate in [l2,u2].
+@functools.lru_cache(maxsize=64)
+def _sqrt2_fixed(prec: int) -> int:
+    """floor(sqrt2 * 2^prec)."""
+    return math.isqrt(2 << (2 * prec))
 
-    The problem is rebalanced by the unit lambda = 1 + sqrt2 so the two
-    intervals have comparable width (keeps the row count short): x is
-    found as lambda^-j * (a + b*sqrt2).  Intervals are padded outward by
-    `pad` times their endpoint magnitude, so callers must verify candidates
-    exactly; no valid solution is missed at float scale.
+
+def _floor_q(m: int, n: int, prec: int) -> int:
+    """floor((m + n sqrt2) / 2^prec), exactly: floor(n sqrt2) is an isqrt."""
+    r = math.isqrt(2 * n * n)
+    return (m + (r if n >= 0 else -r - 1)) >> prec
+
+
+def solve_grid_1d(l1: int, u1: int, l2: int, u2: int, prec: int) -> List[ZSqrt2]:
+    """All x in Z[sqrt2] with l1 <= x 2^prec <= u1 and l2 <= x* 2^prec <= u2,
+    exactly, for integer ends that carry `prec` fraction bits.
+
+    The problem is rebalanced by lambda^j = p + q sqrt2, lambda = 1 + sqrt2,
+    so the two intervals have comparable width (keeps the row count short):
+    x lambda^j = a + b sqrt2 has value in [l1, u1] lambda^j and conjugate in
+    [l2, u2] (p - q sqrt2), and x = lambda^-j (a + b sqrt2).  Each
+    column bound is a floor in fixed point with 2 prec fraction bits, exact
+    unless the rounding of sqrt2 leaves it near an integer, where it is
+    taken exactly; the row bounds may add rows that hold no column.
     """
-    w1 = u1 - l1
-    w2 = u2 - l2
-    if w1 < 0.0 or w2 < 0.0:
+    if u1 < l1 or u2 < l2:
         return []
-    # balance the widths the kernel will scan, padding included, so an
-    # interval narrower than its padding is balanced too
-    w1 = max(w1, pad * (abs(l1) + abs(u1) + 1.0))
-    w2 = max(w2, pad * (abs(l2) + abs(u2) + 1.0))
-    j = int(round(math.log(w2 / w1) / (2.0 * _LOG_LAMBDA)))
-    s1 = math.exp(j * _LOG_LAMBDA)
-    s2 = (-1.0) ** (j & 1) * math.exp(-j * _LOG_LAMBDA)
-    a1, b1 = l1 * s1, u1 * s1
-    a2, b2 = l2 * s2, u2 * s2
-    if a2 > b2:
-        a2, b2 = b2, a2
-    pad1 = pad * (abs(a1) + abs(b1) + 1.0)
-    pad2 = pad * (abs(a2) + abs(b2) + 1.0)
-    a1 -= pad1
-    b1 += pad1
-    a2 -= pad2
-    b2 += pad2
-
-    tsq = 2.0 * SQRT2
-    b_lo = math.ceil((a1 - b2) / tsq)
-    b_hi = math.floor((b1 - a2) / tsq)
+    j = round((math.log2((u2 - l2) or 1) - math.log2((u1 - l1) or 1)) / _LOG2_LAMBDA2)
+    (p, q), (c, d) = zs_lambda_power(j), zs_lambda_power(-j)
+    if j & 1:                                   # p - q sqrt2 < 0
+        l2, u2 = u2, l2
+    # a + b sqrt2 lies in [z0, z1] / 2^sh and a - b sqrt2 in [z2, z3] / 2^sh,
+    # each z within ez as sqrt2 2^prec is floored to r2
+    sh, r2, w = 2 * prec, _sqrt2_fixed(prec), _sqrt2_fixed(2 * prec)
+    s1, s2 = (p << prec) + q * r2, (p << prec) - q * r2
+    z0, z1, z2, z3 = l1 * s1, u1 * s1, l2 * s2, u2 * s2
+    ez = (abs(l1) + abs(u1) + abs(l2) + abs(u2)) * abs(q) + 1
+    # 2 b sqrt2 lies in [z0 - z3, z1 - z2] / 2^sh: b is sqrt2 / 4 times that,
+    # widened by the error of the products
+    err = (ez << (prec + 3)) + abs(z0 - z3) + abs(z1 - z2)
+    b_lo = -((err - (z0 - z3) * r2) >> (sh + prec + 2))
+    b_hi = ((z1 - z2) * r2 + err) >> (sh + prec + 2)
     if b_hi - b_lo > _GRID_ROW_LIMIT:
         raise SynthesisError(f"grid enumeration too large: {b_hi - b_lo} rows")
-    back = zs_lambda_power(-j)
+    # b sqrt2 2^sh is within |b| of b w
+    e, mask = ez + abs(b_lo) + abs(b_hi), (1 << sh) - 1
     out = []
     for b in range(b_lo, b_hi + 1):
-        r = b * SQRT2
-        lo, hi = math.ceil(max(a1 - r, a2 + r)), math.floor(min(b1 - r, b2 + r))
+        s = b * w
+        lo, hi = max(z0 - s, z2 + s), min(z1 - s, z3 + s)
+        if e <= lo & mask <= mask - e and e <= hi & mask <= mask - e:
+            lo, hi = -(-lo >> sh), hi >> sh
+        else:                       # a window holds a multiple of 2^sh
+            bs = b << prec
+            lo = -min(_floor_q(-l1 * p, bs - l1 * q, prec), _floor_q(-l2 * p, l2 * q - bs, prec))
+            hi = min(_floor_q(u1 * p, u1 * q - bs, prec), _floor_q(u2 * p, bs - u2 * q, prec))
         if len(out) + hi - lo >= _GRID_ROW_LIMIT:
             raise SynthesisError(f"grid enumeration too large: over {_GRID_ROW_LIMIT} points")
-        for a in range(lo, hi + 1):
-            out.append(zs_mul((a, b), back))
+        out += [(a * c + 2 * b * d, a * d + b * c) for a in range(lo, hi + 1)]
     return out
 
 
@@ -417,7 +432,7 @@ def _upright_operator(d: _Sym, delta: _Sym, prec: int) -> Tuple[_Op, _Sym, _Sym]
     covers; the step decisions only need float accuracy (the skew
     overflows float64 from b ~ 512 on).
     """
-    r2 = math.isqrt(2 << (2 * prec))                 # sqrt2 * 2^prec
+    r2 = _sqrt2_fixed(prec)
 
     def params(m):
         p, q, r = m
@@ -444,69 +459,55 @@ def _upright_operator(d: _Sym, delta: _Sym, prec: int) -> Tuple[_Op, _Sym, _Sym]
 # Candidate enumeration and the top-level Rz synthesis
 
 
-def _zs_values(x: ZSqrt2) -> Tuple[float, float]:
-    """x and x* as floats, both to full relative precision (the one that
-    cancels is recomputed as norm / the other)."""
-    a, b = x
-    if a * b >= 0:
-        p = a + b * SQRT2
-        return p, ((a * a - 2 * b * b) / p if p else 0.0)
-    m = a - b * SQRT2
-    return (a * a - 2 * b * b) / m, m
-
-
 # Below _INNER_MAX the full product of the two axes is cheaper than walking
 # every line; above it (lattice-aligned angles) the product would hold
 # ~2^(b/2) points per line.
 _INNER_MAX = 512      # expected 1D solutions above which an axis is walked
 _CHUNK = 32           # expected solutions in the first chunk of a walk
 _ATTEMPTS_PER_K = 16  # best candidates tried per denominator exponent
+_LIM = 1 + 1e-6       # ellipse bound, with slack for float forms and offsets
+
+
+def _fixed(x: float, prec: int) -> int:
+    """floor(x * 2^prec), exactly."""
+    n, d = x.as_integer_ratio()
+    return (n << prec) // d
 
 
 class _Axis1D:
-    """The 1D grid problem of one coordinate of v for one coset, translated
-    by a lattice point base = a0 + b0 sqrt2 near its centre so the float
-    kernel only sees intervals around O(1).  Offsets are measured from the
-    centres of the two ellipses; wa, wb are the bounding-box half widths.
-
-    The ellipse's centre coordinate and sqrt2 come as integers carrying
-    `prec` fraction bits.  The coset o shifts alpha = v - o/sqrt2, so the
-    centres of alpha and alpha* are centre - o/sqrt2 and o/sqrt2."""
+    """The 1D grid problem of one coordinate of v for one coset o, on the
+    integers with `prec` fraction bits that the ellipse's centre coordinate
+    and r2 = sqrt2 carry: alpha = v - o/sqrt2 has centre ca = centre - o/sqrt2
+    and alpha* has cb = o/sqrt2.  Offsets are measured from the centres of
+    the two ellipses; wa, wb are the bounding-box half widths."""
 
     def __init__(self, centre: int, o: int, r2: int, prec: int,
                  wa: float, wb: float):
-        self.a0 = round_div(centre, 1 << (prec + 1))
-        # nint(centre / (2 sqrt2) - o / 2)
-        self.b0 = round_div((centre * r2 >> prec) - (o << (prec + 1)), 1 << (prec + 2))
-        t = (2 * self.b0 + o) * r2 >> 1          # (b0 + o/2) sqrt2
-        base = self.a0 << prec
-        self.ra = (centre - base - t) / (1 << prec)
-        self.rb = (t - base) / (1 << prec)
+        self.cb = o * r2 >> 1
+        self.ca = centre - self.cb
+        self.r2, self.prec = r2, prec
         self.wa, self.wb = wa, wb
 
-    def expected(self) -> float:
-        return 2 * self.wa * self.wb / SQRT2
-
-    def solve(self, lo_a: float, hi_a: float, lo_b: float, hi_b: float):
+    def solve(self, lo_a: int, hi_a: int, lo_b: int, hi_b: int):
         """(alpha, offset in the ellipse, offset in the disk) for every
-        alpha with offsets in [lo_a, hi_a] and [lo_b, hi_b]."""
+        alpha with offsets in [lo_a, hi_a] and [lo_b, hi_b] (fixed point)."""
+        prec, ca, cb, r2 = self.prec, self.ca, self.cb, self.r2
+        one = 1 << prec
         out = []
-        # endpoints are O(1) with a few ulps of error: pad by ~500 ulps, far
-        # less than the default, which would swamp widths below 1e-10
-        for x in solve_grid_1d(self.ra + lo_a, self.ra + hi_a,
-                               self.rb + lo_b, self.rb + hi_b, pad=1e-13):
-            va, vb = _zs_values(x)
-            out.append(((self.a0 + x[0], self.b0 + x[1]), va - self.ra, vb - self.rb))
+        for x in solve_grid_1d(ca + lo_a, ca + hi_a, cb + lo_b, cb + hi_b, prec):
+            a, t = x[0] << prec, x[1] * r2
+            out.append((x, (a + t - ca) / one, (a - t - cb) / one))
         return out
 
     def solve_all(self):
-        return self.solve(-self.wa, self.wa, -self.wb, self.wb)
+        wa, wb = _fixed(self.wa, self.prec), _fixed(self.wb, self.prec)
+        return self.solve(-wa, wa, -wb, wb)
 
 
-def _chord(form: Tuple[float, float, float], t: float, lim: float):
-    """Inner offsets s with p t^2 + 2 q t s + r s^2 <= lim, or None."""
+def _chord(form: Tuple[float, float, float], t: float):
+    """Inner offsets s with p t^2 + 2 q t s + r s^2 <= _LIM, or None."""
     p, q, r = form
-    disc = q * q * t * t - r * (p * t * t - lim)
+    disc = q * q * t * t - r * (p * t * t - _LIM)
     if disc < 0:
         return None
     sq = math.sqrt(disc)
@@ -542,7 +543,8 @@ class _EpsRegion:
     and in float64 1 - eps^2/2 rounds to 1 from b = 27 on): the ellipse's
     exact coefficients, one fixed-point cos phi0, sin phi0 (the only mpmath
     call, also the quality's), and the upright pair the operator search
-    returns, from which forms, half widths, centre and walk chords derive.
+    returns, from which forms, half widths, centre and walk chords derive,
+    and the 1D problems, whose ends are the centre plus the offsets.
     """
 
     def __init__(self, phi0, eps: float):
@@ -576,7 +578,7 @@ class _EpsRegion:
         self.outer = 0 if ha[0] * hb[0] <= ha[1] * hb[1] else 1
         # centre of the segment's ellipse in v coordinates, H^-1 rc (c, s),
         # with H^-1 the adjugate over det H = +-1
-        self.r2_fx = math.isqrt(2 << (2 * prec))
+        self.r2_fx = _sqrt2_fixed(prec)
         g11, g12, g21, g22 = _op_fixed(self.op, prec, self.r2_fx)
         rc_det = rc.numerator if g11 * g22 > g12 * g21 else -rc.numerator
         self.centre_fx = [round_div(rc_det * x, rc.denominator << prec)
@@ -607,12 +609,8 @@ class _EpsRegion:
         forms = [[x / (1 << (self.prec + k)) for x in (m[::-1] if self.outer else m)]
                  for m in self.ell]
         half = [[w * SQRT2 ** k for w in hw] for hw in self.half]
-        # slack for float error in the offsets (~1e-15 absolute)
-        lim = 1 + 1e-6 + 1e-11 / min(min(hw) for hw in half)
-        # ellipse centres * sqrt2^k in fixed point
-        centre = [c << (k >> 1) for c in self.centre_fx]
-        if k & 1:
-            centre = [c * self.r2_fx >> self.prec for c in centre]
+        scale = (self.r2_fx if k & 1 else 1 << self.prec) << (k >> 1)     # sqrt2^k
+        centre = [c * scale >> self.prec for c in self.centre_fx]
 
         def axis(a, o):
             return _Axis1D(centre[a], o, self.r2_fx, self.prec, half[0][a], half[1][a])
@@ -622,7 +620,7 @@ class _EpsRegion:
             if not xs:
                 continue
             inner = axis(1 - self.outer, o)
-            walk = inner.expected() > _INNER_MAX
+            walk = SQRT2 * inner.wa * inner.wb > _INNER_MAX     # expected 1D solutions
             ys = [] if walk else inner.solve_all()
             # the product's points, or a first chunk on every walked line
             n = len(xs) * (_CHUNK if walk else len(ys))
@@ -631,12 +629,13 @@ class _EpsRegion:
             if walk:
                 for x, _, xb in xs:
                     found.update(self._walk(k, x, o, inner, self._segment_chord(k, x, o),
-                                            _chord(forms[1], xb, lim), limit))
+                                            _chord(forms[1], xb), limit))
+                    if limit is not None:       # keep the best: memory stays bounded
+                        found = dict(sorted(found.items(), key=lambda c: c[1])[-limit:])
             else:
                 cands = [self._lift(x, y, o)
                          for x, xa, xb in xs for y, ya, yb in ys
-                         if _inside(forms[0], xa, ya, lim)
-                         and _inside(forms[1], xb, yb, lim)]
+                         if _inside(forms[0], xa, ya) and _inside(forms[1], xb, yb)]
                 found.update(self._verify(k, cands))
         best = sorted(found, key=found.get, reverse=True)
         return best if limit is None else best[:limit]
@@ -689,7 +688,7 @@ class _EpsRegion:
             else:
                 c_lo, c_hi = lo, min(hi, lo + step)
                 lo, done = c_hi, c_hi >= hi
-            ys = axis.solve(c_lo, c_hi, cb[0], cb[1])
+            ys = axis.solve(*(_fixed(c, self.prec) for c in (c_lo, c_hi, *cb)))
             got.update(self._verify(k, [self._lift(x, y, o) for y, _, _ in ys]))
             step *= 2
         return got
@@ -705,7 +704,7 @@ class _EpsRegion:
         so Q also serves as the sort key."""
         P = _quality_bits(k)
         bits, C, S = self._trig
-        C, S, R2 = C >> (bits - P), S >> (bits - P), math.isqrt(2 << (2 * P))
+        C, S, R2 = C >> (bits - P), S >> (bits - P), _sqrt2_fixed(P)
         # with eps = n / d, T^2 = 2^(k + 4P) ((2d^2 - n^2) / 2d^2)^2, floored
         n, d = self.eps.as_integer_ratio()
         T = math.isqrt(((2 * d * d - n * n) ** 2 << (k + 4 * P)) // (4 * d ** 4))
@@ -725,9 +724,9 @@ class _EpsRegion:
         return out
 
 
-def _inside(form: Tuple[float, float, float], s: float, t: float, lim: float) -> bool:
+def _inside(form: Tuple[float, float, float], s: float, t: float) -> bool:
     p, q, r = form
-    return p * s * s + 2 * q * s * t + r * t * t <= lim
+    return p * s * s + 2 * q * s * t + r * t * t <= _LIM
 
 
 def _quality_bits(k: int) -> int:
@@ -791,7 +790,7 @@ def synthesize_rz_tags(theta: float, eps: float) -> List[str]:
         raise SynthesisError(f"no candidate found up to k={k_cap}")
     except (RuntimeError, OverflowError) as e:
         where = f"theta={theta!r} at eps={eps!r} (b={-math.log2(eps):g})"
-        if isinstance(e, OverflowError):       # the grid problem's floats, b > 512
+        if isinstance(e, OverflowError):       # the operator search's float skew, b >= 513
             raise SynthesisError(f"Rz synthesis failed for {where}: "
                                  f"float64 overflows ({e})") from None
         if isinstance(e, SynthesisError):

@@ -7,9 +7,8 @@ from typing import List, Optional, Tuple
 
 import mpmath as mp
 
-from qsprep.gridsynth import solve_grid_1d
 from qsprep.rings import ZSqrt2, zo_abs_sq
-from reference_scan import zo_mpvalue
+from reference_scan import solve_grid_1d, zo_mpvalue
 
 SQRT2 = math.sqrt(2.0)
 

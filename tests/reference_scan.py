@@ -15,6 +15,11 @@ solver's per-angle set-up as gridsynth computed it in mpmath at 4b + 100
 bits before it moved to the operator search's fixed-point integers: the
 segment ellipse, the upright pair under the grid operator, the half widths,
 the ellipse centre and the chord of a walked line.
+
+`solve_grid_1d(l1, u1, l2, u2, pad)` is the float 1D grid kernel gridsynth
+used before its exact fixed-point one: it pads each interval outward by
+`pad` times its endpoint magnitude, which is kept here for the small-b
+oracles above and in `reference_preparable`.
 """
 import math
 from types import SimpleNamespace
@@ -22,10 +27,60 @@ from typing import Dict, List, Sequence, Tuple
 
 import mpmath as mp
 
-from qsprep.gridsynth import _upright_operator, solve_grid_1d
-from qsprep.rings import ZOmega, zo_abs_sq, zs_sign
+from qsprep.gridsynth import _GRID_ROW_LIMIT, SynthesisError, _upright_operator
+from qsprep.rings import ZOmega, ZSqrt2, zo_abs_sq, zs_lambda_power, zs_mul, zs_sign
 
 SQRT2 = math.sqrt(2.0)
+_LOG_LAMBDA = math.log(1.0 + SQRT2)
+
+
+def solve_grid_1d(l1: float, u1: float, l2: float, u2: float,
+                  pad: float = 1e-10) -> List[ZSqrt2]:
+    """All x in Z[sqrt2] with value in [l1,u1] and conjugate in [l2,u2].
+
+    The problem is rebalanced by the unit lambda = 1 + sqrt2 so the two
+    intervals have comparable width (keeps the row count short): x is
+    found as lambda^-j * (a + b*sqrt2).  Intervals are padded outward by
+    `pad` times their endpoint magnitude, so callers must verify candidates
+    exactly; no valid solution is missed at float scale.
+    """
+    w1 = u1 - l1
+    w2 = u2 - l2
+    if w1 < 0.0 or w2 < 0.0:
+        return []
+    # balance the widths the kernel will scan, padding included, so an
+    # interval narrower than its padding is balanced too
+    w1 = max(w1, pad * (abs(l1) + abs(u1) + 1.0))
+    w2 = max(w2, pad * (abs(l2) + abs(u2) + 1.0))
+    j = int(round(math.log(w2 / w1) / (2.0 * _LOG_LAMBDA)))
+    s1 = math.exp(j * _LOG_LAMBDA)
+    s2 = (-1.0) ** (j & 1) * math.exp(-j * _LOG_LAMBDA)
+    a1, b1 = l1 * s1, u1 * s1
+    a2, b2 = l2 * s2, u2 * s2
+    if a2 > b2:
+        a2, b2 = b2, a2
+    pad1 = pad * (abs(a1) + abs(b1) + 1.0)
+    pad2 = pad * (abs(a2) + abs(b2) + 1.0)
+    a1 -= pad1
+    b1 += pad1
+    a2 -= pad2
+    b2 += pad2
+
+    tsq = 2.0 * SQRT2
+    b_lo = math.ceil((a1 - b2) / tsq)
+    b_hi = math.floor((b1 - a2) / tsq)
+    if b_hi - b_lo > _GRID_ROW_LIMIT:
+        raise SynthesisError(f"grid enumeration too large: {b_hi - b_lo} rows")
+    back = zs_lambda_power(-j)
+    out = []
+    for b in range(b_lo, b_hi + 1):
+        r = b * SQRT2
+        lo, hi = math.ceil(max(a1 - r, a2 + r)), math.floor(min(b1 - r, b2 + r))
+        if len(out) + hi - lo >= _GRID_ROW_LIMIT:
+            raise SynthesisError(f"grid enumeration too large: over {_GRID_ROW_LIMIT} points")
+        for a in range(lo, hi + 1):
+            out.append(zs_mul((a, b), back))
+    return out
 
 
 def zo_mpvalue(u: ZOmega):

@@ -424,12 +424,11 @@ def test_estimate_at_b30_exits_zero(capsys):
     assert rep["compiled_T"] > 0
 
 
-@pytest.mark.parametrize("b", [100, 1000, 2000])
+@pytest.mark.parametrize("b", [1000, 2000])
 def test_rz_beyond_reach_exits_4_without_a_traceback(b, tmp_path, capsys):
-    # b = 100 overflows the grid enumeration, b = 1000 the float64 range of
-    # the grid problem, and b = 2000 the float eps = 2^-b itself; each must
-    # end in exit 4 naming the angle and the precision, within 20 s (b = 100
-    # once ran for minutes)
+    # b = 1000 overflows the float64 skew of the grid operator search, and
+    # b = 2000 the float eps = 2^-b itself; each must end in exit 4 naming
+    # the angle and the precision, within 20 s
     path = tmp_path / "rz.qc"
     path.write_text("qubits 1\nRz 0 angle=0.3\n", encoding="utf-8")
     t0 = time.perf_counter()
@@ -438,6 +437,26 @@ def test_rz_beyond_reach_exits_4_without_a_traceback(b, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("capacity error: Rz synthesis failed for theta=0.3")
     assert f"b={b}" in err if b < 1075 else "b >= 1075" in err
+    assert "Traceback" not in err
+
+
+def test_a_grid_enumeration_over_the_limit_exits_4(monkeypatch, tmp_path, capsys):
+    # no angle reaches the size guard of the exact grid kernel at the b the
+    # tests use; with the guard at 0 the first point trips it, which must
+    # end in exit 4 naming the angle and the precision
+    monkeypatch.setattr(gridsynth, "_GRID_ROW_LIMIT", 0)
+    with pytest.raises(gridsynth.SynthesisError, match="grid enumeration too large"):
+        gridsynth.synthesize_rz_tags(0.3, 2.0 ** -20)
+    path = tmp_path / "rz.qc"
+    path.write_text("qubits 1\nRz 0 angle=0.3\n", encoding="utf-8")
+    cliffordt_compile._rz_tags.cache_clear()
+    try:
+        assert main(["compile", str(path), "--b", "20", "--out", os.devnull]) == 4
+    finally:
+        cliffordt_compile._rz_tags.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: Rz synthesis failed for theta=0.3")
+    assert "b=20" in err and "grid enumeration too large" in err
     assert "Traceback" not in err
 
 

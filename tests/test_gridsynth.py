@@ -29,30 +29,47 @@ from util import phase_dist_1q, phase_dist_1q_mp, rz_matrix, tags_to_unitary
 SQRT2 = math.sqrt(2)
 
 
-def _brute_grid(l1, u1, l2, u2, margin, box=60):
-    # only solutions at least `margin` inside both intervals: the solver's
-    # endpoint padding makes exact-boundary membership implementation-defined
+def _brute_grid(l1, u1, l2, u2, prec):
+    # every a + b sqrt2 with value in [l1, u1] / 2^prec and conjugate in
+    # [l2, u2] / 2^prec, each end decided by the exact sign of an element of
+    # Z[sqrt2], over a float window of rows and columns two wider each way
+    one = 2.0 ** prec
     out = []
-    for a in range(-box, box + 1):
-        for b in range(-box, box + 1):
-            x = a + b * SQRT2
-            xc = a - b * SQRT2
-            if l1 + margin <= x <= u1 - margin and l2 + margin <= xc <= u2 - margin:
+    for b in range(math.floor((l1 - u2) / one / (2 * SQRT2)) - 2,
+                   math.ceil((u1 - l2) / one / (2 * SQRT2)) + 3):
+        lo = math.floor(max(l1 / one - b * SQRT2, l2 / one + b * SQRT2)) - 2
+        hi = math.ceil(min(u1 / one - b * SQRT2, u2 / one + b * SQRT2)) + 2
+        for a in range(lo, hi + 1):
+            x, y = a << prec, b << prec
+            if min(rings.zs_sign(v) for v in ((x - l1, y), (u1 - x, -y),
+                                              (x - l2, -y), (u2 - x, y))) >= 0:
                 out.append((a, b))
     return sorted(out)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.floats(-20, 20), st.floats(0.01, 3.0),
-       st.floats(-20, 20), st.floats(0.01, 8.0))
-def test_grid_solver_matches_brute_force(c1, w1, c2, w2):
-    sols = solve_grid_1d(c1, c1 + w1, c2, c2 + w2)
-    want = _brute_grid(c1, c1 + w1, c2, c2 + w2, margin=1e-6)
-    assert set(want) <= set(sols)
-    slop = 1e-6
-    for a, b in sols:
-        assert c1 - slop <= a + b * SQRT2 <= c1 + w1 + slop
-        assert c2 - slop <= a - b * SQRT2 <= c2 + w2 + slop
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([0, 2, 30, 160]), st.floats(-20, 20), st.floats(0, 3),
+       st.floats(-20, 20), st.floats(0, 8), st.booleans())
+def test_grid_solver_matches_brute_force(prec, c1, w1, c2, w2, whole):
+    # integer ends with prec fraction bits; whole ends put the integers
+    # (b = 0) exactly on them, which must be returned
+    ends = [round(x * 2 ** prec) for x in (c1, c1 + w1, c2, c2 + w2)]
+    if whole:
+        ends = [round(x) << prec for x in (c1, c1 + w1, c2, c2 + w2)]
+    sols = solve_grid_1d(*ends, prec)
+    assert len(sols) == len(set(sols))
+    assert sorted(sols) == _brute_grid(*ends, prec)
+
+
+@pytest.mark.parametrize("a0", [5 * 10 ** 8, 5 * 10 ** 11])
+def test_grid_solver_is_exact_far_from_the_origin(a0):
+    # x0 = a0 + b0 sqrt2 ~ 2 a0 with |x0*| < 1, in a window 2^-13 wide and a
+    # conjugate window 200 wide, holds one point; a kernel that pads by a
+    # fraction of the ends (reference_scan's, 1e-10) returns 27 and 28,285
+    prec, b0 = 64, round(a0 / SQRT2)
+    x0 = (a0 << prec) + math.isqrt(2 * b0 * b0 << 2 * prec)
+    ends = (x0 - (1 << (prec - 13)), x0 + (1 << (prec - 13)), -100 << prec, 100 << prec)
+    assert solve_grid_1d(*ends, prec) == _brute_grid(*ends, prec) == [(a0, b0)]
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +671,7 @@ def test_mp_phase_distance_matches_float():
         assert phase_dist_1q_mp(tags + ["T"], theta) > eps
 
 
-@pytest.mark.parametrize("b", [30, 40])
+@pytest.mark.parametrize("b", [30, 40, 80, 150])
 def test_rz_synthesis_high_b(b):
     rng = random.Random(3000 + b)
     eps = mp.mpf(2) ** -b
@@ -663,6 +680,15 @@ def test_rz_synthesis_high_b(b):
         tags = synthesize_rz_tags(theta, 2.0 ** -b)
         assert phase_dist_1q_mp(tags, theta) <= eps, theta
         assert sum(t in ("T", "Tdg") for t in tags) <= 3 * b + 20
+
+
+@pytest.mark.parametrize("theta", [2 * math.acos(1 / math.sqrt(3)),
+                                   2 * math.acos(math.sqrt(2 / 3))])
+def test_w_angles_synthesize_at_b60(theta):
+    # lattice-aligned angles: a float grid kernel padded their 1D problems
+    # into enumerations over the size limit from b = 56
+    tags = synthesize_rz_tags(theta, 2.0 ** -60)
+    assert phase_dist_1q_mp(tags, theta) <= mp.mpf(2) ** -60
 
 
 @pytest.mark.parametrize("theta", [2 * math.acos(1 / math.sqrt(3)),

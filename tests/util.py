@@ -75,15 +75,17 @@ def phase_dist(a: np.ndarray, b: np.ndarray) -> float:
     return at((lo + hi) / 2)
 
 
-def phase_dist_1q_mp(tags, theta, dps=80):
+def phase_dist_1q_mp(tags, theta):
     """min_phi ||U - e^{i phi} Rz(theta)|| of a tag word, in mpmath.
 
     For W = Rz(theta)^dagger U with eigenphases a, b the distance is
     2 sin(|a - b| / 4) = sqrt(2 (1 - c)) with c = |Re(tr W / sqrt(det W))| / 2
-    = |cos((a - b) / 2)|.
+    = |cos((a - b) / 2)|.  A distance d ~ 2^-b leaves 1 - c ~ d^2 / 2, which
+    takes 0.6 b digits to resolve, and a word within 2^-b has ~6b gates,
+    so the precision grows with the word: 40 + len(tags) digits.
     """
     import mpmath as mp
-    with mp.workdps(dps):
+    with mp.workdps(40 + len(tags)):
         h = 1 / mp.sqrt(2)
         t = mp.expjpi(mp.mpf(1) / 4)
         gate = {
