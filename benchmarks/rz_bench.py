@@ -2,9 +2,11 @@
 
 Synthesizes fixed seeded angles at eps = 2^-b and prints, per b, the
 median and worst wall time per angle, the mean T-count and the mean gate
-count of the words.  The 2D grid
-solver keeps the time roughly flat in b; a solver whose work grows like
-2^(b/2) shows up here first.
+count of the words, and a digest of the words: the first 8 hex digits of
+the sha256 of all of them joined, so two commits that print the same
+digest at a b gave the same words there.  The 2D grid solver keeps the
+time roughly flat in b; a solver whose work grows like 2^(b/2) shows up
+here first.
 
 It also prints the median ms per angle spent inside four phases of the
 synthesis, timed by wrapping them: the per-angle region set-up
@@ -15,6 +17,7 @@ angle; the rest is the octant reduction and the loop over k.
 
 Run:  PYTHONPATH=src python3 benchmarks/rz_bench.py
 """
+import hashlib
 import math
 import random
 import statistics
@@ -53,7 +56,7 @@ def time_phases() -> dict:
 
 
 def bench(b: int, angles, spent: dict) -> dict:
-    times, tcounts, lengths = [], [], []
+    times, tcounts, lengths, words = [], [], [], []
     phase_times = {name: [] for name in PHASES}
     for theta in angles:
         for name in PHASES:
@@ -63,11 +66,13 @@ def bench(b: int, angles, spent: dict) -> dict:
         times.append(time.perf_counter() - t0)
         tcounts.append(sum(1 for t in tags if t in ("T", "Tdg")))
         lengths.append(len(tags))
+        words.append(" ".join(tags))
         for name in PHASES:
             phase_times[name].append(spent[name])
     out = {"b": b, "median_ms": statistics.median(times) * 1e3,
            "max_ms": max(times) * 1e3, "mean_T": statistics.fmean(tcounts),
-           "mean_gates": statistics.fmean(lengths)}
+           "mean_gates": statistics.fmean(lengths),
+           "digest": hashlib.sha256("\n".join(words).encode()).hexdigest()[:8]}
     for name in PHASES:
         out[name] = statistics.median(phase_times[name]) * 1e3
     return out
@@ -78,12 +83,13 @@ def main() -> None:
     rng = random.Random(SEED)
     angles = [rng.uniform(-math.pi, math.pi) for _ in range(N_ANGLES)]
     print(f"{'b':>3} {'median ms/angle':>16} {'max ms':>9} {'mean T':>7} {'mean gates':>10}"
-          + "".join(f" {name + ' ms':>13}" for name in PHASES) + f"  ({N_ANGLES} angles)")
+          + "".join(f" {name + ' ms':>13}" for name in PHASES)
+          + f" {'words':>8}  ({N_ANGLES} angles)")
     for b in B_VALUES:
         r = bench(b, angles, spent)
         print(f"{r['b']:>3} {r['median_ms']:>16.1f} {r['max_ms']:>9.1f} {r['mean_T']:>7.1f}"
               f" {r['mean_gates']:>10.1f}"
-              + "".join(f" {r[name]:>13.2f}" for name in PHASES))
+              + "".join(f" {r[name]:>13.2f}" for name in PHASES) + f" {r['digest']:>8}")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ masks flip cancel (X.X = I), so neither block emits them.
 - Rz: a multiple of pi/4 becomes its minimal S/T word (zero error); any
   other angle becomes a grid-synthesized word within eps = 2^-b.  Every
   word comes from `synthesize_rz_tags`, memoized per (theta, eps).
-- Ry is an Rz conjugated by the Clifford S.H basis change; a controlled
-  Ry is the standard two-rotation split around a pair of CNOTs.
+- Ry is an Rz conjugated by the Clifford S.H basis change, less the H.H
+  pair where the word begins or ends with H; a controlled Ry is the
+  standard two-rotation split around a pair of CNOTs.
 - Toffolis and multi-controlled gates share one V-chain: a ladder of
   temporary ANDs into ancillas (Gidney, arXiv:1709.06648; 4 T each and
   a measured uncompute) or of textbook 7-T Toffolis.
@@ -156,9 +157,16 @@ def _rz(q: int, theta: float, eps: Optional[float]) -> Tuple[List[Gate], int]:
 
 
 def _ry(q: int, theta: float, eps: Optional[float]) -> Tuple[List[Gate], int]:
+    """Ry(theta) = S H Rz(theta) H Sdg on q, less the H.H pair at each end
+    of the frame where the Rz word begins or ends with H."""
     rz, rot = _rz(q, theta, eps)
-    return [gate("Sdg", (q,)), gate("Hadamard", (q,)), *rz,
-            gate("Hadamard", (q,)), gate("S", (q,))], rot
+    h = gate("Hadamard", (q,))
+    out = [gate("Sdg", (q,)), h, *rz, h, gate("S", (q,))]
+    if out[2] == h:
+        del out[1:3]
+    if out[-3:-1] == [h, h]:
+        del out[-3:-1]
+    return out, rot
 
 
 def _zero_controls(g: Gate) -> List[int]:

@@ -9,10 +9,12 @@ Pipeline per precision eps = 2^-b:
      This is a two-dimensional grid problem (Ross & Selinger,
      arXiv:1403.2975): the eps-region and the conjugate disk are enclosed
      in ellipses, a grid operator found once per angle makes both upright,
-     and each k enumerates the upright pair with four 1D grid problems.
-     The set-up and the 1D problems run exactly on integers with 4b + 100
-     fraction bits; mpmath only reduces the octant and gives cos phi0,
-     sin phi0 once per angle.
+     and each k takes the lines of the upright pair's outer axis from one
+     1D grid problem per coset and walks each line's exact chord of the
+     eps-region with more 1D problems, best end first.  The set-up and
+     the 1D problems run exactly on integers with 4b + 100 fraction bits;
+     mpmath only reduces the octant and gives cos phi0, sin phi0 once per
+     angle.
   3. for each candidate solve the Diophantine equation t.conj t = xi with
      xi = 2^k - u.conj u over Z[sqrt2] by factoring its integer norm
      (`rings.factorize`, under a fixed effort cap) and splitting each prime
@@ -45,7 +47,7 @@ from .rings import (
     zo_from_zsqrt2, zo_galois, zo_gcd, zo_mul, zo_pow, zo_rot,
     zo_sqrt2_divisible, zo_sub,
     zs_div_exact, zs_divides, zs_gcd, zs_lambda_power, zs_mul, zs_norm,
-    zs_sqrt2_valuation, zs_totally_positive,
+    zs_sign, zs_sqrt2_valuation, zs_totally_positive,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -459,59 +461,29 @@ def _upright_operator(d: _Sym, delta: _Sym, prec: int) -> Tuple[_Op, _Sym, _Sym]
 # Candidate enumeration and the top-level Rz synthesis
 
 
-# Below _INNER_MAX the full product of the two axes is cheaper than walking
-# every line; above it (lattice-aligned angles) the product would hold
-# ~2^(b/2) points per line.
-_INNER_MAX = 512      # expected 1D solutions above which an axis is walked
 _CHUNK = 32           # expected solutions in the first chunk of a walk
 _ATTEMPTS_PER_K = 16  # best candidates tried per denominator exponent
-_LIM = 1 + 1e-6       # ellipse bound, with slack for float forms and offsets
 
 
-def _fixed(x: float, prec: int) -> int:
-    """floor(x * 2^prec), exactly."""
-    n, d = x.as_integer_ratio()
-    return (n << prec) // d
+def _zs_floor(x: ZSqrt2, prec: int, d: int = 1) -> int:
+    """floor((a + b sqrt2) 2^prec / d), exactly, for an integer d != 0.
+
+    y below is (a + b sqrt2) 2^(prec + 32) within 2, from sqrt2 to
+    bits(b) + 32 bits more; where that leaves the quotient's floor in
+    doubt, floor(b sqrt2) is taken as an isqrt."""
+    a, b = x if d > 0 else (-x[0], -x[1])
+    d, n = abs(d), prec + b.bit_length() + 32
+    key = (n | 63) + 1                      # few cached widths of sqrt2
+    y = (a << (prec + 32)) + (b * (_sqrt2_fixed(key) >> (key - n)) >> (n - prec - 32))
+    lo = (y - 2) // (d << 32)
+    if lo == (y + 2) // (d << 32):
+        return lo
+    return _floor_q(a << prec, b << prec, 0) // d
 
 
-class _Axis1D:
-    """The 1D grid problem of one coordinate of v for one coset o, on the
-    integers with `prec` fraction bits that the ellipse's centre coordinate
-    and r2 = sqrt2 carry: alpha = v - o/sqrt2 has centre ca = centre - o/sqrt2
-    and alpha* has cb = o/sqrt2.  Offsets are measured from the centres of
-    the two ellipses; wa, wb are the bounding-box half widths."""
-
-    def __init__(self, centre: int, o: int, r2: int, prec: int,
-                 wa: float, wb: float):
-        self.cb = o * r2 >> 1
-        self.ca = centre - self.cb
-        self.r2, self.prec = r2, prec
-        self.wa, self.wb = wa, wb
-
-    def solve(self, lo_a: int, hi_a: int, lo_b: int, hi_b: int):
-        """(alpha, offset in the ellipse, offset in the disk) for every
-        alpha with offsets in [lo_a, hi_a] and [lo_b, hi_b] (fixed point)."""
-        prec, ca, cb, r2 = self.prec, self.ca, self.cb, self.r2
-        one = 1 << prec
-        out = []
-        for x in solve_grid_1d(ca + lo_a, ca + hi_a, cb + lo_b, cb + hi_b, prec):
-            a, t = x[0] << prec, x[1] * r2
-            out.append((x, (a + t - ca) / one, (a - t - cb) / one))
-        return out
-
-    def solve_all(self):
-        wa, wb = _fixed(self.wa, self.prec), _fixed(self.wb, self.prec)
-        return self.solve(-wa, wa, -wb, wb)
-
-
-def _chord(form: Tuple[float, float, float], t: float):
-    """Inner offsets s with p t^2 + 2 q t s + r s^2 <= _LIM, or None."""
-    p, q, r = form
-    disc = q * q * t * t - r * (p * t * t - _LIM)
-    if disc < 0:
-        return None
-    sq = math.sqrt(disc)
-    return (-q * t - sq) / r, (-q * t + sq) / r
+def _zs_dot(x: Tuple[ZSqrt2, ZSqrt2], y: Tuple[ZSqrt2, ZSqrt2]) -> ZSqrt2:
+    (a, b), (c, d) = zs_mul(x[0], y[0]), zs_mul(x[1], y[1])
+    return a + c, b + d
 
 
 class _EpsRegion:
@@ -524,27 +496,27 @@ class _EpsRegion:
     semi-axes 2h/3 radially and 2s/sqrt3 along the chord, which passes
     through the chord ends) and the disk is its own ellipse.  A grid
     operator H makes the pair (H^-1 ellipse, H*^-1 disk) upright.  Scaling
-    by sqrt2^k commutes with H and keeps uprightness, so H is found once;
-    each k enumerates the bounding boxes of the scaled upright pair as
-    v = alpha + i beta + o w with alpha, beta in Z[sqrt2], o in {0, 1}
-    (one 1D grid problem per coordinate and coset), keeps the v inside both
-    ellipses, and maps them back to u = H v.
+    by sqrt2^k commutes with H and keeps uprightness, so H is found once.
+    Each k writes v = H^-1 u as alpha + i beta + o w with alpha, beta in
+    Z[sqrt2] and o in {0, 1}, and maps the v it keeps back to u = H v.
 
-    The outer axis is the one with fewer expected 1D solutions.  When the
-    inner axis has many (the angle points along a lattice element, as the
-    W-state angle 2 arccos(1/sqrt3) does, and the solutions come in long
-    rows of nearly equal quality), each outer solution walks the part of
-    its line inside the segment from the end where the quality grows, in
-    chunks of doubling width, until it has `limit` verified candidates:
-    quality is affine along the line, so those are its best.
+    The outer axis is the coordinate with fewer expected 1D solutions.  Per
+    coset, one 1D grid problem on the bounding boxes of both ellipses gives
+    the lines (outer solutions).  Each line solves 1D problems on its chord
+    of the segment and the disk's box: it walks the chord from the end where
+    the quality grows, in chunks of doubling width, until it has `limit`
+    verified candidates.  Quality is affine along the line, so those are
+    its best.
 
-    The geometry runs on integers with `prec` = 4b + 100 fraction bits
-    (the upright ellipse is ~eps^1.5 R wide at ~eps^-1.5 R from the origin,
-    and in float64 1 - eps^2/2 rounds to 1 from b = 27 on): the ellipse's
-    exact coefficients, one fixed-point cos phi0, sin phi0 (the only mpmath
-    call, also the quality's), and the upright pair the operator search
-    returns, from which forms, half widths, centre and walk chords derive,
-    and the 1D problems, whose ends are the centre plus the offsets.
+    The set-up runs on integers with `prec` = 4b + 100 fraction bits (the
+    upright ellipse is ~eps^1.5 R wide at ~eps^-1.5 R from the origin, and
+    in float64 1 - eps^2/2 rounds to 1 from b = 27 on): the ellipse's exact
+    coefficients, one fixed-point cos phi0, sin phi0 (the only mpmath call,
+    also the quality's), and the upright pair the operator search returns,
+    from which the ellipse's box and centre derive.  H is exact, so the
+    chords and the disk's box are exact in Z[sqrt2] and only rounded
+    outward; the ellipse's box may round, as its semi-axes carry a 2^-20
+    margin.
     """
 
     def __init__(self, phi0, eps: float):
@@ -583,13 +555,35 @@ class _EpsRegion:
         rc_det = rc.numerator if g11 * g22 > g12 * g21 else -rc.numerator
         self.centre_fx = [round_div(rc_det * x, rc.denominator << prec)
                           for x in (g22 * c - g12 * s, g11 * s - g21 * c)]
-        # the segment along v's outer and inner axes (o, i: the columns of H,
-        # their u-space directions): H^T H, H^T (c, s), rc, h/3 and rc^2 - 1
-        cols = ((g11, g21), (g12, g22))
-        (o1, o2), (i1, i2) = cols[self.outer], cols[1 - self.outer]
-        self.seg = (o1 * o1 + o2 * o2, o1 * i1 + o2 * i2, i1 * i1 + i2 * i2,
-                    c * o1 + s * o2, c * i1 + s * i2,
-                    round(rc * one), round(h / 3 * one), round((rc * rc - 1) * one * one))
+        # the columns of G = sqrt2 H along v's outer and inner axes, and
+        # their dot products, exact: the Gram matrix M = G^T G
+        h11, h12, h21, h22 = self.op
+        cols = ((h11, h21), (h12, h22))
+        co, ci = cols[self.outer], cols[1 - self.outer]
+        self.m_ii = _zs_dot(ci, ci)
+        # bounding-box half widths in fixed point, rounded up, at sqrt2^j for
+        # j = 0, 1 (at sqrt2^k they are 2^(k >> 1) times those at j = k & 1):
+        # the ellipse's along the outer axis, and the disk's, whose squares
+        # are 2^(k-1) M*_ii (outer) and 2^(k-1) M*_oo (inner) as det M* = 4
+        p, q, r = self.ell[0]
+        self.boxes = [[math.isqrt(((r, p)[self.outer] << 3 * prec + j) // (p * r - q * q)) + 1
+                       for j in (0, 1)]] + [
+            [math.isqrt(_zs_floor((m[0], -m[1]), 2 * prec - 1 + j)) + 1 for j in (0, 1)]
+            for m in (self.m_ii, _zs_dot(co, co))]
+        # a chord divides by sqrt2 M_ii, i.e. multiplies by sqrt2 M_ii* over
+        # 2 M_ii M_ii* > 0 (M_ii and M_ii* are sums of squares)
+        mc = (self.m_ii[0], -self.m_ii[1])
+        a1 = zs_mul(_zs_dot(co, ci), mc)
+        self._circle = (-2 * a1[1], -a1[0]), zs_norm(self.m_ii), zs_mul(mc, mc)
+        # on a line, c Re u + s Im u = (X wo + T wi) / 2 for (wo, wi) =
+        # c G_1. + s G_2., which grows along the line if w = sqrt2 wi > 0;
+        # and floor(2^prec (1 - eps^2/2))
+        wo, wi = ((c * a[0] + s * b[0], c * a[1] + s * b[1]) for a, b in (co, ci))
+        w = (2 * wi[1], wi[0])
+        num, dnm = eps.as_integer_ratio()
+        thr = ((2 * dnm * dnm - num * num) << prec) // (2 * dnm * dnm)
+        self._line_quality = wo, wi, (w[0], -w[1]), zs_norm(w), thr
+        self.rising = zs_sign(w) > 0
 
     def _lift(self, outer: ZSqrt2, inner: ZSqrt2, o: int) -> ZOmega:
         """u = H v for v = alpha + i beta + o w."""
@@ -604,92 +598,84 @@ class _EpsRegion:
     def candidates(self, k: int, limit: Optional[int] = None) -> List[ZOmega]:
         """The best `limit` (default all) verified candidates at exponent
         k, best quality first."""
+        prec, r2 = self.prec, self.r2_fx
+        scale = (r2 if k & 1 else 1 << prec) << (k >> 1)            # sqrt2^k
+        centre = self.centre_fx[self.outer] * scale >> prec
+        wa, wb_o, wb_i = (h[k & 1] << (k >> 1) for h in self.boxes)
+        step = (_CHUNK * r2 << prec) // wb_i + 1      # holds _CHUNK expected solutions
         found = {}
-        # both ellipses at scale sqrt2^k: forms / 2^k (outer, inner), half widths * sqrt2^k
-        forms = [[x / (1 << (self.prec + k)) for x in (m[::-1] if self.outer else m)]
-                 for m in self.ell]
-        half = [[w * SQRT2 ** k for w in hw] for hw in self.half]
-        scale = (self.r2_fx if k & 1 else 1 << self.prec) << (k >> 1)     # sqrt2^k
-        centre = [c * scale >> self.prec for c in self.centre_fx]
-
-        def axis(a, o):
-            return _Axis1D(centre[a], o, self.r2_fx, self.prec, half[0][a], half[1][a])
-
         for o in (0, 1):
-            xs = axis(self.outer, o).solve_all()
-            if not xs:
-                continue
-            inner = axis(1 - self.outer, o)
-            walk = SQRT2 * inner.wa * inner.wb > _INNER_MAX     # expected 1D solutions
-            ys = [] if walk else inner.solve_all()
-            # the product's points, or a first chunk on every walked line
-            n = len(xs) * (_CHUNK if walk else len(ys))
-            if n > _GRID_ROW_LIMIT:
-                raise SynthesisError(f"grid enumeration too large at k={k}: {n} points")
-            if walk:
-                for x, _, xb in xs:
-                    found.update(self._walk(k, x, o, inner, self._segment_chord(k, x, o),
-                                            _chord(forms[1], xb), limit))
-                    if limit is not None:       # keep the best: memory stays bounded
-                        found = dict(sorted(found.items(), key=lambda c: c[1])[-limit:])
-            else:
-                cands = [self._lift(x, y, o)
-                         for x, xa, xb in xs for y, ya, yb in ys
-                         if _inside(forms[0], xa, ya) and _inside(forms[1], xb, yb)]
-                found.update(self._verify(k, cands))
+            cb = o * r2 >> 1                          # o / sqrt2, floored
+            lines = solve_grid_1d(centre - cb - wa, centre - cb + wa,
+                                  cb - wb_o, cb + 1 + wb_o, prec)
+            if len(lines) * _CHUNK > _GRID_ROW_LIMIT:
+                raise SynthesisError(f"grid enumeration too large at k={k}: {len(lines)} lines")
+            for x in lines:
+                chord = self._segment_chord(k, x, o)
+                if chord is None:
+                    continue
+                found.update(self._walk(k, x, o, chord, (cb - wb_i, cb + 1 + wb_i),
+                                        step, limit))
+                if limit is not None and len(found) > limit:    # memory stays bounded
+                    found = dict(sorted(found.items(), key=lambda c: c[1])[-limit:])
         best = sorted(found, key=found.get, reverse=True)
         return best if limit is None else best[:limit]
 
-    def _segment_chord(self, k: int, x: ZSqrt2, o: int):
-        """Inner offsets (from the ellipse centre) of the line at outer
-        coordinate x + o/sqrt2 inside the segment scaled by sqrt2^k, or None.
+    def _segment_chord(self, k: int, x: ZSqrt2, o: int) -> Optional[Tuple[int, int]]:
+        """Fixed-point ends (`prec` fraction bits, low floored, high ceiled)
+        of the inner coordinate on the line at outer coordinate x + o/sqrt2
+        inside the segment scaled by sqrt2^k, or None.
 
-        At outer offset dv from the centre, u = H v is the segment ellipse's
-        centre plus dv o + t i, so |u| <= sqrt2^k is a quadratic in t and
-        the quality bound is linear, with all terms of the segment's size
-        (integers with up to 6 prec fraction bits, exact but for the rounded
-        inputs and the square root)."""
-        prec, r2 = self.prec, self.r2_fx
-        m_oo, m_oi, m_ii, w_o, w_i, rc, h3, rc2m1 = self.seg
-        scale = (r2 if k & 1 else 1 << prec) << (k >> 1)            # sqrt2^k
-        dv = ((x[0] << prec) + ((2 * x[1] + o) * r2 >> 1)
-              - (self.centre_fx[self.outer] * scale >> prec))
-        rcs = scale * rc >> prec
-        b = rcs * w_i + dv * m_oi
-        cc = (rc2m1 << (k + 2 * prec)) + dv * (2 * rcs * w_o + dv * m_oo)
-        disc = b * b - m_ii * cc
-        if disc < 0:
+        With V = sqrt2 v = (X, T) along the outer and inner axes, so
+        T = sqrt2 alpha + o, and G = sqrt2 H, u = G V / 2.  |u|^2 <= 2^k is
+        M_ii T^2 + 2 M_oi X T + M_oo X^2 <= 2^(k+2), whose discriminant is
+        4 (2^k M_ii - X^2) as det M = det(G)^2 = 4, and the quality bound
+        is linear in T.  Both are exact in Z[sqrt2], so a line tangent to the
+        circle keeps its point; only the conversion to fixed point rounds."""
+        prec, (a1, nm, mc2) = self.prec, self._circle
+        X = (2 * x[1] + o, x[0])
+        (xa, xb), (ma, mb) = zs_mul(X, X), self.m_ii
+        disc = ((ma << k) - xa, (mb << k) - xb)
+        if zs_sign(disc) < 0:
             return None
-        sq, den = math.isqrt(disc), m_ii << prec
-        lo, hi = (-b - sq) / den, (-b + sq) / den
-        # quality: t w_i >= -sqrt2^k h / 3 - dv w_o
-        rhs = -(scale * h3 << prec) - dv * w_o
-        if w_i > 0:
-            lo = max(lo, rhs / (w_i << prec))
-        elif w_i < 0:
-            hi = min(hi, rhs / (w_i << prec))
-        elif rhs > 0:
-            return None
+        # alpha = (N +- 2 sqrt(disc)) / (sqrt2 M_ii) for N = -(X M_oi + o M_ii):
+        # over 2 nm that is N sqrt2 M_ii* = X a1 - o nm sqrt2 +- 2 sqrt(2 disc M_ii*^2)
+        pa, pb = zs_mul(X, a1)
+        n = _zs_floor((pa, pb - o * nm), prec)
+        sq = math.isqrt(_zs_floor(zs_mul(disc, mc2), 2 * prec + 3))
+        lo, hi = (n - sq - 1) // (2 * nm), -((-n - sq - 2) // (2 * nm))
+        # quality: `_verify` accepts no u with c Re u + s Im u < R t for
+        # t = thr - 16 2^max(0, prec - P), as its integer quality is within
+        # 2^(P+3) R of 2^2P times the true one and c, s are within 2 of
+        # 2^prec cos phi0, 2^prec sin phi0; so the line keeps alpha w >= z
+        # for z = 2 R t - X wo - o wi
+        wo, wi, wc, nw, thr = self._line_quality
+        t = thr - (16 << max(0, prec - _quality_bits(k))) << (k >> 1) + 1   # 2 R t / sqrt2^(k&1)
+        za, zb = zs_mul(X, wo)
+        z = ((0 if k & 1 else t) - za - o * wi[0], (t if k & 1 else 0) - zb - o * wi[1])
+        if nw == 0:                             # the quality is constant on the line
+            return (lo, hi) if zs_sign(z) <= 0 else None
+        q = zs_mul(z, wc)                       # z / w = q / N(w)
+        if self.rising:
+            lo = max(lo, _zs_floor(q, prec, nw))
+        else:
+            hi = min(hi, -_zs_floor((-q[0], -q[1]), prec, nw))
         return (lo, hi) if lo <= hi else None
 
-    def _walk(self, k, x, o, axis, ca, cb, limit):
-        """Verified candidates on the inner chord of outer solution x, best
-        first in chunks, until `limit` are found or the chord is done."""
-        if ca is None or cb is None:
-            return {}
-        lo, hi = ca
-        step = _CHUNK * 2 * SQRT2 / (cb[1] - cb[0])
-        rising = self.seg[4] >= 0                 # the quality grows along t
+    def _walk(self, k, x, o, chord, conj, step, limit):
+        """Verified candidates on the chord of line x, best first in chunks
+        of doubling width, until `limit` are found or the chord is done."""
+        lo, hi = chord
         got, done = {}, False
         while not done and (limit is None or len(got) < limit):
-            if rising:
+            if self.rising:
                 c_lo, c_hi = max(lo, hi - step), hi
                 hi, done = c_lo, c_lo <= lo
             else:
                 c_lo, c_hi = lo, min(hi, lo + step)
                 lo, done = c_hi, c_hi >= hi
-            ys = axis.solve(*(_fixed(c, self.prec) for c in (c_lo, c_hi, *cb)))
-            got.update(self._verify(k, [self._lift(x, y, o) for y, _, _ in ys]))
+            ys = solve_grid_1d(c_lo, c_hi, *conj, self.prec)
+            got.update(self._verify(k, [self._lift(x, y, o) for y in ys]))
             step *= 2
         return got
 
@@ -700,7 +686,7 @@ class _EpsRegion:
         xi is checked exactly.  The quality is the integer
         Q = (Re u 2^P) C + (Im u 2^P) S, with C, S and R2 cos phi0, sin phi0
         and sqrt2 times 2^P, and its threshold T = sqrt2^k (1 - eps^2/2)
-        2^2P; Q / (sqrt2^k 2^2P) is within ~2^(2 - P) of the true quality,
+        2^2P; Q is within 2^(P+3) sqrt2^k of the true quality times 2^2P,
         so Q also serves as the sort key."""
         P = _quality_bits(k)
         bits, C, S = self._trig
@@ -722,11 +708,6 @@ class _EpsRegion:
             if q >= T:
                 out[u] = q
         return out
-
-
-def _inside(form: Tuple[float, float, float], s: float, t: float) -> bool:
-    p, q, r = form
-    return p * s * s + 2 * q * s * t + r * t * t <= _LIM
 
 
 def _quality_bits(k: int) -> int:

@@ -10,11 +10,12 @@ the order gridsynth tries them.
 mpmath before it moved to fixed-point integers: exact feasibility, and
 the quality in high precision.
 
-`region_setup(phi0, eps)` and `segment_chord(ref, k, x, o)` are the 2D
-solver's per-angle set-up as gridsynth computed it in mpmath at 4b + 100
-bits before it moved to the operator search's fixed-point integers: the
-segment ellipse, the upright pair under the grid operator, the half widths,
-the ellipse centre and the chord of a walked line.
+`region_setup(phi0, eps)` is the 2D solver's per-angle set-up as gridsynth
+computed it in mpmath at 4b + 100 bits before it moved to the operator
+search's fixed-point integers: the segment ellipse, the upright pair under
+the grid operator, the half widths and the ellipse centre.
+`segment_chord(ref, k, x, o)` is the chord of a walked line inside the
+segment, in mpmath at three times those bits.
 
 `solve_grid_1d(l1, u1, l2, u2, pad)` is the float 1D grid kernel gridsynth
 used before its exact fixed-point one: it pads each interval outward by
@@ -176,8 +177,8 @@ def _congruence(m, g):
 def region_setup(phi0, eps: float) -> SimpleNamespace:
     """The set-up of `gridsynth._EpsRegion` in mpmath: the grid operator
     (found by the fixed-point operator search from the ellipse rounded to
-    prec bits), the upright pair's float forms, half widths, the centre,
-    its fixed-point value, the outer axis and what `segment_chord` needs."""
+    prec bits), the upright pair's float forms, half widths, the centre's
+    fixed-point value, the outer axis, and phi0 and eps for `segment_chord`."""
     prec = 4 * max(1, math.ceil(-math.log2(eps))) + 100
     with mp.workprec(prec):
         cos_d = 1 - mp.mpf(eps) ** 2 / 2
@@ -201,38 +202,43 @@ def region_setup(phi0, eps: float) -> SimpleNamespace:
         centre_fx = [int(mp.nint(mp.ldexp(x, prec))) for x in centre]
     ha, hb = half
     outer = 0 if ha[0] * hb[0] <= ha[1] * hb[1] else 1
-    cols = ((g11, g21), (g12, g22))
-    return SimpleNamespace(prec=prec, op=op, forms=forms, half=half,
-                           centre=centre, centre_fx=centre_fx, outer=outer,
-                           dirs=(cols[outer], cols[1 - outer]), seg=(c, s, rc, h))
+    return SimpleNamespace(phi0=phi0, eps=eps, prec=prec, op=op, forms=forms, half=half,
+                           centre_fx=centre_fx, outer=outer)
 
 
 def segment_chord(ref: SimpleNamespace, k: int, x, o: int):
-    """Inner offsets (from the ellipse centre) of the line at outer
-    coordinate x + o/sqrt2 inside the segment scaled by sqrt2^k, as floats,
-    or None; computed in mpmath at the set-up's precision."""
-    with mp.workprec(ref.prec):
+    """Ends of the inner coordinate alpha (v's inner coordinate less o/sqrt2)
+    on the line at outer coordinate x + o/sqrt2 inside the segment scaled by
+    sqrt2^k, or None; the low end floored and the high end ceiled to
+    prec + 8 fraction bits.  Computed in mpmath at 3 prec bits from the
+    grid operator and the line, without the centre, so only a tangent
+    line's discriminant is in doubt."""
+    with mp.workprec(3 * ref.prec):
         r2 = mp.sqrt(2)
-        scale = r2 ** k
-        offset = x[0] + x[1] * r2 + o / r2 - ref.centre[ref.outer] * scale
-        c, s, rc, h = ref.seg
-        (o1, o2), (d1, d2) = ref.dirs
-        u1, u2 = offset * o1, offset * o2
-        p1, p2 = scale * rc * c + u1, scale * rc * s + u2
+        R = r2 ** k
+        X = x[0] + x[1] * r2 + o / r2
+        h11, h12, h21, h22 = op_value(ref.op)
+        cols = ((h11, h21), (h12, h22))
+        (o1, o2), (d1, d2) = cols[ref.outer], cols[1 - ref.outer]
+        # u = X (o1, o2) + T (d1, d2); |u| <= R is a T^2 + 2 b T + cc <= 0
         a = d1 * d1 + d2 * d2
-        b = p1 * d1 + p2 * d2
-        cc = (scale ** 2 * (rc - 1) * (rc + 1)
-              + 2 * scale * rc * (c * u1 + s * u2) + u1 * u1 + u2 * u2)
+        b = X * (o1 * d1 + o2 * d2)
+        cc = X * X * (o1 * o1 + o2 * o2) - R * R
         disc = b * b - a * cc
         if disc < 0:
             return None
         lo, hi = (-b - mp.sqrt(disc)) / a, (-b + mp.sqrt(disc)) / a
-        # quality: t (dir . d) >= -scale h / 3 - dir . u1
-        slope, rhs = c * d1 + s * d2, -scale * h / 3 - (c * u1 + s * u2)
+        # quality: X (c o1 + s o2) + T (c d1 + s d2) >= R (1 - eps^2/2)
+        c, s = mp.cos(ref.phi0), mp.sin(ref.phi0)
+        slope = c * d1 + s * d2
+        rhs = R * (1 - mp.mpf(ref.eps) ** 2 / 2) - X * (c * o1 + s * o2)
         if slope > 0:
             lo = max(lo, rhs / slope)
         elif slope < 0:
             hi = min(hi, rhs / slope)
         elif rhs > 0:
             return None
-        return (float(lo), float(hi)) if lo <= hi else None
+        if lo > hi:
+            return None
+        return (int(mp.floor(mp.ldexp(lo - o / r2, ref.prec + 8))),
+                int(mp.ceil(mp.ldexp(hi - o / r2, ref.prec + 8))))

@@ -63,9 +63,9 @@ def test_synthesize_rz_budget_and_distance():
 
 
 def test_rewrite_ry_matrix_checks():
-    # theta = 0: pure Clifford identity
+    # theta = 0: pure Clifford identity, the frame's H.H pair left out
     c, _ = _compile_1q("Ry", 0.0, 1)
-    assert [g.tag for g in c.gates] == ["Sdg", "Hadamard", "Hadamard", "S"]
+    assert [g.tag for g in c.gates] == ["Sdg", "S"]
     assert phase_dist(circuit_unitary(c), np.eye(2, dtype=complex)) < 1e-12
     # theta = pi: exact up to phase
     c, _ = _compile_1q("Ry", math.pi, 10)
@@ -282,6 +282,20 @@ def test_no_x_pair_at_a_junction_of_consecutive_mcry(spec):
             continue
         assert len(run) == len(set(run)), run
         run = []
+
+
+@pytest.mark.parametrize("spec, b", [(BenchmarkSpec("thc_toy", seed=3), 4),
+                                     (BenchmarkSpec("sparse_random", n=6, seed=1), 12),
+                                     (BenchmarkSpec("dicke", n=8, k=2), 14)])
+def test_no_h_pair_in_a_compiled_rotation_row(spec, b):
+    # an Ry is Sdg H | Rz word | H S, and the H that a word begins or ends
+    # with cancels against the frame's, so no qubit sees H twice in a row
+    out, _ = compile_circuit(synthesize_sparse(make_state(spec)), SynthesisConfig(b=b))
+    last = {}
+    for g in out.gates:
+        for q in g.qubits:
+            assert not (g.tag == "Hadamard" and last.get(q) == "Hadamard"), (q, g)
+            last[q] = g.tag
 
 
 def test_cost_model_fallback():

@@ -507,13 +507,12 @@ def test_fixed_point_quality_matches_mpmath_oracle(b, monkeypatch):
     cases = [(region, k) for region in regions for k in range(k0, k0 + 6)]
 
     def lists():
-        # every candidate from the pairs of both axes, and the best 16 from
-        # walking every line of the inner axis
+        # every candidate, and the best 16 from walks that stop on each
+        # line once it has 16
         full = [region.candidates(k) for region, k in cases]
-        with monkeypatch.context() as m:
-            m.setattr(gridsynth, "_INNER_MAX", 0)
-            walked = [region.candidates(k, gridsynth._ATTEMPTS_PER_K) for region, k in cases]
-        return full + walked
+        best = [region.candidates(k, gridsynth._ATTEMPTS_PER_K) for region, k in cases]
+        assert best == [c[:gridsynth._ATTEMPTS_PER_K] for c in full]
+        return full + best
 
     got = lists()
     assert sum(len(c) for c in got) > 1000
@@ -523,17 +522,32 @@ def test_fixed_point_quality_matches_mpmath_oracle(b, monkeypatch):
         assert got[i] == want, i
 
 
+# an angle whose only candidate at b = 4, k = 4 is u = 4 on the circle
+# |u| = sqrt2^k, on a line tangent to it
+_TANGENT_THETA = float.fromhex("-0x1.b013d8f0ef480p-1")
+
+
 @pytest.mark.parametrize("b", [4, 12, 30, 48, 60])
-def test_region_setup_matches_the_mpmath_oracle(b):
+def test_region_setup_matches_the_mpmath_oracle(b, monkeypatch):
     # the set-up on the operator search's integers must give the grid
     # operator, float forms (of the upright pair) and half widths the mpmath
-    # set-up gave, the centre far below float resolution, and the same walk
-    # chords
+    # set-up gave, and the centre far below float resolution.  The integer
+    # chord of every line the walk takes, and of shifted ones that may miss
+    # the segment, must hold the chord mpmath finds, and be wider only by
+    # its outward rounding, under 2 units in the last place at each end, and
+    # at the quality's end by the quality margin of 16 R 2^max(0, prec - P)
+    # units, plus R for the floored threshold and 3 R for the rounded
+    # cos phi0, sin phi0, over the quality's slope along the line
     rng = random.Random(1500 + b)
     eps = 2.0 ** -b
     k0 = max(0, int(1.5 * b) - 2)
+    lines = []
+    chord = _EpsRegion._segment_chord
+    monkeypatch.setattr(_EpsRegion, "_segment_chord", lambda self, k, x, o:
+                        lines.append((k, x, o)) or chord(self, k, x, o))
     chords = hits = 0
-    for theta in [rng.uniform(-math.pi, math.pi) for _ in range(6)] + _LATTICE_ANGLES:
+    for theta in [rng.uniform(-math.pi, math.pi) for _ in range(6)] + _LATTICE_ANGLES + [
+            _TANGENT_THETA]:
         theta_p = theta - round(theta / (math.pi / 4)) * math.pi / 4
         if abs(theta_p) <= 1e-12:                 # snapped to an S/T word
             continue
@@ -544,26 +558,29 @@ def test_region_setup_matches_the_mpmath_oracle(b):
         assert forms == ref.forms and region.half == ref.half, theta
         for got, want in zip(region.centre_fx, ref.centre_fx):
             assert abs(got - want) < 1 << (region.prec - 96), theta
-        # the lines the walk would take at the first exponents (the outer
-        # axis's solutions), and shifted ones that may miss the segment
+        with mp.workprec(region.prec):
+            h, i = op_value(region.op), 1 - region.outer    # quality per unit of alpha
+            slope = abs(mp.cos(-theta_p / 2) * h[i] + mp.sin(-theta_p / 2) * h[2 + i])
         for k in range(k0, k0 + 4):
-            centre = [c << (k >> 1) for c in region.centre_fx]
-            if k & 1:
-                centre = [c * region.r2_fx >> region.prec for c in centre]
-            hx, hy = ([w * SQRT2 ** k for w in hw] for hw in region.half)
-            for o in (0, 1):
-                axis = gridsynth._Axis1D(centre[region.outer], o, region.r2_fx,
-                                         region.prec, hx[region.outer], hy[region.outer])
-                for x, _, _ in axis.solve_all()[:20]:
-                    for line in [(x[0] + j, x[1]) for j in range(-2, 3)]:
-                        got = region._segment_chord(k, line, o)
-                        want = reference_scan.segment_chord(ref, k, line, o)
-                        chords, hits = chords + 1, hits + (want is not None)
-                        if got != want:
-                            # a tangent line: the exact chord is one point,
-                            # which both round differently; _verify decides it
-                            assert all(c is None or c[1] - c[0] < 1e-12
-                                       for c in (got, want)), (theta, k, line, o)
+            margin = int(20 * SQRT2 ** k * 2 ** max(0, region.prec - gridsynth._quality_bits(k))
+                         / slope) + 2
+            lines.clear()
+            region.candidates(k)
+            for _, x, o in lines[:40]:
+                for line in [(x[0] + j, x[1]) for j in range(-2, 3)]:
+                    got = chord(region, k, line, o)
+                    want = reference_scan.segment_chord(ref, k, line, o)
+                    chords, hits = chords + 1, hits + (want is not None)
+                    if want is None:
+                        # the line misses the segment, or is tangent to the
+                        # circle and the oracle's rounding missed the point
+                        assert got is None or got[1] - got[0] <= 4 + margin, (theta, k, line, o)
+                        continue
+                    lo, hi = (x << 8 for x in got)
+                    assert lo <= want[0] and want[1] <= hi, (theta, k, line, o)
+                    slack = (margin, 2) if region.rising else (2, margin)
+                    assert want[0] - lo < slack[0] << 8 and hi - want[1] < slack[1] << 8, (
+                        theta, k, line, o)
     assert chords > 600 and hits > 100
 
 
@@ -693,14 +710,20 @@ def test_w_angles_synthesize_at_b60(theta):
 
 @pytest.mark.parametrize("theta", [2 * math.acos(1 / math.sqrt(3)),
                                    2 * math.acos(math.sqrt(0.2)), 0.7, -2.1])
-def test_chord_walk_matches_full_enumeration(theta, monkeypatch):
+def test_chord_walk_matches_full_enumeration(theta):
     # lattice-aligned angles (the first two) put many candidates on each
-    # line of the inner axis; walking those lines from the best end must
-    # give the same best 16 as enumerating every pair
+    # line; walking each line from its best end and stopping once it has 16
+    # must give the same best 16 as walking every line to its end
     b, mth = 14, round(theta / (math.pi / 4))
     region = _EpsRegion(-(theta - mth * math.pi / 4) / 2, 2.0 ** -b)
     for k in range(int(1.5 * b) - 2, int(1.5 * b) + 6):
-        monkeypatch.setattr(gridsynth, "_INNER_MAX", math.inf)
-        full = region.candidates(k, 16)
-        monkeypatch.setattr(gridsynth, "_INNER_MAX", 0)
-        assert region.candidates(k, 16) == full, k
+        assert region.candidates(k, 16) == region.candidates(k)[:16], k
+
+
+def test_a_line_tangent_to_the_circle_keeps_its_point():
+    # u = 4 = sqrt2^4 lies on the circle |u| = sqrt2^k, on a line tangent to
+    # it: a chord that rounds its discriminant below 0 loses the only
+    # candidate, and the word grows from Tdg to 31 gates
+    assert synthesize_rz_tags(_TANGENT_THETA, 2.0 ** -4) == ["Tdg"]
+    theta_p = _TANGENT_THETA + math.pi / 4
+    assert _EpsRegion(-theta_p / 2, 2.0 ** -4).candidates(4) == [(4, 0, 0, 0)]
