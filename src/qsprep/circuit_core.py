@@ -206,6 +206,9 @@ def deserialize(text: str) -> Circuit:
 
 
 def is_pi4_multiple(theta: float) -> bool:
-    """True when theta is an exact multiple of pi/4 (Clifford+T angle)."""
+    """True when theta is a multiple of pi/4 (Clifford+T angle), within
+    _PI4_TOL in units of pi/4.  From |theta| ~ 6434 on, floats there are
+    spaced wider than that tolerance, so landing on a multiple says
+    nothing, and no such angle counts as exact."""
     r = theta / (math.pi / 4)
-    return abs(r - round(r)) <= _PI4_TOL
+    return math.ulp(r) <= _PI4_TOL and abs(r - round(r)) <= _PI4_TOL

@@ -5,14 +5,17 @@ gates.  `_lower` maps one logical gate to its block of gates, the ancillas
 it uses and its count of non-exact rotations, from the gate alone; a dict
 local to each call lowers every distinct gate once.  Between two
 consecutive MultiControlledRy gates the X flips of a control that both
-masks flip cancel (X.X = I), so neither block emits them.
+masks flip cancel (X.X = I), so neither block emits them; a gate that
+lowers to no gates, such as a rotation with the empty word, does not
+separate them.
 
 - Rz: a multiple of pi/4 becomes its minimal S/T word (zero error); any
   other angle becomes a grid-synthesized word within eps = 2^-b.  Every
   word comes from `synthesize_rz_tags`, memoized per (theta, eps).
 - Ry is an Rz conjugated by the Clifford S.H basis change, less the H.H
-  pair where the word begins or ends with H; a controlled Ry is the
-  standard two-rotation split around a pair of CNOTs.
+  pair where the word begins or ends with H, and nothing for the empty
+  word; a controlled Ry is the standard two-rotation split around a pair
+  of CNOTs, and nothing when both its words are empty.
 - Toffolis and multi-controlled gates share one V-chain: a ladder of
   temporary ANDs into ancillas (Gidney, arXiv:1709.06648; 4 T each and
   a measured uncompute) or of textbook 7-T Toffolis.
@@ -158,8 +161,11 @@ def _rz(q: int, theta: float, eps: Optional[float]) -> Tuple[List[Gate], int]:
 
 def _ry(q: int, theta: float, eps: Optional[float]) -> Tuple[List[Gate], int]:
     """Ry(theta) = S H Rz(theta) H Sdg on q, less the H.H pair at each end
-    of the frame where the Rz word begins or ends with H."""
+    of the frame where the Rz word begins or ends with H; no gates for an
+    empty Rz word."""
     rz, rot = _rz(q, theta, eps)
+    if not rz:
+        return [], rot
     h = gate("Hadamard", (q,))
     out = [gate("Sdg", (q,)), h, *rz, h, gate("S", (q,))]
     if out[2] == h:
@@ -201,12 +207,14 @@ def _lower(g: Gate, n: int, toffoli_mode: str, eps: Optional[float]
         return rot_gates, 0, rot
     if tag == "MultiControlledRy":
         controls, t, half = qs[:-1], qs[-1], g.angle / 2
-        anc = len(controls) - 1
-        flips = [gate("PauliX", (q,)) for q in _zero_controls(g)]
-        compute, top, uncompute = _v_chain(controls, range(n, n + anc), toffoli_mode)
         # controlled Ry(theta) = Ry(theta/2) . CNOT . Ry(-theta/2) . CNOT
         ry1, r1 = _ry(t, -half, eps)
         ry2, r2 = _ry(t, half, eps)
+        if not ry1 and not ry2:                 # both words are the identity
+            return [], 0, r1 + r2
+        anc = len(controls) - 1
+        flips = [gate("PauliX", (q,)) for q in _zero_controls(g)]
+        compute, top, uncompute = _v_chain(controls, range(n, n + anc), toffoli_mode)
         cnot = gate("CNOT", (top, t))
         return [*flips, *compute, cnot, *ry1, cnot, *ry2, *uncompute, *flips], anc, r1 + r2
     raise CompileError(f"cannot lower gate tag {tag!r}")
@@ -235,6 +243,9 @@ def compile_circuit(circuit: Circuit,
         if block is None:
             block = blocks[g] = (*_lower(g, n, cfg.toffoli_mode, eps), _zero_controls(g))
         body, anc, rot, new = block
+        n_rot += rot
+        if not body:        # the identity: the flips on either side still meet
+            continue
         both = set(flips).intersection(new) if flips and new else None
         if both:
             # the last gate's closing X and this one's opening X on a qubit
@@ -245,7 +256,6 @@ def compile_circuit(circuit: Circuit,
         gates += body
         flips = new
         n_anc = max(n_anc, anc)
-        n_rot += rot
     registers = dict(circuit.registers)
     if n_anc and "ancilla" not in registers:
         registers["ancilla"] = (n, n + n_anc)

@@ -11,10 +11,11 @@ Pipeline per precision eps = 2^-b:
      in ellipses, a grid operator found once per angle makes both upright,
      and each k takes the lines of the upright pair's outer axis from one
      1D grid problem per coset and walks each line's exact chord of the
-     eps-region with more 1D problems, best end first.  The set-up and
-     the 1D problems run exactly on integers with 4b + 100 fraction bits;
-     mpmath only reduces the octant and gives cos phi0, sin phi0 once per
-     angle.
+     eps-region with more 1D problems, best end first.  The set-up, the
+     1D problems and the quality run exactly on integers with one working
+     precision, 4b + 100 fraction bits; mpmath only gives cos phi0,
+     sin phi0 once per angle and reduces the octant, 64 bits over it (and
+     over theta's integer bits), so eps holds for any finite theta.
   3. for each candidate solve the Diophantine equation t.conj t = xi with
      xi = 2^k - u.conj u over Z[sqrt2] by factoring its integer norm
      (`rings.factorize`, under a fixed effort cap) and splitting each prime
@@ -508,27 +509,25 @@ class _EpsRegion:
     verified candidates.  Quality is affine along the line, so those are
     its best.
 
-    The set-up runs on integers with `prec` = 4b + 100 fraction bits (the
-    upright ellipse is ~eps^1.5 R wide at ~eps^-1.5 R from the origin, and
-    in float64 1 - eps^2/2 rounds to 1 from b = 27 on): the ellipse's exact
-    coefficients, one fixed-point cos phi0, sin phi0 (the only mpmath call,
-    also the quality's), and the upright pair the operator search returns,
-    from which the ellipse's box and centre derive.  H is exact, so the
-    chords and the disk's box are exact in Z[sqrt2] and only rounded
-    outward; the ellipse's box may round, as its semi-axes carry a 2^-20
-    margin.
+    Everything runs on integers with `prec` = `_working_bits(eps)` fraction
+    bits (the upright ellipse is ~eps^1.5 R wide at ~eps^-1.5 R from the
+    origin, and in float64 1 - eps^2/2 rounds to 1 from b = 27 on): the
+    ellipse's exact coefficients, one fixed-point cos phi0, sin phi0 (the
+    only mpmath call), the upright pair the operator search returns, from
+    which the outer axis, the ellipse's box and centre derive, and the
+    quality.  H is exact, so the chords and the disk's box are exact in
+    Z[sqrt2] and only rounded outward; the ellipse's box may round, as its
+    semi-axes carry a 2^-20 margin.
     """
 
     def __init__(self, phi0, eps: float):
         self.phi0, self.eps = phi0, eps
-        self.prec = prec = 4 * max(1, math.ceil(-math.log2(eps))) + 100
+        self.prec = prec = _working_bits(eps)
         one = 1 << prec
-        # cos phi0, sin phi0 times 2^bits, with 64 bits over the quality's
-        # at the last exponent, which each k shifts away
-        bits = _quality_bits(_k_range(eps)[1]) + 64
-        with mp.workprec(bits + 16):
-            self._trig = (bits, *(int(mp.nint(mp.ldexp(x, bits)))
-                                  for x in mp.cos_sin(mp.mpf(phi0))))
+        # cos phi0, sin phi0 to 64 bits over prec, floored to prec
+        with mp.workprec(prec + 80):
+            self._trig = c, s = [int(mp.nint(mp.ldexp(x, prec + 64))) >> 64
+                                 for x in mp.cos_sin(mp.mpf(phi0))]
         # the segment has height h below radius 1 and half chord sin(delta),
         # sin(delta)^2 = h (2 - h); the ellipse's semi-axes grow by 2^-20
         h = Fraction(eps) ** 2 / 2
@@ -536,18 +535,16 @@ class _EpsRegion:
         pr = 9 / (4 * h * h * grow)                  # (2h/3)^-2, radial
         pt = 3 / (4 * h * (2 - h) * grow)            # (2 sin(delta)/sqrt3)^-2
         rc = 1 - 2 * h / 3                           # radius of its centre
-        c, s = (x >> (bits - prec) for x in self._trig[1:])
         # pr c^2 + pt s^2, (pr - pt) c s, pr s^2 + pt c^2 over a common denominator
         a, t = pr.numerator * pt.denominator, pt.numerator * pr.denominator
         den = pr.denominator * pt.denominator << prec
         d = tuple(round_div(x, den) for x in (a * c * c + t * s * s, (a - t) * c * s,
                                               a * s * s + t * c * c))
         self.op, *self.ell = _upright_operator(d, (one, 0, one), prec)
-        # bounding-box half widths (x, y) of both ellipses at k = 0
-        self.half = [[_sqrt_ratio(x << prec, p * r - q * q) for x in (r, p)]
-                     for p, q, r in self.ell]
-        ha, hb = self.half
-        self.outer = 0 if ha[0] * hb[0] <= ha[1] * hb[1] else 1
+        # the outer axis has the smaller product of both ellipses' box
+        # widths along it, as box widths are sqrt(r / det), sqrt(p / det)
+        (pa, _, ra), (pb, _, rb) = self.ell
+        self.outer = 0 if ra * rb <= pa * pb else 1
         # centre of the segment's ellipse in v coordinates, H^-1 rc (c, s),
         # with H^-1 the adjugate over det H = +-1
         self.r2_fx = _sqrt2_fixed(prec)
@@ -645,12 +642,12 @@ class _EpsRegion:
         sq = math.isqrt(_zs_floor(zs_mul(disc, mc2), 2 * prec + 3))
         lo, hi = (n - sq - 1) // (2 * nm), -((-n - sq - 2) // (2 * nm))
         # quality: `_verify` accepts no u with c Re u + s Im u < R t for
-        # t = thr - 16 2^max(0, prec - P), as its integer quality is within
-        # 2^(P+3) R of 2^2P times the true one and c, s are within 2 of
-        # 2^prec cos phi0, 2^prec sin phi0; so the line keeps alpha w >= z
-        # for z = 2 R t - X wo - o wi
+        # t = thr - 16, as its integer quality is within 2^(prec+3) R of
+        # 2^2prec times the true one and c, s are within 2 of 2^prec cos phi0,
+        # 2^prec sin phi0; so the line keeps alpha w >= z for
+        # z = 2 R t - X wo - o wi
         wo, wi, wc, nw, thr = self._line_quality
-        t = thr - (16 << max(0, prec - _quality_bits(k))) << (k >> 1) + 1   # 2 R t / sqrt2^(k&1)
+        t = thr - 16 << (k >> 1) + 1                # 2 R t / sqrt2^(k&1)
         za, zb = zs_mul(X, wo)
         z = ((0 if k & 1 else t) - za - o * wi[0], (t if k & 1 else 0) - zb - o * wi[1])
         if nw == 0:                             # the quality is constant on the line
@@ -684,13 +681,11 @@ class _EpsRegion:
         >= 0 and quality Re(e^{-i phi0} u) >= sqrt2^k (1 - eps^2/2).
 
         xi is checked exactly.  The quality is the integer
-        Q = (Re u 2^P) C + (Im u 2^P) S, with C, S and R2 cos phi0, sin phi0
-        and sqrt2 times 2^P, and its threshold T = sqrt2^k (1 - eps^2/2)
-        2^2P; Q is within 2^(P+3) sqrt2^k of the true quality times 2^2P,
-        so Q also serves as the sort key."""
-        P = _quality_bits(k)
-        bits, C, S = self._trig
-        C, S, R2 = C >> (bits - P), S >> (bits - P), _sqrt2_fixed(P)
+        Q = (Re u 2^P) C + (Im u 2^P) S for P = `prec`, with C, S and R2
+        cos phi0, sin phi0 and sqrt2 times 2^P, and its threshold
+        T = sqrt2^k (1 - eps^2/2) 2^2P; Q is within 2^(P+3) sqrt2^k of the
+        true quality times 2^2P, so Q also serves as the sort key."""
+        P, (C, S), R2 = self.prec, self._trig, self.r2_fx
         # with eps = n / d, T^2 = 2^(k + 4P) ((2d^2 - n^2) / 2d^2)^2, floored
         n, d = self.eps.as_integer_ratio()
         T = math.isqrt(((2 * d * d - n * n) ** 2 << (k + 4 * P)) // (4 * d ** 4))
@@ -710,24 +705,14 @@ class _EpsRegion:
         return out
 
 
-def _quality_bits(k: int) -> int:
-    """Fraction bits P of the quality at exponent k: the ~(30 + 2k) digits
-    an mpmath check at dps 30 + 2k carries, plus a 32-bit margin."""
-    return math.ceil((30 + 2 * k) * math.log2(10)) + 32
+def _working_bits(eps: float) -> int:
+    """Fraction bits of every step of one angle's synthesis at eps = 2^-b."""
+    return 4 * max(1, math.ceil(-math.log2(eps))) + 100
 
 
 def _k_range(eps: float) -> Tuple[int, int]:
     """The first and the last denominator exponent tried at eps."""
     return max(0, int(1.5 * math.log2(1 / eps)) - 2), int(3 * math.log2(1 / eps)) + 40
-
-
-def _sqrt_ratio(n: int, d: int) -> float:
-    """sqrt(n / d) for positive integers, correctly rounded: the root of a
-    quotient of >= 120 bits, with a sticky last bit when it is inexact."""
-    sh = max(0, 120 - n.bit_length() + d.bit_length()) // 2
-    q, rest = divmod(n << (2 * sh), d)
-    root = math.isqrt(q)
-    return math.ldexp(root | (rest != 0 or root * root != q), -sh)
 
 
 def synthesize_rz_tags(theta: float, eps: float) -> List[str]:
@@ -745,8 +730,8 @@ def synthesize_rz_tags(theta: float, eps: float) -> List[str]:
     eps = min(eps, 1.0)
     k, k_cap = _k_range(eps)
     # octant reduction in high precision: in floats it errs by ~1e-16,
-    # which exceeds eps from b ~ 50 on
-    with mp.workdps(30 + 2 * k_cap):
+    # which exceeds eps from b ~ 50 on; theta's integer bits cancel
+    with mp.workprec(_working_bits(eps) + 64 + max(0, math.frexp(theta)[1])):
         th = mp.mpf(theta)
         th -= 4 * mp.pi * mp.nint(th / (4 * mp.pi))
         mth = int(mp.nint(th / (mp.pi / 4)))

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from qsprep.cliffordt_compile import (
     _lower, _zero_controls, cost_model_t_count, lower_mcx,
 )
 from qsprep.gridsynth import exactly_preparable
-from qsprep.rotation_synthesis import synthesize_sparse
+from qsprep.rotation_synthesis import synthesize_dense, synthesize_sparse
 from qsprep.simulator import simulate
 from util import circuit_unitary, phase_dist, ry_matrix, rz_matrix, tags_to_unitary
 
@@ -62,11 +63,26 @@ def test_synthesize_rz_budget_and_distance():
     assert rep.compiled_T <= 4 * 10 + 20
 
 
+@pytest.mark.parametrize("tag, theta", [("Rz", 100000000000010.0), ("Rz", 1e17),
+                                        ("Rz", 1e300), ("Ry", -3e200)])
+def test_huge_angle_is_synthesized_within_eps(tag, theta):
+    # floats this large land on multiples of pi/4 by their spacing alone,
+    # so the angle is synthesized, and the octant reduction keeps the
+    # bits of theta that reach the reduced angle
+    c, rep = _compile_1q(tag, theta, 20)
+    with mp.workprec(1200):
+        half = mp.fmod(mp.mpf(theta), 4 * mp.pi) / 2
+        cs, sn = float(mp.cos(half)), float(mp.sin(half))
+    want = (np.array([[cs, -sn], [sn, cs]], dtype=complex) if tag == "Ry"
+            else np.diag([complex(cs, -sn), complex(cs, sn)]))
+    infidelity = 1 - abs(np.trace(circuit_unitary(c).conj().T @ want) / 2) ** 2
+    assert rep.n_rz_synth == 1 and infidelity <= 2.0 ** -40, infidelity
+
+
 def test_rewrite_ry_matrix_checks():
-    # theta = 0: pure Clifford identity, the frame's H.H pair left out
+    # theta = 0: the empty Rz word, so no gates at all
     c, _ = _compile_1q("Ry", 0.0, 1)
-    assert [g.tag for g in c.gates] == ["Sdg", "S"]
-    assert phase_dist(circuit_unitary(c), np.eye(2, dtype=complex)) < 1e-12
+    assert len(c) == 0
     # theta = pi: exact up to phase
     c, _ = _compile_1q("Ry", math.pi, 10)
     assert phase_dist(circuit_unitary(c), ry_matrix(math.pi)) < 1e-12
@@ -250,9 +266,11 @@ def test_consecutive_mcry_flips_cancel_and_keep_the_state(mode, data):
     # cost-model keeps every non-exact Rz as an exact placeholder rotation
     cfg = SynthesisConfig(b=10, toffoli_mode=mode, rz_mode="cost-model")
     out, _ = compile_circuit(circ, cfg)
+    # a gate that lowers to no gates (angle 0) leaves its neighbours adjacent
+    kept = [g for g in gates if _lower(g, n, mode, None)[0]]
     cancelled = sum(len(set(_zero_controls(a)) & set(_zero_controls(b)))
-                    for a, b in zip(gates, gates[1:]))
-    blocks = sum(len(_lower(g, n, mode, None)[0]) for g in gates)
+                    for a, b in zip(kept, kept[1:]))
+    blocks = sum(len(_lower(g, n, mode, None)[0]) for g in kept)
     assert len(out.gates) == blocks - 2 * cancelled
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -286,16 +304,20 @@ def test_no_x_pair_at_a_junction_of_consecutive_mcry(spec):
 
 @pytest.mark.parametrize("spec, b", [(BenchmarkSpec("thc_toy", seed=3), 4),
                                      (BenchmarkSpec("sparse_random", n=6, seed=1), 12),
-                                     (BenchmarkSpec("dicke", n=8, k=2), 14)])
+                                     (BenchmarkSpec("dicke", n=8, k=2), 14),
+                                     (BenchmarkSpec("w", n=8), 4)])
 def test_no_h_pair_in_a_compiled_rotation_row(spec, b):
     # an Ry is Sdg H | Rz word | H S, and the H that a word begins or ends
-    # with cancels against the frame's, so no qubit sees H twice in a row
-    out, _ = compile_circuit(synthesize_sparse(make_state(spec)), SynthesisConfig(b=b))
-    last = {}
-    for g in out.gates:
-        for q in g.qubits:
-            assert not (g.tag == "Hadamard" and last.get(q) == "Hadamard"), (q, g)
-            last[q] = g.tag
+    # with cancels against the frame's, so no qubit sees H twice in a row;
+    # an empty word makes no gates, so no qubit sees Sdg then S either
+    for synth in (synthesize_sparse, synthesize_dense):
+        out, _ = compile_circuit(synth(make_state(spec)), SynthesisConfig(b=b))
+        last = {}
+        for g in out.gates:
+            for q in g.qubits:
+                assert (last.get(q), g.tag) not in (("Hadamard", "Hadamard"), ("Sdg", "S")), (
+                    synth.__name__, q, g)
+                last[q] = g.tag
 
 
 def test_cost_model_fallback():

@@ -530,14 +530,14 @@ _TANGENT_THETA = float.fromhex("-0x1.b013d8f0ef480p-1")
 @pytest.mark.parametrize("b", [4, 12, 30, 48, 60])
 def test_region_setup_matches_the_mpmath_oracle(b, monkeypatch):
     # the set-up on the operator search's integers must give the grid
-    # operator, float forms (of the upright pair) and half widths the mpmath
+    # operator, outer axis and float forms (of the upright pair) the mpmath
     # set-up gave, and the centre far below float resolution.  The integer
     # chord of every line the walk takes, and of shifted ones that may miss
     # the segment, must hold the chord mpmath finds, and be wider only by
     # its outward rounding, under 2 units in the last place at each end, and
-    # at the quality's end by the quality margin of 16 R 2^max(0, prec - P)
-    # units, plus R for the floored threshold and 3 R for the rounded
-    # cos phi0, sin phi0, over the quality's slope along the line
+    # at the quality's end by the quality margin of 16 R units, plus R for
+    # the floored threshold and 3 R for the rounded cos phi0, sin phi0, over
+    # the quality's slope along the line
     rng = random.Random(1500 + b)
     eps = 2.0 ** -b
     k0 = max(0, int(1.5 * b) - 2)
@@ -555,15 +555,14 @@ def test_region_setup_matches_the_mpmath_oracle(b, monkeypatch):
         ref = reference_scan.region_setup(-theta_p / 2, eps)
         assert (region.op, region.outer) == (ref.op, ref.outer), theta
         forms = [[x / (1 << region.prec) for x in m] for m in region.ell]
-        assert forms == ref.forms and region.half == ref.half, theta
+        assert forms == ref.forms, theta
         for got, want in zip(region.centre_fx, ref.centre_fx):
             assert abs(got - want) < 1 << (region.prec - 96), theta
         with mp.workprec(region.prec):
             h, i = op_value(region.op), 1 - region.outer    # quality per unit of alpha
             slope = abs(mp.cos(-theta_p / 2) * h[i] + mp.sin(-theta_p / 2) * h[2 + i])
         for k in range(k0, k0 + 4):
-            margin = int(20 * SQRT2 ** k * 2 ** max(0, region.prec - gridsynth._quality_bits(k))
-                         / slope) + 2
+            margin = int(20 * SQRT2 ** k / slope) + 2
             lines.clear()
             region.candidates(k)
             for _, x, o in lines[:40]:
