@@ -7,7 +7,9 @@ local to each call lowers every distinct gate once.  Between two
 consecutive MultiControlledRy gates the X flips of a control that both
 masks flip cancel (X.X = I), so neither block emits them; a gate that
 lowers to no gates, such as a rotation with the empty word, does not
-separate them.
+separate them.  Nor does it separate a passthrough X or CNOT from an
+equal gate before it: the new gate cancels the last one compiled, so
+cascades of such pairs around empty rotations leave nothing.
 
 - Rz: a multiple of pi/4 becomes its minimal S/T word (zero error); any
   other angle becomes a grid-synthesized word within eps = 2^-b.  Every
@@ -144,6 +146,7 @@ def lower_mcx(controls: Sequence[int], target: int, ancillas: Sequence[int],
 # Full-circuit compilation
 
 _PASSTHROUGH = {"PauliX", "Hadamard", "S", "Sdg", "T", "Tdg", "CNOT", "ANDU"}
+_SELF_INVERSE = {"PauliX", "CNOT"}    # a passthrough copy cancels the gate before it
 
 
 def _rz(q: int, theta: float, eps: Optional[float]) -> Tuple[List[Gate], int]:
@@ -234,10 +237,20 @@ def compile_circuit(circuit: Circuit,
     gates: List[Gate] = []
     n_anc = n_rot = 0
     flips: List[int] = []        # the X-flipped controls closing the last gate
+    last_qubits = None           # the qubits of the last gate compiled
     for g in circuit.gates:
         if g.tag in _PASSTHROUGH:
-            gates.append(g)
-            flips = []
+            # X.X = CNOT.CNOT = I; the qubits, tracked apart from the gates,
+            # keep the test cheap for the usual pair of different gates
+            qs = g.qubits
+            if qs == last_qubits and g.tag in _SELF_INVERSE and gates[-1] == g:
+                gates.pop()
+                last_qubits = gates[-1].qubits if gates else None
+            else:
+                gates.append(g)
+                last_qubits = qs
+            if flips:
+                flips = []
             continue
         block = blocks.get(g)
         if block is None:
@@ -254,6 +267,7 @@ def compile_circuit(circuit: Circuit,
             gates[k:] = [x for x in gates[k:] if x.qubits[0] not in both]
             body = [x for x in body[:len(new)] if x.qubits[0] not in both] + body[len(new):]
         gates += body
+        last_qubits = gates[-1].qubits
         flips = new
         n_anc = max(n_anc, anc)
     registers = dict(circuit.registers)

@@ -25,6 +25,9 @@ Pipeline per precision eps = 2^-b:
   4. exactly synthesize the resulting ring unitary, times the octant's
      T^m, into H/T/S/X gates by H T^-j steps that each lower the sde (no
      search, no H.H pair), each j or j + 4, whichever costs fewer gates.
+     While the sde is >= 4 the column's residues mod 2 give j by a table
+     lookup, one step each and one sde check after them; the last few
+     steps try all four j.
 
 The candidate constraint guarantees the phase-invariant operator distance
 ||U - e^{i phi} Rz(theta)|| <= eps.
@@ -239,18 +242,58 @@ def _sde(u: ZOmega, k: int) -> int:
     return 2 * k - zs_sqrt2_valuation(zo_abs_sq(u))[0]
 
 
+# The j of the step that lowers the sde of a stripped unit column (u, t)
+# at sde >= 4, keyed by the parities of the coordinates of u (bits 0-3) and
+# t (bits 4-7).  As no step lowers the sde by more than one, that j is the
+# one with (1 + w)^(v + 3) | u + t w^-j, v in {0, 1} the (1 + w)-adic
+# valuation of u; (1 + w)^4 is 2 times a unit, so this depends on the
+# residues mod 2 alone.  The 48 keys are those of unit columns at sde >= 4.
+_STEP_BY_RESIDUE = {
+    30: 0, 45: 0, 51: 0, 75: 0, 102: 0, 120: 0, 135: 0, 153: 0, 180: 0, 204: 0, 210: 0, 225: 0,
+    23: 1, 46: 1, 57: 1, 77: 1, 99: 1, 116: 1, 139: 1, 156: 1, 178: 1, 198: 1, 209: 1, 232: 1,
+    27: 2, 39: 2, 60: 2, 78: 2, 105: 2, 114: 2, 141: 2, 150: 2, 177: 2, 195: 2, 216: 2, 228: 2,
+    29: 3, 43: 3, 54: 3, 71: 3, 108: 3, 113: 3, 142: 3, 147: 3, 184: 3, 201: 3, 212: 3, 226: 3,
+}
+
+
 def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> Tuple[List[int], ZOmega, ZOmega]:
     """j-sequence of H T^{-j} steps taking the unit column (u,t)/sqrt2^k
     down to denominator exponent 0, and the column it ends at.
 
     Each step takes the j in 0..3 whose column has the lowest sde(|u|^2):
     one j lowers it by one, or more at the last step (Kliuchnikov, Maslov
-    & Mosca, arXiv:1206.5236), so the steps are the fewest H.  A unit
-    column with sde <= 0 has k = 0 once stripped; a step that lowers
-    nothing means the column was not unit.
+    & Mosca, arXiv:1206.5236), so the steps are the fewest H.  While the
+    sde is >= 4 that j is the only one that lowers it, and
+    `_STEP_BY_RESIDUE` gives it: one step each, the sde tracked down by one
+    and checked once after them.  A wrong j would leave the sde above the
+    tracked value, as no step lowers it by more than one, so a mismatch
+    raises rather than change the word.  Below sde 4, or at a residue pair
+    not in the table, each step tries all four j.  A unit column with
+    sde <= 0 has k = 0 once stripped; a step that lowers nothing means the
+    column was not unit.
     """
     seq = []
     sde = _sde(u, k)
+    while sde >= 4:
+        a, b, c, d = u
+        ta, tb, tc, td = t
+        j = _STEP_BY_RESIDUE.get((a & 1) | (b & 1) << 1 | (c & 1) << 2 | (d & 1) << 3
+                                 | (ta & 1) << 4 | (tb & 1) << 5 | (tc & 1) << 6
+                                 | (td & 1) << 7)
+        if j is None:
+            break
+        # t * w^(8-j)
+        tw = (t if j == 0 else (tb, tc, td, -ta) if j == 1
+              else (tc, td, -ta, -tb) if j == 2 else (td, -ta, -tb, -tc))
+        s = zo_add(u, tw)
+        if not zo_sqrt2_divisible(s):
+            raise RuntimeError("column reduction failed (input not unitary?)")
+        u, t, k = _strip(zo_div_sqrt2(s), zo_div_sqrt2(zo_sub(u, tw)), k)
+        seq.append(j)
+        sde -= 1
+    if seq and _sde(u, k) != sde:
+        raise RuntimeError(f"column reduction failed: sde {_sde(u, k)} after "
+                           f"{len(seq)} residue steps, not {sde}")
     while k > 0:
         best = None
         ta, tb, tc, td = t

@@ -1,9 +1,10 @@
 """The exact back end that `gridsynth` replaced, kept as the test oracle
 for its shorter form: exact synthesis by best-first search over the column
 steps, the replay of every H T^{-j} step onto the whole matrix that finds
-the Clifford tail, the Diophantine solver with its defensive
-branches and its gcd in Z[sqrt(-d)] for the primes p = 3, 5 (mod 8), and
-the Z[omega] Euclidean step that multiplies out each quotient it tries."""
+the Clifford tail, the sde rule that tries all four j at every column
+step, the Diophantine solver with its defensive branches and its gcd in
+Z[sqrt(-d)] for the primes p = 3, 5 (mod 8), and the Z[omega] Euclidean
+step that multiplies out each quotient it tries."""
 from __future__ import annotations
 
 import math
@@ -12,7 +13,8 @@ from typing import List, Optional, Tuple
 from sympy import factorint
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
-from qsprep.gridsynth import _LOG_LAMBDA, _T_WORD, RingMatrix
+from qsprep.gridsynth import _LOG_LAMBDA, _T_WORD, RingMatrix, _sde
+from qsprep.gridsynth import _strip as _strip_column
 from qsprep.rings import (
     RingError, ZOmega, ZSqrt2,
     ZO_DELTA, ZO_ONE, ZO_UNIT_LOG, ZO_ZERO,
@@ -225,6 +227,40 @@ def _reduce_column(u: ZOmega, t: ZOmega, k: int) -> List[int]:
         for k2, j, u2, t2 in sorted(opts, reverse=True):
             stack.append((u2, t2, k2, seq + [j]))
     raise RuntimeError("column reduction failed (input not unitary?)")
+
+
+def reduce_column_by_trials(u: ZOmega, t: ZOmega, k: int) -> Tuple[List[int], ZOmega, ZOmega]:
+    """j-sequence of H T^{-j} steps taking the unit column (u,t)/sqrt2^k
+    down to denominator exponent 0, and the column it ends at, by trying
+    all four j at every step: the oracle for `gridsynth._reduce_column`.
+
+    Each step takes the j in 0..3 whose column has the lowest sde(|u|^2):
+    one j lowers it by one, or more at the last step (Kliuchnikov, Maslov
+    & Mosca, arXiv:1206.5236), so the steps are the fewest H.  A unit
+    column with sde <= 0 has k = 0 once stripped; a step that lowers
+    nothing means the column was not unit.
+    """
+    seq = []
+    sde = _sde(u, k)
+    while k > 0:
+        best = None
+        ta, tb, tc, td = t
+        # t * w^(8-j) for j = 0..3
+        for j, tw in enumerate(((ta, tb, tc, td), (tb, tc, td, -ta),
+                                (tc, td, -ta, -tb), (td, -ta, -tb, -tc))):
+            s = zo_add(u, tw)
+            if not zo_sqrt2_divisible(s):
+                continue
+            # divisibility of the sum implies it for the difference (= 2u - s)
+            u2, t2, k2 = _strip_column(zo_div_sqrt2(s), zo_div_sqrt2(zo_sub(u, tw)), k)
+            sde2 = _sde(u2, k2)
+            if best is None or sde2 < best[0]:
+                best = (sde2, j, u2, t2, k2)
+        if best is None or best[0] >= sde:
+            raise RuntimeError("column reduction failed (input not unitary?)")
+        sde, j, u, t, k = best
+        seq.append(j)
+    return seq, u, t
 
 
 def exact_synthesize(mat: RingMatrix) -> List[str]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsprep import cliffordt_compile
 from qsprep.benchmark_states import BenchmarkSpec, make_state
 from qsprep.circuit_core import Circuit, Gate, count_resources
 from qsprep.cliffordt_compile import (
@@ -271,6 +272,14 @@ def test_consecutive_mcry_flips_cancel_and_keep_the_state(mode, data):
     cancelled = sum(len(set(_zero_controls(a)) & set(_zero_controls(b)))
                     for a, b in zip(kept, kept[1:]))
     blocks = sum(len(_lower(g, n, mode, None)[0]) for g in kept)
+    # two equal CNOTs that only such a gate separated cancel as well
+    stack = []
+    for g in kept:
+        if g.tag == "CNOT" and stack and stack[-1] == g:
+            stack.pop()
+            cancelled += 1
+        else:
+            stack.append(g)
     assert len(out.gates) == blocks - 2 * cancelled
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -300,6 +309,59 @@ def test_no_x_pair_at_a_junction_of_consecutive_mcry(spec):
             continue
         assert len(run) == len(set(run)), run
         run = []
+
+
+def _equal_cnot_x_pairs(gates):
+    return sum(a == b and a.tag in ("CNOT", "PauliX") for a, b in zip(gates, gates[1:]))
+
+
+@pytest.mark.parametrize("spec", [BenchmarkSpec("w", n=8), BenchmarkSpec("dicke", n=8, k=2),
+                                  BenchmarkSpec("thc_toy", seed=3)])
+def test_equal_cnot_pairs_around_empty_leaves_cancel(spec, monkeypatch):
+    # demux_ucry puts an Ry leaf between two equal CNOTs; where the leaf's
+    # word is empty at b = 4 the CNOTs meet and cancel, and nothing else moves
+    logical = synthesize_dense(make_state(spec))
+    out, rep = compile_circuit(logical, SynthesisConfig(b=4))
+    assert _equal_cnot_x_pairs(out.gates) == 0
+    monkeypatch.setattr(cliffordt_compile, "_SELF_INVERSE", set())
+    kept, kept_rep = compile_circuit(logical, SynthesisConfig(b=4))
+    pairs = _equal_cnot_x_pairs(kept.gates)
+    assert pairs > 50
+    assert rep.total_gates < kept_rep.total_gates
+    assert (rep.compiled_T, rep.qubits) == (kept_rep.compiled_T, kept_rep.qubits)
+    assert np.allclose(simulate(out), simulate(kept), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cancelled_cnot_and_x_pairs_keep_the_state(data):
+    # few distinct gates on two qubits, with empty rotations between, make
+    # equal neighbours and cascades of them common
+    pool = [Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0)), Gate("PauliX", (0,)),
+            Gate("PauliX", (1,)), Gate("Ry", (0,), angle=0.0), Gate("Ry", (1,), angle=0.0),
+            Gate("Ry", (1,), angle=0.7), Gate("MultiControlledRy", (0, 1), angle=1.1, mask=(0,))]
+    circ = Circuit(2, data.draw(st.lists(st.sampled_from(pool), max_size=14)))
+    out, _ = compile_circuit(circ, SynthesisConfig(b=10, rz_mode="cost-model"))
+    # an X pair may stay: the flips of two MultiControlledRy gates that a
+    # cancelled pair separated do not meet
+    assert not any(a == b and a.tag == "CNOT" for a, b in zip(out.gates, out.gates[1:]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    anc0 = np.zeros(1 << (out.n_qubits - 2))
+    anc0[0] = 1.0
+    got = simulate(out, initial=np.kron(psi, anc0))
+    want = np.kron(simulate(circ, initial=psi), anc0)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_a_cascade_around_empty_rotations_compiles_to_nothing():
+    a, b, x = Gate("CNOT", (0, 1)), Gate("CNOT", (2, 0)), Gate("PauliX", (1,))
+    empty = Gate("Ry", (2,), angle=0.0)
+    circ = Circuit(3, [a, empty, b, empty, b, empty, a])
+    assert compile_circuit(circ, SynthesisConfig(b=4))[0].gates == ()
+    circ = Circuit(3, [x, a, empty, b, empty, x, x, empty, b, a, empty, x])
+    assert compile_circuit(circ, SynthesisConfig(b=4))[0].gates == ()
 
 
 @pytest.mark.parametrize("spec, b", [(BenchmarkSpec("thc_toy", seed=3), 4),

@@ -19,8 +19,8 @@ from qsprep.gridsynth import (
     solve_diophantine, solve_grid_1d, synthesize_rz_tags,
 )
 from qsprep.rings import (
-    ZO_ONE, ZO_ZERO, factorize, zo_abs_sq, zo_add, zo_from_zsqrt2, zo_mul, zo_rot,
-    zo_sub, zs_lambda_power, zs_mul, zs_norm, zs_sqrt2_valuation,
+    ZO_ONE, ZO_UNIT_LOG, ZO_ZERO, factorize, zo_abs_sq, zo_add, zo_conj, zo_div_sqrt2,
+    zo_from_zsqrt2, zo_mul, zo_rot, zo_sub, zs_lambda_power, zs_mul, zs_norm, zs_sqrt2_valuation,
 )
 from reference_preparable import search_preparable
 from reference_scan import op_value
@@ -346,6 +346,117 @@ def _synthesized_matrices(theta, b):
 def test_exact_synthesize_matches_reference_on_rz_matrices(theta, b):
     for mat in _synthesized_matrices(theta, b):
         _check_against_reference(mat)
+
+
+def _residue_key(u, t):
+    return sum((x & 1) << i for i, x in enumerate(u + t))
+
+
+def _oracle_residue_steps(u, t, k):
+    """(residue key, j) of each step the four-trial oracle takes at sde >= 4."""
+    seq, _, _ = reference_exact.reduce_column_by_trials(u, t, k)
+    out = []
+    for j in seq:
+        if gridsynth._sde(u, k) < 4:
+            break
+        out.append((_residue_key(u, t), j))
+        tw = zo_rot(t, 8 - j)
+        u, t, k = gridsynth._strip(zo_div_sqrt2(zo_add(u, tw)), zo_div_sqrt2(zo_sub(u, tw)), k)
+    return out
+
+
+def _deep_word(rng):
+    """10-40 syllables H T, each after up to two S or X, then up to six
+    gates of any kind: each syllable adds one to the sde, where uniform
+    random words mostly cancel down to sde < 4."""
+    word = []
+    for _ in range(rng.randint(10, 40)):
+        word += rng.choices(["S", "PauliX"], k=rng.randint(0, 2)) + ["Hadamard", "T"]
+    return word + rng.choices(_CLIFFT, k=rng.randint(0, 6))
+
+
+def _deep_columns(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        m = _word_matrix(_deep_word(rng))
+        yield m, gridsynth._strip(m.m00, m.m10, m.k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False).map(_deep_word))
+def test_residue_steps_match_the_four_trial_oracle_on_long_words(word):
+    m = _word_matrix(word)
+    col = gridsynth._strip(m.m00, m.m10, m.k)
+    assert gridsynth._sde(col[0], col[2]) >= 7
+    assert gridsynth._reduce_column(*col) == reference_exact.reduce_column_by_trials(*col)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-math.pi, math.pi), st.sampled_from([8, 16, 40]))
+def test_residue_steps_match_the_four_trial_oracle_on_rz_matrices(theta, b):
+    for mat in _synthesized_matrices(theta, b):
+        col = gridsynth._strip(mat.m00, mat.m10, mat.k)
+        assert gridsynth._reduce_column(*col) == reference_exact.reduce_column_by_trials(*col)
+
+
+def test_residue_table_regenerates_from_the_oracle():
+    table = {}
+    for _, col in _deep_columns(0, 400):
+        for key, j in _oracle_residue_steps(*col):
+            assert table.setdefault(key, j) == j, key
+    assert table == gridsynth._STEP_BY_RESIDUE
+
+
+def _one_plus_w_valuation(x, cap=4):
+    v = 0
+    while v < cap and not sum(x) & 1:     # (1 + w) | x: x = 0 mod 2 at w = 1
+        x = tuple(c >> 1 for c in zo_mul(x, (1, -1, 1, -1)))   # (1 + w)(1 - w + w^2 - w^3) = 2
+        v += 1
+    return v
+
+
+def test_residue_table_is_the_divisibility_rule():
+    # (1 + w)^4 is 2 times a unit, so on the 0/1 lift of each key the
+    # valuations up to 4 are those of every column with these residues
+    for key, j in gridsynth._STEP_BY_RESIDUE.items():
+        u = tuple(key >> i & 1 for i in range(4))
+        t = tuple(key >> i & 1 for i in range(4, 8))
+        v = _one_plus_w_valuation(u)
+        assert v <= 1
+        hits = [i for i in range(4) if _one_plus_w_valuation(zo_add(u, zo_rot(t, 8 - i))) >= v + 3]
+        assert hits == [j], key
+
+
+@pytest.mark.parametrize("shift", [1, 2, 3])
+def test_a_wrong_table_entry_raises_rather_than_change_the_word(shift, monkeypatch):
+    for m, col in _deep_columns(4, 5):
+        steps = _oracle_residue_steps(*col)
+        key, j = steps[len(steps) // 2]
+        with monkeypatch.context() as patch:
+            patch.setitem(gridsynth._STEP_BY_RESIDUE, key, (j + shift) % 4)
+            with pytest.raises(RuntimeError, match="column reduction failed"):
+                exact_synthesize(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False).map(_deep_word),
+       st.sampled_from([(2, 0, 0, 0), (0, 2, 0, 0), (2, 0, 0, -2), (0, -2, 2, 0)]))
+def test_a_non_unit_column_above_sde_4_still_raises(word, bump):
+    # the bump keeps every parity, so the residue steps run as for the
+    # unit column, but |u|^2 + |t|^2 is no longer 2^k
+    m = _word_matrix(word)
+    u, t, k = gridsynth._strip(m.m00, m.m10, m.k)
+    assert gridsynth._sde(u, k) >= 4
+    t = zo_add(t, bump)
+    try:
+        _, u2, t2 = gridsynth._reduce_column(u, t, k)
+    except RuntimeError as e:
+        assert "column reduction failed" in str(e)
+    else:   # it ends at a column that exact_synthesize refuses
+        assert not ((t2 == ZO_ZERO and u2 in ZO_UNIT_LOG)
+                    or (u2 == ZO_ZERO and t2 in ZO_UNIT_LOG))
+    with pytest.raises(RuntimeError):
+        exact_synthesize(RingMatrix(u, tuple(-x for x in zo_conj(t)), t, zo_conj(u), k))
 
 
 def test_exact_synthesize_rejects_a_non_unit_determinant():
