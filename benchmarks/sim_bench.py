@@ -12,16 +12,21 @@ mostly time the gate-by-gate path.
 The second table times whole circuits whose simulation the benchmark and the
 tests pay for: the rotation_sim circuit (thc_toy seed 3, sparse, b = 4, 14
 qubits), dense_random n=6 seed 1 at b = 12, and a 20-qubit alias pipeline
-(dense_random n=3 seed 1, qrom, b = 3).
+(dense_random n=3 seed 1, qrom, b = 3).  Next to the time it prints how many
+fused groups one call applies as a dense pass and how many distinct ones it
+builds a unitary for; a compiled circuit repeats interned lowered blocks, so
+most of its groups are the same gate objects again.
 
 Run:  PYTHONPATH=src python3 benchmarks/sim_bench.py
 """
 import math
 import random
 import time
+from typing import Tuple
 
 import numpy as np
 
+from qsprep import simulator
 from qsprep.alias_prepare import prepare_alias_state
 from qsprep.benchmark_states import BenchmarkSpec, make_state
 from qsprep.circuit_core import TAGS, Circuit, Gate
@@ -84,16 +89,36 @@ def ms_per_call(circ: Circuit) -> float:
     return best * 1e3
 
 
+def group_counts(circ: Circuit) -> Tuple[int, int]:
+    """(fused, built): the groups one `simulate` call applies as a dense
+    pass, and the calls it makes to `_group_unitary`, one per distinct group."""
+    real, built = simulator._group_unitary, 0
+
+    def counting(group, qs):
+        nonlocal built
+        built += 1
+        return real(group, qs)
+
+    simulator._group_unitary = counting
+    try:
+        simulate(circ)
+    finally:
+        simulator._group_unitary = real
+    return len(simulator._fusion_plan(circ.gates, 1 << circ.n_qubits)), built
+
+
 def main() -> None:
     print(f"{'tag':<22}" + "".join(f"{'n=' + str(n):>10}" for n in N_VALUES)
           + f"   (us per gate, best of {REPEATS})")
     for tag in TAGS:
         cells = "".join(f"{us_per_gate(tag, n):>10.1f}" for n in N_VALUES)
         print(f"{tag:<22}{cells}")
-    print(f"\n{'compiled circuit':<34}{'qubits':>7}{'gates':>8}{'ms':>10}"
-          f"   (per simulate call, best of {REPEATS})")
+    print(f"\n{'compiled circuit':<34}{'qubits':>7}{'gates':>8}{'fused':>7}{'built':>7}"
+          f"{'ms':>10}   (per simulate call, best of {REPEATS})")
     for label, circ in compiled_circuits():
-        print(f"{label:<34}{circ.n_qubits:>7}{len(circ.gates):>8}{ms_per_call(circ):>10.1f}")
+        fused, built = group_counts(circ)
+        print(f"{label:<34}{circ.n_qubits:>7}{len(circ.gates):>8}{fused:>7}{built:>7}"
+              f"{ms_per_call(circ):>10.1f}")
 
 
 if __name__ == "__main__":

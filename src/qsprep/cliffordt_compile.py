@@ -237,6 +237,9 @@ def compile_circuit(circuit: Circuit,
     gates: List[Gate] = []
     n_anc = n_rot = 0
     flips: List[int] = []        # the X-flipped controls closing the last gate
+    # len(gates) after the last block, and its closing flips: they hold
+    # again when every passthrough gate after the block has cancelled
+    end, closing = 0, flips
     last_qubits = None           # the qubits of the last gate compiled
     for g in circuit.gates:
         if g.tag in _PASSTHROUGH:
@@ -246,11 +249,14 @@ def compile_circuit(circuit: Circuit,
             if qs == last_qubits and g.tag in _SELF_INVERSE and gates[-1] == g:
                 gates.pop()
                 last_qubits = gates[-1].qubits if gates else None
+                if len(gates) < end:     # it cancelled the block's own last gate
+                    end = -1
+                flips = closing if len(gates) == end else []
             else:
                 gates.append(g)
                 last_qubits = qs
-            if flips:
-                flips = []
+                if flips:
+                    flips = []
             continue
         block = blocks.get(g)
         if block is None:
@@ -268,7 +274,8 @@ def compile_circuit(circuit: Circuit,
             body = [x for x in body[:len(new)] if x.qubits[0] not in both] + body[len(new):]
         gates += body
         last_qubits = gates[-1].qubits
-        flips = new
+        flips = closing = new
+        end = len(gates)
         n_anc = max(n_anc, anc)
     registers = dict(circuit.registers)
     if n_anc and "ancilla" not in registers:

@@ -530,6 +530,26 @@ def _zs_dot(x: Tuple[ZSqrt2, ZSqrt2], y: Tuple[ZSqrt2, ZSqrt2]) -> ZSqrt2:
     return a + c, b + d
 
 
+@functools.lru_cache(maxsize=64)
+def _segment_ellipse(eps: float) -> Tuple[int, int, int, Fraction, int]:
+    """The constants of an `_EpsRegion` that depend on eps alone: the
+    radial and chord-wise coefficients pr, pt of the segment's ellipse as
+    a, t over one denominator d, returned as d << prec; the radius rc of the
+    ellipse's centre; and floor(2^prec (1 - eps^2/2)), the quality bound."""
+    prec = _working_bits(eps)
+    # the segment has height h below radius 1 and half chord sin(delta),
+    # sin(delta)^2 = h (2 - h); the ellipse's semi-axes grow by 2^-20
+    h = Fraction(eps) ** 2 / 2
+    grow = (1 + Fraction(1, 1 << 20)) ** 2
+    pr = 9 / (4 * h * h * grow)                  # (2h/3)^-2, radial
+    pt = 3 / (4 * h * (2 - h) * grow)            # (2 sin(delta)/sqrt3)^-2
+    rc = 1 - 2 * h / 3                           # radius of its centre
+    num, dnm = eps.as_integer_ratio()
+    thr = ((2 * dnm * dnm - num * num) << prec) // (2 * dnm * dnm)
+    return (pr.numerator * pt.denominator, pt.numerator * pr.denominator,
+            pr.denominator * pt.denominator << prec, rc, thr)
+
+
 class _EpsRegion:
     """The grid problem of one angle, for every denominator exponent k.
 
@@ -571,16 +591,8 @@ class _EpsRegion:
         with mp.workprec(prec + 80):
             self._trig = c, s = [int(mp.nint(mp.ldexp(x, prec + 64))) >> 64
                                  for x in mp.cos_sin(mp.mpf(phi0))]
-        # the segment has height h below radius 1 and half chord sin(delta),
-        # sin(delta)^2 = h (2 - h); the ellipse's semi-axes grow by 2^-20
-        h = Fraction(eps) ** 2 / 2
-        grow = (1 + Fraction(1, 1 << 20)) ** 2
-        pr = 9 / (4 * h * h * grow)                  # (2h/3)^-2, radial
-        pt = 3 / (4 * h * (2 - h) * grow)            # (2 sin(delta)/sqrt3)^-2
-        rc = 1 - 2 * h / 3                           # radius of its centre
+        a, t, den, rc, thr = _segment_ellipse(eps)
         # pr c^2 + pt s^2, (pr - pt) c s, pr s^2 + pt c^2 over a common denominator
-        a, t = pr.numerator * pt.denominator, pt.numerator * pr.denominator
-        den = pr.denominator * pt.denominator << prec
         d = tuple(round_div(x, den) for x in (a * c * c + t * s * s, (a - t) * c * s,
                                               a * s * s + t * c * c))
         self.op, *self.ell = _upright_operator(d, (one, 0, one), prec)
@@ -616,12 +628,9 @@ class _EpsRegion:
         a1 = zs_mul(_zs_dot(co, ci), mc)
         self._circle = (-2 * a1[1], -a1[0]), zs_norm(self.m_ii), zs_mul(mc, mc)
         # on a line, c Re u + s Im u = (X wo + T wi) / 2 for (wo, wi) =
-        # c G_1. + s G_2., which grows along the line if w = sqrt2 wi > 0;
-        # and floor(2^prec (1 - eps^2/2))
+        # c G_1. + s G_2., which grows along the line if w = sqrt2 wi > 0
         wo, wi = ((c * a[0] + s * b[0], c * a[1] + s * b[1]) for a, b in (co, ci))
         w = (2 * wi[1], wi[0])
-        num, dnm = eps.as_integer_ratio()
-        thr = ((2 * dnm * dnm - num * num) << prec) // (2 * dnm * dnm)
         self._line_quality = wo, wi, (w[0], -w[1]), zs_norm(w), thr
         self.rising = zs_sign(w) > 0
 

@@ -21,6 +21,16 @@ cost of building the unitary.  The unitary is the product of per-gate local
 matrices that `_apply` itself builds on an identity.  Any other group, and
 every Rz and Ry-family gate, goes through `_apply` gate by gate.
 
+Each call builds a distinct group's unitary once.  `compile_circuit`
+concatenates memoized, interned lowered blocks, so most groups of a compiled
+circuit are the same gate objects again, on the same qubits, with the same
+product.  A group is keyed by the hash of its gates' ids, and a hit is
+checked against the gates that built it.  A pre-pass counts each key's
+uses: only a key that recurs keeps its unitary, until its last use, so a
+circuit of distinct groups (a parsed circuit file's gates are not interned)
+holds nothing more.  The matrices, the plan and the order of passes do not
+change, so the states are bit-identical.
+
 `simulate` allocates one scratch array per call, at most two states long.
 Every temporary of the gate loop is written into it with `out=` or
 `np.copyto`: the swap copy, the Hadamard and Ry products (two half-state
@@ -307,16 +317,34 @@ def simulate(circuit: Circuit, initial: Optional[np.ndarray] = None,
 
 def _run(v: np.ndarray, gates: Sequence[Gate], scratch: Optional[np.ndarray] = None) -> None:
     """Apply gates in place to the (2,)*n view v, fused as `_fusion_plan`
-    says, with every temporary in `scratch` if given."""
+    says, with every temporary in `scratch` if given; the unitary of a
+    group whose gate ids recur is built once and kept until its last use."""
+    plan = _fusion_plan(gates, v.size)
+    keys = [hash(tuple(map(id, gates[start:stop]))) for start, stop, _ in plan]
+    uses: Dict[int, int] = {}
+    for key in keys:
+        uses[key] = uses.get(key, 0) + 1
+    memo: Dict[int, Tuple[Sequence[Gate], np.ndarray]] = {}    # key -> (group, unitary)
     done = 0
     with np.errstate():
         # restored on exit; 1024-value ufunc buffers ran strided slices ~18 % faster
         np.setbufsize(1024)
-        for start, stop, mask in _fusion_plan(gates, v.size):
+        for (start, stop, mask), key in zip(plan, keys):
             for g in gates[done:start]:
                 _apply(v, g, scratch)
             qs = [q for q in range(v.ndim) if mask >> q & 1]
-            _apply_matrix(v, _group_unitary(gates[start:stop], qs), qs, scratch)
+            group = gates[start:stop]
+            hit = memo.get(key)
+            if hit is not None and hit[0] == group:     # equal gates, equal unitary
+                u = hit[1]
+            else:
+                u = _group_unitary(group, qs)
+            uses[key] -= 1
+            if not uses[key]:
+                memo.pop(key, None)
+            elif hit is None:
+                memo[key] = group, u
+            _apply_matrix(v, u, qs, scratch)
             done = stop
         for g in gates[done:]:
             _apply(v, g, scratch)

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsprep import simulator
 from qsprep.benchmark_states import make_state
-from qsprep.circuit_core import TAGS, Circuit
+from qsprep.circuit_core import TAGS, Circuit, Gate
 from qsprep.simulator import simulate
 
 _BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -35,6 +36,16 @@ def test_sim_bench_draws_and_simulates_every_tag(sim_bench, tag):
     assert g.tag == tag
     psi = simulate(Circuit(6, [g]))
     assert abs(np.linalg.norm(psi) - 1) <= 1e-12
+
+
+def test_sim_bench_counts_fused_and_built_groups(sim_bench):
+    # one interned run of CNOTs and Hadamards, three times between Rz gates
+    # that end its groups
+    block = [Gate("Hadamard", (q,)) for q in range(4)] + [
+        Gate("CNOT", (q, q + 1)) for q in range(3)] * 8 + [Gate("Rz", (0,), angle=0.5)]
+    fused, built = sim_bench.group_counts(Circuit(8, block * 3))
+    assert (fused, built) == (3, 1)
+    assert simulator._group_unitary.__name__ == "_group_unitary"
 
 
 def test_rz_bench_phases_name_existing_functions():

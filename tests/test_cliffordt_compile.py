@@ -251,35 +251,51 @@ def test_unknown_tag_is_compile_error():
 @given(st.sampled_from(TOFFOLI_MODES), st.data())
 def test_consecutive_mcry_flips_cancel_and_keep_the_state(mode, data):
     # every MultiControlledRy has qubit 0 as a zero control, so consecutive
-    # ones always share a flip; a CNOT between two stops the rule
+    # ones always share a flip; a CNOT between two stops the rule, and a
+    # nest of CNOT/X pairs that cancels does not
     n = 5
-    gates = []
+    gates, lasts = [], set()
+
+    def self_inverse():
+        # not an X on the last zero control of an earlier MultiControlledRy,
+        # which could cancel that block's own closing X
+        free = [q for q in range(n) if q not in lasts]
+        if free and data.draw(st.booleans()):
+            return Gate("PauliX", (data.draw(st.sampled_from(free)),))
+        return Gate("CNOT", tuple(data.draw(st.permutations(range(n)))[:2]))
+
     for _ in range(data.draw(st.integers(2, 7))):
         if gates and data.draw(st.booleans()):
             gates.append(Gate("CNOT", tuple(data.draw(st.permutations(range(n)))[:2])))
+        if gates and data.draw(st.booleans()):
+            nest = [self_inverse() for _ in range(data.draw(st.integers(1, 2)))]
+            gates += nest + nest[::-1]
         rest = data.draw(st.permutations(range(1, n)))
         c = data.draw(st.integers(0, 2))
         mask = (0,) + tuple(data.draw(st.lists(st.integers(0, 1), min_size=c, max_size=c)))
         angle = data.draw(st.one_of(st.sampled_from([math.pi / 2, -math.pi]),
                                     st.floats(-3.0, 3.0, allow_nan=False)))
         gates.append(Gate("MultiControlledRy", (0, *rest[:c + 1]), angle=angle, mask=mask))
+        lasts.add(_zero_controls(gates[-1])[-1])
     circ = Circuit(n, gates)
     # cost-model keeps every non-exact Rz as an exact placeholder rotation
     cfg = SynthesisConfig(b=10, toffoli_mode=mode, rz_mode="cost-model")
     out, _ = compile_circuit(circ, cfg)
     # a gate that lowers to no gates (angle 0) leaves its neighbours adjacent
     kept = [g for g in gates if _lower(g, n, mode, None)[0]]
-    cancelled = sum(len(set(_zero_controls(a)) & set(_zero_controls(b)))
-                    for a, b in zip(kept, kept[1:]))
     blocks = sum(len(_lower(g, n, mode, None)[0]) for g in kept)
-    # two equal CNOTs that only such a gate separated cancel as well
-    stack = []
+    # an X or CNOT cancels an equal one before it that only such gates and
+    # cancelled pairs separate
+    stack, cancelled = [], 0
     for g in kept:
-        if g.tag == "CNOT" and stack and stack[-1] == g:
+        if g.tag != "MultiControlledRy" and stack and stack[-1] == g:
             stack.pop()
             cancelled += 1
         else:
             stack.append(g)
+    # the MultiControlledRy gates left adjacent share their common flips
+    cancelled += sum(len(set(_zero_controls(a)) & set(_zero_controls(b)))
+                     for a, b in zip(stack, stack[1:]))
     assert len(out.gates) == blocks - 2 * cancelled
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -309,6 +325,16 @@ def test_no_x_pair_at_a_junction_of_consecutive_mcry(spec):
             continue
         assert len(run) == len(set(run)), run
         run = []
+
+
+def test_a_cancelled_pair_between_mcry_keeps_their_shared_flips():
+    m = Gate("MultiControlledRy", (0, 1), angle=1.1, mask=(0,))
+    cnot = Gate("CNOT", (1, 2))
+    cfg = SynthesisConfig(b=10, rz_mode="cost-model")
+    want, _ = compile_circuit(Circuit(3, [m, m]), cfg)
+    out, _ = compile_circuit(Circuit(3, [m, cnot, cnot, m]), cfg)
+    assert len(want.gates) == len(out.gates) == 26
+    assert not any(a == b and a.tag == "PauliX" for a, b in zip(out.gates, out.gates[1:]))
 
 
 def _equal_cnot_x_pairs(gates):

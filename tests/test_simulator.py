@@ -1,9 +1,11 @@
+import copy
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 import reference_sim
 from qsprep import simulator
 from qsprep.alias_prepare import prepare_alias_state, realized_marginal
+from qsprep.benchmark_states import BenchmarkSpec, make_state
 from qsprep.circuit_core import TAGS, Circuit, Gate
-from qsprep.rotation_synthesis import AngleTable, demux_ucry
+from qsprep.cliffordt_compile import SynthesisConfig, compile_circuit
+from qsprep.rotation_synthesis import AngleTable, demux_ucry, synthesize_sparse
 from qsprep.simulator import (
     CapacityError, address_marginal, apply_gate, classical_simulate,
     fidelity_prob, fidelity_state, pipeline_histogram, simulate,
@@ -222,7 +226,8 @@ def _windowed_gates(rng, n, count, tags, width, drift=0.1):
 
 @pytest.fixture
 def fused_groups(monkeypatch):
-    """Records the gates of every group that simulate applies as one matrix."""
+    """Records the gates of every group whose unitary simulate builds: each
+    distinct group of a call once."""
     seen = []
     real = simulator._group_unitary
 
@@ -296,6 +301,65 @@ def test_a_single_gate_circuit_is_applied_by_apply(tag):
     psi0 = _random_state(n, seed=2)
     want = apply_gate(psi0.copy(), g, n)
     assert np.array_equal(simulate(Circuit(n, [g]), initial=psi0), want)
+
+
+# ---------------------------------------------------------------------------
+# one unitary per distinct fused group and simulate call
+
+
+def _group_keys(circ):
+    """The gate ids of each group that simulate fuses, in plan order."""
+    plan = simulator._fusion_plan(circ.gates, 1 << circ.n_qubits)
+    return [tuple(map(id, circ.gates[start:stop])) for start, stop, _ in plan]
+
+
+def test_each_distinct_group_of_a_compiled_circuit_is_built_once(fused_groups):
+    # the rotation_sim circuit concatenates interned lowered blocks
+    logical = synthesize_sparse(make_state(BenchmarkSpec("thc_toy", seed=3)))
+    circ = compile_circuit(logical, SynthesisConfig(b=4))[0]
+    keys = _group_keys(circ)
+    simulate(circ)
+    built = [tuple(map(id, grp)) for grp in fused_groups]
+    assert sorted(built) == sorted(set(keys))
+    assert len(built) * 4 < len(keys)
+
+
+def test_reused_unitaries_give_the_states_of_distinct_gates(fused_groups):
+    # interned blocks, each ended by an Rz so that groups repeat whole;
+    # copies of the gates have distinct ids, so nothing is reused
+    rng = random.Random(3)
+    blocks = [_windowed_gates(rng, 8, 40, _FIXED, 4) + [Gate("Rz", (i,), angle=0.3 * i)]
+              for i in range(4)]
+    gates = [g for _ in range(12) for g in rng.choice(blocks)]
+    interned, copied = Circuit(8, gates), Circuit(8, [copy.copy(g) for g in gates])
+    psi0 = _random_state(8, seed=5)
+    got = simulate(interned, initial=psi0)
+    assert np.max(np.abs(got - reference_sim.simulate(interned, initial=psi0))) <= 1e-12
+    assert len(fused_groups) == len(set(_group_keys(interned))) < len(_group_keys(interned))
+    del fused_groups[:]
+    assert np.array_equal(got, simulate(copied, initial=psi0))
+    assert len(fused_groups) == len(_group_keys(copied))
+
+
+def test_groups_used_once_are_not_kept():
+    # 2,000 distinct fused groups at n = 8; keeping each unitary would hold
+    # 2^k x 2^k complex values per group
+    rng = random.Random(8)
+    gates = []
+    while len(gates) < 60_000:
+        gates += _windowed_gates(rng, 8, 30, _FIXED, 4) + [Gate("Rz", (0,), angle=0.1)]
+    circ = Circuit(8, gates)
+    plan = simulator._fusion_plan(circ.gates, 1 << 8)
+    held = sum(16 << 2 * mask.bit_count() for _, _, mask in plan)
+    assert len(plan) >= 2000 and len(set(_group_keys(circ))) == len(plan)
+    simulate(circ)              # fills the caches of per-tag matrices
+    tracemalloc.start()
+    try:
+        simulate(circ)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak * 8 < held
 
 
 # ---------------------------------------------------------------------------
