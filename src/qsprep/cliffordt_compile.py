@@ -3,13 +3,16 @@
 `compile_circuit` is the one path from a logical gate to Clifford+T
 gates.  `_lower` maps one logical gate to its block of gates, the ancillas
 it uses and its count of non-exact rotations, from the gate alone; a dict
-local to each call lowers every distinct gate once.  Between two
-consecutive MultiControlledRy gates the X flips of a control that both
-masks flip cancel (X.X = I), so neither block emits them; a gate that
-lowers to no gates, such as a rotation with the empty word, does not
-separate them.  Nor does it separate a passthrough X or CNOT from an
-equal gate before it: the new gate cancels the last one compiled, so
-cascades of such pairs around empty rotations leave nothing.
+local to each call lowers every distinct gate once.  One peephole rule
+joins the blocks: an X cancels the X on its qubit anywhere in the trailing
+run of X gates (X gates commute), and a CNOT cancels an equal last gate.
+Every passthrough gate goes through it, and so does each block up to its
+first gate that stays and is not an X; no block holds such a pair, so the
+rest of the block is appended whole.  The output has no qubit twice in a
+run of X gates and no equal adjacent CNOTs, and compiling it again gives
+it back.  So the X flips that two MultiControlledRy gates put on a shared
+control cancel, and the CNOTs around an empty rotation cancel, as do
+cascades of such pairs.
 
 - Rz: a multiple of pi/4 becomes its minimal S/T word (zero error); any
   other angle becomes a grid-synthesized word within eps = 2^-b.  Every
@@ -28,7 +31,6 @@ placeholder and is charged ceil(3*log2(1/eps)) + 11 T gates.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,9 +68,11 @@ class SynthesisConfig:
         return 2.0 ** (-self.b)
 
 
-def cost_model_t_count(eps: float) -> int:
-    """Placeholder T-count charged per rotation in cost-model mode."""
-    return math.ceil(3 * math.log2(1 / eps)) + 11
+def cost_model_t_count(b: int) -> int:
+    """Placeholder T-count charged per rotation in cost-model mode at
+    eps = 2^-b: ceil(3*log2(1/eps)) + 11, computed from b because 2^-b
+    underflows from b = 1075 on."""
+    return 3 * b + 11
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +150,7 @@ def lower_mcx(controls: Sequence[int], target: int, ancillas: Sequence[int],
 # Full-circuit compilation
 
 _PASSTHROUGH = {"PauliX", "Hadamard", "S", "Sdg", "T", "Tdg", "CNOT", "ANDU"}
-_SELF_INVERSE = {"PauliX", "CNOT"}    # a passthrough copy cancels the gate before it
+_SELF_INVERSE = {"PauliX", "CNOT"}    # the tags _emit may cancel
 
 
 def _rz(q: int, theta: float, eps: Optional[float]) -> Tuple[List[Gate], int]:
@@ -176,13 +180,6 @@ def _ry(q: int, theta: float, eps: Optional[float]) -> Tuple[List[Gate], int]:
     if out[-3:-1] == [h, h]:
         del out[-3:-1]
     return out, rot
-
-
-def _zero_controls(g: Gate) -> List[int]:
-    """The controls a MultiControlledRy flips with X before and after."""
-    if g.tag != "MultiControlledRy":
-        return []
-    return [q for q, m in zip(g.qubits, g.mask) if m == 0]
 
 
 def _lower(g: Gate, n: int, toffoli_mode: str, eps: Optional[float]
@@ -216,11 +213,29 @@ def _lower(g: Gate, n: int, toffoli_mode: str, eps: Optional[float]
         if not ry1 and not ry2:                 # both words are the identity
             return [], 0, r1 + r2
         anc = len(controls) - 1
-        flips = [gate("PauliX", (q,)) for q in _zero_controls(g)]
+        flips = [gate("PauliX", (q,)) for q, m in zip(controls, g.mask) if m == 0]
         compute, top, uncompute = _v_chain(controls, range(n, n + anc), toffoli_mode)
         cnot = gate("CNOT", (top, t))
         return [*flips, *compute, cnot, *ry1, cnot, *ry2, *uncompute, *flips], anc, r1 + r2
     raise CompileError(f"cannot lower gate tag {tag!r}")
+
+
+def _emit(gates: List[Gate], g: Gate) -> bool:
+    """Append g to gates, or cancel it: an X against the X on its qubit in
+    the trailing run of X gates, a CNOT against an equal last gate.
+    Returns whether g stays."""
+    if g.tag == "PauliX":
+        i = len(gates) - 1
+        while i >= 0 and gates[i].tag == "PauliX":
+            if gates[i].qubits == g.qubits:
+                del gates[i]
+                return False
+            i -= 1
+    elif g.tag == "CNOT" and gates and gates[-1] == g:
+        gates.pop()
+        return False
+    gates.append(g)
+    return True
 
 
 def compile_circuit(circuit: Circuit,
@@ -228,62 +243,48 @@ def compile_circuit(circuit: Circuit,
     """Lower a logical circuit to {X, H, S, Sdg, T, Tdg, CNOT, ANDU}.
 
     Returns the compiled circuit and its resource report; in cost-model
-    mode each Rz placeholder is charged ceil(3b)+11 toward compiled_T.
+    mode each Rz placeholder is charged cost_model_t_count(b) toward
+    compiled_T.
     """
     n = circuit.n_qubits
     eps = cfg.eps if cfg.rz_mode == "gridsynth" else None
-    # gate -> (its _lower triple, the controls it flips)
-    blocks: Dict[Gate, Tuple[List[Gate], int, int, List[int]]] = {}
+    blocks: Dict[Gate, Tuple[List[Gate], int, int]] = {}
     gates: List[Gate] = []
     n_anc = n_rot = 0
-    flips: List[int] = []        # the X-flipped controls closing the last gate
-    # len(gates) after the last block, and its closing flips: they hold
-    # again when every passthrough gate after the block has cancelled
-    end, closing = 0, flips
-    last_qubits = None           # the qubits of the last gate compiled
+    last_qubits = None           # gates[-1].qubits, kept apart for speed
     for g in circuit.gates:
-        if g.tag in _PASSTHROUGH:
-            # X.X = CNOT.CNOT = I; the qubits, tracked apart from the gates,
-            # keep the test cheap for the usual pair of different gates
-            qs = g.qubits
-            if qs == last_qubits and g.tag in _SELF_INVERSE and gates[-1] == g:
-                gates.pop()
-                last_qubits = gates[-1].qubits if gates else None
-                if len(gates) < end:     # it cancelled the block's own last gate
-                    end = -1
-                flips = closing if len(gates) == end else []
-            else:
+        tag = g.tag
+        if tag in _PASSTHROUGH:
+            # only an X, or a gate on the last gate's qubits, can cancel
+            if tag != "PauliX" and g.qubits != last_qubits:
                 gates.append(g)
-                last_qubits = qs
-                if flips:
-                    flips = []
-            continue
-        block = blocks.get(g)
-        if block is None:
-            block = blocks[g] = (*_lower(g, n, cfg.toffoli_mode, eps), _zero_controls(g))
-        body, anc, rot, new = block
-        n_rot += rot
-        if not body:        # the identity: the flips on either side still meet
-            continue
-        both = set(flips).intersection(new) if flips and new else None
-        if both:
-            # the last gate's closing X and this one's opening X on a qubit
-            # in both masks cancel; copies keep the memoized blocks intact
-            k = len(gates) - len(flips)
-            gates[k:] = [x for x in gates[k:] if x.qubits[0] not in both]
-            body = [x for x in body[:len(new)] if x.qubits[0] not in both] + body[len(new):]
-        gates += body
-        last_qubits = gates[-1].qubits
-        flips = closing = new
-        end = len(gates)
-        n_anc = max(n_anc, anc)
+                last_qubits = g.qubits
+                continue
+            _emit(gates, g)
+        else:
+            block = blocks.get(g)
+            if block is None:
+                block = blocks[g] = _lower(g, n, cfg.toffoli_mode, eps)
+            body, anc, rot = block
+            n_rot += rot
+            n_anc = max(n_anc, anc)
+            # a block cancels into the output only through its leading X
+            # gates and first other gate: no block holds a pair that _emit
+            # cancels, so once one of those stays the rest stays too
+            if body and body[0].tag not in _SELF_INVERSE:
+                gates += body
+            else:
+                for i, x in enumerate(body):
+                    if _emit(gates, x) and x.tag != "PauliX":
+                        gates += body[i + 1:]
+                        break
+        last_qubits = gates[-1].qubits if gates else None
     registers = dict(circuit.registers)
     if n_anc and "ancilla" not in registers:
         registers["ancilla"] = (n, n + n_anc)
     out = Circuit(n + n_anc, gates, registers)
     report = count_resources(out)
-    # cost_model_t_count(2^-b), from b: 2^-b underflows from b = 1075 on
-    extra = n_rot * (3 * cfg.b + 11) if eps is None else 0
+    extra = n_rot * cost_model_t_count(cfg.b) if eps is None else 0
     report = replace(report, n_rz_synth=n_rot, compiled_T=report.compiled_T + extra,
                      t_proxy=report.t_proxy + extra)
     return out, report

@@ -1,5 +1,9 @@
+import hashlib
+import json
 import math
+import os
 import random
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -7,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsprep import cliffordt_compile
+from qsprep.alias_prepare import prepare_alias_state
 from qsprep.benchmark_states import BenchmarkSpec, make_state
-from qsprep.circuit_core import Circuit, Gate, count_resources
+from qsprep.circuit_core import _ARITY as _TAG_ARITY, Circuit, Gate, count_resources, serialize
 from qsprep.cliffordt_compile import (
     TOFFOLI_MODES, CompileError, SynthesisConfig, compile_circuit,
-    _lower, _zero_controls, cost_model_t_count, lower_mcx,
+    _lower, cost_model_t_count, lower_mcx,
 )
 from qsprep.gridsynth import exactly_preparable
 from qsprep.rotation_synthesis import synthesize_dense, synthesize_sparse
@@ -34,6 +39,34 @@ def _compile_1q(tag, theta, b):
     """One Rz/Ry gate through compile_circuit at eps = 2^-b."""
     circ = Circuit(1, [Gate(tag, (0,), angle=theta)])
     return compile_circuit(circ, SynthesisConfig(b=b))
+
+
+def _reducible_pairs(gates):
+    """Pairs the compiler's peephole rule cancels: an X on a qubit already
+    X'd in the same run of X gates, and a CNOT equal to the gate before."""
+    count, run, prev = 0, set(), None
+    for g in gates:
+        if g.tag == "PauliX":
+            count += g.qubits in run
+            run.add(g.qubits)
+        else:
+            count += g.tag == "CNOT" and g == prev
+            run = set()
+        prev = g
+    return count
+
+
+def _assert_same_state(circ, out, seed):
+    """out, with its ancillas in |0>, acts on a random state as circ does."""
+    n = circ.n_qubits
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi /= np.linalg.norm(psi)
+    anc0 = np.zeros(1 << (out.n_qubits - n))
+    anc0[0] = 1.0
+    got = simulate(out, initial=np.kron(psi, anc0))
+    want = np.kron(simulate(circ, initial=psi), anc0)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +280,41 @@ def test_unknown_tag_is_compile_error():
         _lower(Fake(), 1, "gidney_and_measured", 2.0 ** -4)
 
 
+@pytest.mark.parametrize("mode", TOFFOLI_MODES)
+@pytest.mark.parametrize("eps", [None, 2.0 ** -4, 2.0 ** -10])
+def test_lowered_blocks_hold_no_cancelling_pair(mode, eps):
+    # compile_circuit appends the rest of a block whole after its first
+    # gate that stays and is not an X, which is exact only because no block
+    # holds a pair that the peephole rule would cancel
+    rng = random.Random(17)
+    n = 6
+    angles = [0.0, math.pi / 4, -math.pi / 4, math.pi, 2 * math.pi, -2 * math.pi]
+    angles += [rng.uniform(-7, 7) for _ in range(6)] + [rng.uniform(-1e-3, 1e-3) for _ in range(3)]
+    logical = [Gate(tag, tuple(rng.sample(range(n), arity)))
+               for tag, arity in _TAG_ARITY.items() if tag not in ("Rz", "Ry", "MultiControlledRy")]
+    for theta in angles:
+        logical += [Gate("Rz", (0,), angle=theta), Gate("Ry", (1,), angle=theta)]
+        for c in range(1, 5):
+            logical.append(Gate("MultiControlledRy", tuple(rng.sample(range(n), c + 1)),
+                                angle=theta, mask=tuple(rng.randrange(2) for _ in range(c))))
+    assert {g.tag for g in logical} == set(_TAG_ARITY)
+    for g in logical:
+        body = _lower(g, n, mode, eps)[0]
+        assert _reducible_pairs(body) == 0, g
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(TOFFOLI_MODES), st.data())
 def test_consecutive_mcry_flips_cancel_and_keep_the_state(mode, data):
     # every MultiControlledRy has qubit 0 as a zero control, so consecutive
-    # ones always share a flip; a CNOT between two stops the rule, and a
-    # nest of CNOT/X pairs that cancels does not
+    # ones always share a flip; CNOTs between them, and nests of X/CNOT
+    # pairs that may reach into a block's own closing flips, mix the cases
     n = 5
-    gates, lasts = [], set()
+    gates = []
 
     def self_inverse():
-        # not an X on the last zero control of an earlier MultiControlledRy,
-        # which could cancel that block's own closing X
-        free = [q for q in range(n) if q not in lasts]
-        if free and data.draw(st.booleans()):
-            return Gate("PauliX", (data.draw(st.sampled_from(free)),))
+        if data.draw(st.booleans()):
+            return Gate("PauliX", (data.draw(st.integers(0, n - 1)),))
         return Gate("CNOT", tuple(data.draw(st.permutations(range(n)))[:2]))
 
     for _ in range(data.draw(st.integers(2, 7))):
@@ -276,35 +329,13 @@ def test_consecutive_mcry_flips_cancel_and_keep_the_state(mode, data):
         angle = data.draw(st.one_of(st.sampled_from([math.pi / 2, -math.pi]),
                                     st.floats(-3.0, 3.0, allow_nan=False)))
         gates.append(Gate("MultiControlledRy", (0, *rest[:c + 1]), angle=angle, mask=mask))
-        lasts.add(_zero_controls(gates[-1])[-1])
     circ = Circuit(n, gates)
     # cost-model keeps every non-exact Rz as an exact placeholder rotation
     cfg = SynthesisConfig(b=10, toffoli_mode=mode, rz_mode="cost-model")
     out, _ = compile_circuit(circ, cfg)
-    # a gate that lowers to no gates (angle 0) leaves its neighbours adjacent
-    kept = [g for g in gates if _lower(g, n, mode, None)[0]]
-    blocks = sum(len(_lower(g, n, mode, None)[0]) for g in kept)
-    # an X or CNOT cancels an equal one before it that only such gates and
-    # cancelled pairs separate
-    stack, cancelled = [], 0
-    for g in kept:
-        if g.tag != "MultiControlledRy" and stack and stack[-1] == g:
-            stack.pop()
-            cancelled += 1
-        else:
-            stack.append(g)
-    # the MultiControlledRy gates left adjacent share their common flips
-    cancelled += sum(len(set(_zero_controls(a)) & set(_zero_controls(b)))
-                     for a, b in zip(stack, stack[1:]))
-    assert len(out.gates) == blocks - 2 * cancelled
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    psi /= np.linalg.norm(psi)
-    anc0 = np.zeros(1 << (out.n_qubits - n))
-    anc0[0] = 1.0
-    got = simulate(out, initial=np.kron(psi, anc0))
-    want = np.kron(simulate(circ, initial=psi), anc0)
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert _reducible_pairs(out.gates) == 0
+    assert compile_circuit(out, cfg)[0].gates == out.gates
+    _assert_same_state(circ, out, data.draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @pytest.mark.parametrize("spec", [BenchmarkSpec("thc_toy", seed=3),
@@ -318,13 +349,7 @@ def test_no_x_pair_at_a_junction_of_consecutive_mcry(spec):
     junctions = sum(a.tag == b.tag == "MultiControlledRy"
                     for a, b in zip(logical.gates, logical.gates[1:]))
     assert junctions > 0
-    run = []
-    for g in (*out.gates, None):
-        if g is not None and g.tag == "PauliX":
-            run.append(g.qubits[0])
-            continue
-        assert len(run) == len(set(run)), run
-        run = []
+    assert _reducible_pairs(out.gates) == 0
 
 
 def test_a_cancelled_pair_between_mcry_keeps_their_shared_flips():
@@ -333,12 +358,8 @@ def test_a_cancelled_pair_between_mcry_keeps_their_shared_flips():
     cfg = SynthesisConfig(b=10, rz_mode="cost-model")
     want, _ = compile_circuit(Circuit(3, [m, m]), cfg)
     out, _ = compile_circuit(Circuit(3, [m, cnot, cnot, m]), cfg)
-    assert len(want.gates) == len(out.gates) == 26
-    assert not any(a == b and a.tag == "PauliX" for a, b in zip(out.gates, out.gates[1:]))
-
-
-def _equal_cnot_x_pairs(gates):
-    return sum(a == b and a.tag in ("CNOT", "PauliX") for a, b in zip(gates, gates[1:]))
+    assert out.gates == want.gates and len(out.gates) == 26
+    assert _reducible_pairs(out.gates) == 0
 
 
 @pytest.mark.parametrize("spec", [BenchmarkSpec("w", n=8), BenchmarkSpec("dicke", n=8, k=2),
@@ -348,10 +369,10 @@ def test_equal_cnot_pairs_around_empty_leaves_cancel(spec, monkeypatch):
     # word is empty at b = 4 the CNOTs meet and cancel, and nothing else moves
     logical = synthesize_dense(make_state(spec))
     out, rep = compile_circuit(logical, SynthesisConfig(b=4))
-    assert _equal_cnot_x_pairs(out.gates) == 0
-    monkeypatch.setattr(cliffordt_compile, "_SELF_INVERSE", set())
+    assert _reducible_pairs(out.gates) == 0
+    monkeypatch.setattr(cliffordt_compile, "_emit", lambda gates, g: gates.append(g) or True)
     kept, kept_rep = compile_circuit(logical, SynthesisConfig(b=4))
-    pairs = _equal_cnot_x_pairs(kept.gates)
+    pairs = _reducible_pairs(kept.gates)
     assert pairs > 50
     assert rep.total_gates < kept_rep.total_gates
     assert (rep.compiled_T, rep.qubits) == (kept_rep.compiled_T, kept_rep.qubits)
@@ -367,18 +388,11 @@ def test_cancelled_cnot_and_x_pairs_keep_the_state(data):
             Gate("PauliX", (1,)), Gate("Ry", (0,), angle=0.0), Gate("Ry", (1,), angle=0.0),
             Gate("Ry", (1,), angle=0.7), Gate("MultiControlledRy", (0, 1), angle=1.1, mask=(0,))]
     circ = Circuit(2, data.draw(st.lists(st.sampled_from(pool), max_size=14)))
-    out, _ = compile_circuit(circ, SynthesisConfig(b=10, rz_mode="cost-model"))
-    # an X pair may stay: the flips of two MultiControlledRy gates that a
-    # cancelled pair separated do not meet
-    assert not any(a == b and a.tag == "CNOT" for a, b in zip(out.gates, out.gates[1:]))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    psi /= np.linalg.norm(psi)
-    anc0 = np.zeros(1 << (out.n_qubits - 2))
-    anc0[0] = 1.0
-    got = simulate(out, initial=np.kron(psi, anc0))
-    want = np.kron(simulate(circ, initial=psi), anc0)
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    cfg = SynthesisConfig(b=10, rz_mode="cost-model")
+    out, _ = compile_circuit(circ, cfg)
+    assert _reducible_pairs(out.gates) == 0
+    assert compile_circuit(out, cfg)[0].gates == out.gates
+    _assert_same_state(circ, out, data.draw(st.integers(0, 2 ** 32 - 1)))
 
 
 def test_a_cascade_around_empty_rotations_compiles_to_nothing():
@@ -414,8 +428,53 @@ def test_cost_model_fallback():
     out, rep = compile_circuit(circ, SynthesisConfig(b=10, rz_mode="cost-model"))
     placeholders = [g for g in out.gates if g.tag == "Rz"]
     assert len(placeholders) == 1                 # pi/2 routes exactly
-    assert rep.compiled_T == cost_model_t_count(2.0 ** -10)
-    assert cost_model_t_count(2.0 ** -10) == math.ceil(3 * 10) + 11
+    assert rep.compiled_T == cost_model_t_count(10)
+    assert cost_model_t_count(10) == math.ceil(3 * math.log2(1 / 2.0 ** -10)) + 11
+
+
+_COMPILED_GOLDEN = os.path.join(os.path.dirname(__file__), "compiled_golden.json")
+_COMPILED_SPECS = [
+    BenchmarkSpec("w", n=8), BenchmarkSpec("dicke", n=8, k=2), BenchmarkSpec("thc_toy", seed=3),
+    BenchmarkSpec("magnus", k=4), BenchmarkSpec("dense_random", n=6, seed=1),
+    BenchmarkSpec("syk", n=6, seed=1), BenchmarkSpec("sparse_random", n=3, seed=1),
+]
+
+
+def _compiled_cases():
+    """(name, compiled circuit, config) for each stream of the golden matrix:
+    four methods, both Toffoli modes, gridsynth and cost-model at b = 4."""
+    for spec in _COMPILED_SPECS:
+        state = make_state(spec)
+        logical = {"dense": synthesize_dense(state), "sparse": synthesize_sparse(state)}
+        for backend in ("qrom", "selectswap"):
+            logical[backend] = prepare_alias_state(state.probabilities(), 4, backend=backend).circuit
+        for method, circ in logical.items():
+            for mode in TOFFOLI_MODES:
+                for rz_mode in ("gridsynth", "cost-model"):
+                    cfg = SynthesisConfig(b=4, toffoli_mode=mode, rz_mode=rz_mode)
+                    name = f"{spec.family} n={spec.n} k={spec.k} seed={spec.seed} {method} {mode} {rz_mode}"
+                    yield name, compile_circuit(circ, cfg)[0], cfg
+
+
+def _compiled_records():
+    """sha256 of every compiled stream of the golden matrix, by case name."""
+    return {name: hashlib.sha256(serialize(out).encode()).hexdigest()
+            for name, out, _ in _compiled_cases()}
+
+
+def test_compiled_streams_match_golden():
+    # re-record after a deliberate change to the compiled streams with
+    # `PYTHONPATH=src python tests/test_cliffordt_compile.py --record`
+    with open(_COMPILED_GOLDEN, encoding="utf-8") as f:
+        want = json.load(f)
+    assert len(want) == 112
+    assert _compiled_records() == want
+
+
+def test_compiling_a_compiled_circuit_gives_it_back():
+    for name, out, cfg in _compiled_cases():
+        again, _ = compile_circuit(out, cfg)
+        assert (again.n_qubits, again.gates) == (out.n_qubits, out.gates), name
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +520,11 @@ def test_exactly_preparable_agrees_with_word_search():
         ok, _ = exactly_preparable(float(real[0].real), float(real[1].real))
         assert ok, word
     assert seen == 25
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_cliffordt_compile.py --record")
+    with open(_COMPILED_GOLDEN, "w", encoding="utf-8") as f:
+        json.dump(_compiled_records(), f, indent=1, sort_keys=True)
+        f.write("\n")
