@@ -15,14 +15,18 @@ qubits), dense_random n=6 seed 1 at b = 12, and a 20-qubit alias pipeline
 (dense_random n=3 seed 1, qrom, b = 3).  Next to the time it prints how many
 fused groups one call applies as a dense pass and how many distinct ones it
 builds a unitary for; a compiled circuit repeats interned lowered blocks, so
-most of its groups are the same gate objects again.
+most of its groups are the same gate objects again.  Last, it prints the
+dense passes by their active qubit count (`2:1092` is 1,092 passes that
+multiply by 2x2-qubit blocks): a unitary that is block-diagonal on some of its
+qubits is applied as its diagonal blocks on the others.
 
 Run:  PYTHONPATH=src python3 benchmarks/sim_bench.py
 """
 import math
 import random
 import time
-from typing import Tuple
+from collections import Counter
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -89,22 +93,29 @@ def ms_per_call(circ: Circuit) -> float:
     return best * 1e3
 
 
-def group_counts(circ: Circuit) -> Tuple[int, int]:
-    """(fused, built): the groups one `simulate` call applies as a dense
-    pass, and the calls it makes to `_group_unitary`, one per distinct group."""
-    real, built = simulator._group_unitary, 0
+def group_counts(circ: Circuit) -> Tuple[int, int, Dict[int, int]]:
+    """(fused, built, active): the groups one `simulate` call applies as a
+    dense pass, the calls it makes to `_group_unitary`, one per distinct
+    group, and its dense passes by active qubit count."""
+    real_build, real_pass = simulator._group_unitary, simulator._apply_blocks
+    built, active = 0, Counter()
 
-    def counting(group, qs):
+    def counting_build(group, qs):
         nonlocal built
         built += 1
-        return real(group, qs)
+        return real_build(group, qs)
 
-    simulator._group_unitary = counting
+    def counting_pass(v, axes, blocks, scratch=None):
+        active[blocks.shape[-1].bit_length() - 1] += 1
+        return real_pass(v, axes, blocks, scratch)
+
+    simulator._group_unitary, simulator._apply_blocks = counting_build, counting_pass
     try:
         simulate(circ)
     finally:
-        simulator._group_unitary = real
-    return len(simulator._fusion_plan(circ.gates, 1 << circ.n_qubits)), built
+        simulator._group_unitary, simulator._apply_blocks = real_build, real_pass
+    fused = len(simulator._fusion_plan(circ.gates, 1 << circ.n_qubits))
+    return fused, built, dict(sorted(active.items()))
 
 
 def main() -> None:
@@ -114,11 +125,12 @@ def main() -> None:
         cells = "".join(f"{us_per_gate(tag, n):>10.1f}" for n in N_VALUES)
         print(f"{tag:<22}{cells}")
     print(f"\n{'compiled circuit':<34}{'qubits':>7}{'gates':>8}{'fused':>7}{'built':>7}"
-          f"{'ms':>10}   (per simulate call, best of {REPEATS})")
+          f"{'ms':>10}   active:passes   (ms per simulate call, best of {REPEATS})")
     for label, circ in compiled_circuits():
-        fused, built = group_counts(circ)
+        fused, built, active = group_counts(circ)
+        passes = " ".join(f"{a}:{count}" for a, count in active.items())
         print(f"{label:<34}{circ.n_qubits:>7}{len(circ.gates):>8}{fused:>7}{built:>7}"
-              f"{ms_per_call(circ):>10.1f}")
+              f"{ms_per_call(circ):>10.1f}   {passes}")
 
 
 if __name__ == "__main__":

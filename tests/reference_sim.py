@@ -5,6 +5,11 @@ gate becomes its full 2^k x 2^k matrix on its k operands and is applied with
 `np.tensordot`.  It is kept only as a test oracle; `simulate(circuit,
 initial)` returns a new state and never touches `initial`.
 
+`fused_simulate` is the second oracle: qsprep's fusion plan, with each fused
+group applied as its full 2^k x 2^k unitary by one matmul over the state, as
+qsprep did before its dense pass skipped the zero blocks.  The active-block
+pass must give its states bit for bit.
+
 ANDU (the measured uncompute of a temporary AND) is built as written in the
 compiler, H on the ancilla, CCZ, H again, not as the Toffoli it equals.
 """
@@ -14,6 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from qsprep.circuit_core import Circuit, Gate
+# bound at import, so that tests which spy on the simulator's names see
+# only the simulator's own calls
+from qsprep.simulator import _CHUNK_QUBITS, _apply, _fusion_plan, _group_unitary
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -97,4 +105,37 @@ def simulate(circuit: Circuit, initial: Optional[np.ndarray] = None) -> np.ndarr
         state = np.asarray(initial, dtype=complex).reshape(-1)
     for g in circuit.gates:
         state = apply_gate(state, g, n)
+    return state
+
+
+def _apply_matrix(v: np.ndarray, u: np.ndarray, qs: Sequence[int]) -> None:
+    """v <- u on the qubits qs (the row index reads them MSB first), in place,
+    one chunk of the other qubits' values at a time."""
+    k = len(qs)
+    outer = [q for q in range(v.ndim) if q not in qs][:max(0, v.ndim - _CHUNK_QUBITS)]
+    moved = np.moveaxis(v, outer + list(qs), range(len(outer) + k))
+    for i in np.ndindex(moved.shape[:len(outer)]):
+        x = moved[i]
+        rows = np.ascontiguousarray(x).reshape(1 << k, -1)
+        x[...] = np.dot(u, rows).reshape(x.shape)
+
+
+def fused_simulate(circuit: Circuit, initial: Optional[np.ndarray] = None) -> np.ndarray:
+    """The state qsprep.simulator.simulate gives, with every fused group
+    applied as its full unitary; `initial` is not modified."""
+    n = circuit.n_qubits
+    if initial is None:
+        state = np.zeros(1 << n, dtype=complex)
+        state[0] = 1.0
+    else:
+        state = np.array(initial, dtype=complex).reshape(-1)
+    v, gates, done = state.reshape((2,) * n), circuit.gates, 0
+    for start, stop, mask in _fusion_plan(gates, state.size):
+        for g in gates[done:start]:
+            _apply(v, g)
+        qs = [q for q in range(n) if mask >> q & 1]
+        _apply_matrix(v, _group_unitary(gates[start:stop], qs), qs)
+        done = stop
+    for g in gates[done:]:
+        _apply(v, g)
     return state

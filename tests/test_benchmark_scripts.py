@@ -40,12 +40,14 @@ def test_sim_bench_draws_and_simulates_every_tag(sim_bench, tag):
 
 def test_sim_bench_counts_fused_and_built_groups(sim_bench):
     # one interned run of CNOTs and Hadamards, three times between Rz gates
-    # that end its groups
+    # that end its groups, and a run of CNOTs whose controls stay passive
     block = [Gate("Hadamard", (q,)) for q in range(4)] + [
         Gate("CNOT", (q, q + 1)) for q in range(3)] * 8 + [Gate("Rz", (0,), angle=0.5)]
-    fused, built = sim_bench.group_counts(Circuit(8, block * 3))
-    assert (fused, built) == (3, 1)
+    chain = [Gate("CNOT", (q, 7)) for q in range(4, 7)] * 13
+    fused, built, active = sim_bench.group_counts(Circuit(8, block * 3 + chain))
+    assert (fused, built, active) == (4, 2, {1: 1, 4: 3})
     assert simulator._group_unitary.__name__ == "_group_unitary"
+    assert simulator._apply_blocks.__name__ == "_apply_blocks"
 
 
 def test_rz_bench_phases_name_existing_functions():

@@ -19,7 +19,9 @@ from qsprep.alias_prepare import prepare_alias_state, realized_marginal
 from qsprep.benchmark_states import BenchmarkSpec, make_state
 from qsprep.circuit_core import TAGS, Circuit, Gate
 from qsprep.cliffordt_compile import SynthesisConfig, compile_circuit
-from qsprep.rotation_synthesis import AngleTable, demux_ucry, synthesize_sparse
+from qsprep.rotation_synthesis import (
+    AngleTable, demux_ucry, synthesize_dense, synthesize_sparse,
+)
 from qsprep.simulator import (
     CapacityError, address_marginal, apply_gate, classical_simulate,
     fidelity_prob, fidelity_state, pipeline_histogram, simulate,
@@ -154,6 +156,8 @@ def _check_against_oracle(circ, seed):
     assert np.array_equal(psi0, before)            # the caller's state is untouched
     want = reference_sim.simulate(circ, initial=psi0)
     assert np.max(np.abs(got - want)) <= 1e-12
+    # the active-block passes give the full-matrix passes' bits
+    assert np.array_equal(got, reference_sim.fused_simulate(circ, initial=psi0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -303,6 +307,59 @@ def test_a_single_gate_circuit_is_applied_by_apply(tag):
     assert np.array_equal(simulate(Circuit(n, [g]), initial=psi0), want)
 
 
+@pytest.fixture
+def active_qubits(monkeypatch):
+    """Records the active qubit count of every dense pass simulate runs."""
+    seen = []
+    real = simulator._apply_blocks
+
+    def spy(v, axes, blocks, scratch=None):
+        seen.append(blocks.shape[-1].bit_length() - 1)
+        return real(v, axes, blocks, scratch)
+
+    monkeypatch.setattr(simulator, "_apply_blocks", spy)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def rotation_sim_circuit():
+    """The rotation_sim circuit: thc_toy seed 3, sparse, b = 4, 14 qubits; it
+    concatenates interned lowered blocks."""
+    logical = synthesize_sparse(make_state(BenchmarkSpec("thc_toy", seed=3)))
+    return compile_circuit(logical, SynthesisConfig(b=4))[0]
+
+
+def test_compiled_circuits_get_the_full_matrix_passes_states(rotation_sim_circuit,
+                                                              active_qubits):
+    circ = rotation_sim_circuit
+    assert np.array_equal(simulate(circ), reference_sim.fused_simulate(circ))
+    # most of its fused 4-qubit unitaries are block-diagonal on 2 of their qubits
+    assert active_qubits.count(2) >= 1000
+    dense = synthesize_dense(make_state(BenchmarkSpec("dense_random", n=6, seed=1)))
+    circ = compile_circuit(dense, SynthesisConfig(b=12))[0]
+    assert np.array_equal(simulate(circ), reference_sim.fused_simulate(circ))
+
+
+def test_an_entry_of_1e_300_keeps_its_qubits_active():
+    qs = [1, 2, 4, 6]
+    u = np.eye(16, dtype=complex)
+    axes, blocks = simulator._active_blocks(u, qs, 8)
+    assert blocks.shape == (16, 1, 1) and axes == qs + [0, 3, 5, 7]
+    u[0b0000, 0b1010] = 1e-300        # flips the qubits 1 and 4
+    axes, blocks = simulator._active_blocks(u, qs, 8)
+    assert axes == [2, 6, 1, 4, 0, 3, 5, 7]
+    assert blocks.shape == (4, 4, 4) and blocks[0, 0, 3] == 1e-300
+    u[0b0000, 0b1111] = 1e-300        # flips every qubit
+    axes, blocks = simulator._active_blocks(u, qs, 8)
+    assert axes == qs + [0, 3, 5, 7] and np.array_equal(blocks, u[None])
+
+
+def test_a_group_on_every_qubit_keeps_its_whole_matrix():
+    # one amplitude column per block would go to BLAS's matrix-vector kernel
+    axes, blocks = simulator._active_blocks(np.eye(8, dtype=complex), [0, 1, 2], 3)
+    assert axes == [0, 1, 2] and np.array_equal(blocks, np.eye(8)[None])
+
+
 # ---------------------------------------------------------------------------
 # one unitary per distinct fused group and simulate call
 
@@ -313,10 +370,9 @@ def _group_keys(circ):
     return [tuple(map(id, circ.gates[start:stop])) for start, stop, _ in plan]
 
 
-def test_each_distinct_group_of_a_compiled_circuit_is_built_once(fused_groups):
-    # the rotation_sim circuit concatenates interned lowered blocks
-    logical = synthesize_sparse(make_state(BenchmarkSpec("thc_toy", seed=3)))
-    circ = compile_circuit(logical, SynthesisConfig(b=4))[0]
+def test_each_distinct_group_of_a_compiled_circuit_is_built_once(rotation_sim_circuit,
+                                                                 fused_groups):
+    circ = rotation_sim_circuit
     keys = _group_keys(circ)
     simulate(circ)
     built = [tuple(map(id, grp)) for grp in fused_groups]
