@@ -251,7 +251,10 @@ def load_thc_coefficients(path: str) -> TargetState:
             raise ParseError(f"THC coefficient file {path}:{lineno}: {e}") from e
     if M is None:
         raise ParseError(f"THC coefficient file {path}: missing 'M n_orb' header")
-    return _thc_state(M, n_orb, t, xi)
+    try:
+        return _thc_state(M, n_orb, t, xi)
+    except ParameterError as e:
+        raise ParameterError(f"THC coefficient file {path}: {e}") from e
 
 
 def save_thc_coefficients(path: str, M: int, n_orb: int,

@@ -13,13 +13,16 @@ Toffoli onto it, which returns the ancilla to |0> with the fixup the
 classically controlled CZ would apply.
 
 `simulate` fuses gates (Haner & Steiger, arXiv:1704.01127): it groups runs
-of consecutive fixed-matrix gates on at most _K distinct qubits.  A group is
-applied as its 2^k x 2^k unitary, in one dense pass over the state, when that
-pass is estimated to cost less than the group's gates one by one (a fixed
-cost per gate for its NumPy calls plus the amplitudes it touches) minus the
-cost of building the unitary.  The unitary is the product of per-gate local
-matrices that `_apply` itself builds on an identity.  Any other group, and
-every Rz and Ry-family gate, goes through `_apply` gate by gate.
+of consecutive fixed-matrix gates on at most _K distinct qubits, and applies
+a group of two gates or more as one dense pass over the state when its
+gates one by one would take longer.  The price is read off the structure of
+`_apply`: a gate costs _GATE_NS for its NumPy calls plus _GATE_AMP_NS per
+amplitude it rewrites (half the state for a phase gate, and for any other
+gate the 2^(1 - arity) where its controls are 1), and a pass costs _PASS_NS
+plus _PASS_AMP_NS per state amplitude.  The group's unitary is the product
+of per-gate local matrices that `_apply` itself builds on an identity.  Any
+other group, and every Rz and Ry-family gate, goes through `_apply` gate by
+gate.
 
 A dense pass multiplies only the active blocks of the unitary.  A qubit whose
 flipping entries are all exactly 0 is passive: the unitary is block-diagonal
@@ -27,11 +30,9 @@ on it, as on the controls of the CNOT and Toffoli gates and the phase gates
 of a lowered block.  The pass gathers the state in the order passive qubits,
 active qubits, the rest, and multiplies each passive value's slice by its
 2^a x 2^a diagonal block in one batched matmul (in the rotation_sim circuit,
-1,092 of 1,126 passes have 2 active qubits of 4).  A zero entry adds nothing
-to a sum, so each amplitude gets the full product's nonzero terms in the
-same order and the same bits.  The fusion weights below were fitted to the
-full 2^k x 2^k pass and are deliberately left as they are: the plan decides
-which gates are multiplied together, and so the bits of every state.
+most passes have 2 active qubits of 4).  A zero entry adds nothing to a sum,
+so each amplitude gets the full product's nonzero terms in the same order
+and the same bits.
 
 Each call builds a distinct group's pass once.  `compile_circuit`
 concatenates memoized, interned lowered blocks, so most groups of a compiled
@@ -78,6 +79,7 @@ class CapacityError(RuntimeError):
 _R = 1 / math.sqrt(2)
 _PHASES = {"S": 1j, "Sdg": -1j,
            "T": np.exp(1j * math.pi / 4), "Tdg": np.exp(-1j * math.pi / 4)}
+_ROTATIONS = ("Rz", "Ry", "MultiControlledRy")     # every other tag is a fixed matrix
 
 
 def _pin(v: np.ndarray, pins: Iterable) -> np.ndarray:
@@ -155,29 +157,17 @@ def apply_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
     return v.reshape(-1)
 
 
-# Gate fusion.  A group holds at most _K distinct qubits.  Costs are
-# estimated in nanoseconds.  The weights were fitted to timings of `_apply`
-# (the per-tag costs that benchmarks/sim_bench.py prints), of the dense pass
-# and of `_group_unitary` at n = 6 and 14 on a 2-CPU x86-64 VM (NumPy 2.4,
-# one BLAS thread); only their ratios matter.
+# Gate fusion.  A group holds at most _K distinct qubits.  Prices are in ns,
+# fitted by benchmarks/sim_bench.py (the medians of five runs on a 2-CPU
+# x86-64 VM, NumPy 2.4, one BLAS thread); only their ratios matter.
 _K = 4
-# tag -> `_apply`'s fixed ns (its NumPy calls), its ns per state amplitude
-# (the amplitudes it touches), and the ns it adds to `_group_unitary`
-_GATE_COST = {
-    "S": (4300, 1.2, 1700), "Sdg": (4300, 1.2, 1700),
-    "T": (4300, 1.2, 1700), "Tdg": (4300, 1.2, 1700),
-    "Hadamard": (14500, 3.85, 1700), "PauliX": (6100, 2.4, 1700),
-    "CNOT": (6500, 1.6, 5900), "Swap": (6200, 1.9, 5900),
-    "Toffoli": (6300, 1.15, 5900), "ANDU": (6300, 1.15, 5900),
-    "ControlledSwap": (6200, 1.3, 5900),
-}
-# `_group_unitary` also applies each run of one-qubit gates once
-_RUN_NS = 7800
-# one dense pass on k qubits: fixed ns (with the fixed part of
-# `_group_unitary`), and ns per state amplitude by k (gather, matmul, scatter),
-# as fitted to the full 2^k x 2^k pass; the module docstring says why they stay
-_DENSE_NS = 29000
-_DENSE_AMP_NS = (0.0, 5.3, 7.0, 8.6, 12.0)
+# a fixed-matrix gate through `_apply`: fixed ns for its NumPy calls, and ns
+# per amplitude of the `_share` of the state it rewrites
+_GATE_NS, _GATE_AMP_NS = 3200, 2.4
+# a fused group: fixed ns to build its dense pass and to apply it, and ns per
+# state amplitude, priced at the dearest pass, a 16x16 unitary with no
+# passive qubit
+_PASS_NS, _PASS_AMP_NS = 50000, 5.0
 # a dense pass works on chunks of at most 2^_CHUNK_QUBITS amplitudes, so
 # its temporaries stay small however large the state
 _CHUNK_QUBITS = 14
@@ -248,12 +238,12 @@ def _active_blocks(u: np.ndarray, qs: Sequence[int], n: int) -> Tuple[List[int],
     active, and the other qubits, each in qubit order."""
     k = len(qs)
     # bit k-1-j of `flips` is set when a nonzero entry's row and column
-    # differ in qubit qs[j].  When qs is the whole state, each block would
-    # multiply one column, which NumPy hands to BLAS's matrix-vector kernel;
-    # that kernel does not add a row's terms in column order, so there u
-    # stays whole (c = 0).
+    # differ in qubit qs[j].  A 1x1 block, or a block that multiplies one
+    # column when qs is the whole state, would go to BLAS's vector kernels,
+    # which do not round a product as the matrix kernel does: so a diagonal
+    # u keeps its last qubit active, and on the whole state u stays whole.
     rows, cols = np.nonzero(u)
-    flips = int(np.bitwise_or.reduce(rows ^ cols)) if k < n else (1 << k) - 1
+    flips = (int(np.bitwise_or.reduce(rows ^ cols)) or 1) if k < n else (1 << k) - 1
     local = sorted(range(k), key=lambda j: flips >> (k - 1 - j) & 1)    # passive first
     c = k - flips.bit_count()
     t = u.reshape((2,) * (2 * k)).transpose(local + [k + j for j in local])
@@ -284,45 +274,48 @@ def _apply_blocks(v: np.ndarray, axes: Sequence[int], blocks: np.ndarray,
         np.copyto(x, out)
 
 
+def _share(g: Gate) -> float:
+    """The part of the state that `_apply` rewrites for the fixed-matrix gate
+    g: the half where a phase gate's qubit is 1, else the 2^(1 - arity)
+    where g's controls are 1 (all of it for X and H, half for CNOT and Swap,
+    a quarter for Toffoli, ANDU and controlled Swap)."""
+    return 0.5 if g.tag in _PHASES else 2.0 ** (1 - len(g.qubits))
+
+
 def _fusion_plan(gates: Sequence[Gate], size: int) -> List[Tuple[int, int, int]]:
     """(start, stop, mask) of each group gates[start:stop] that `simulate`
     applies as one dense pass on the qubits set in mask, for a state of
     `size` amplitudes.
 
     Groups are the maximal runs of consecutive fixed-matrix gates on at most
-    _K qubits.  A group is fused when its estimated dense pass costs less
-    than the ns that building its unitary saves over applying its gates one
-    by one."""
-    saves = {tag: ns + amp_ns * size - build_ns
-             for tag, (ns, amp_ns, build_ns) in _GATE_COST.items()}
-    dense = [_DENSE_NS + amp_ns * size for amp_ns in _DENSE_AMP_NS]
+    _K qubits.  A group of two gates or more is fused when its gates through
+    `_apply`, each _GATE_NS plus _GATE_AMP_NS per amplitude of its `_share`
+    of the state, take longer than one dense pass, _PASS_NS plus
+    _PASS_AMP_NS per amplitude."""
+    dense = _PASS_NS + _PASS_AMP_NS * size
+    saves: Dict[str, float] = {}               # fixed-matrix tag -> its ns
     masks: Dict[Tuple[int, ...], int] = {}     # operands -> bit mask
     plan: List[Tuple[int, int, int]] = []
-    # the open group is gates[start:i] on the qubits in `mask`; `runs` has
-    # the qubits whose last gate in it is a one-qubit gate
-    start, mask, runs, saved = 0, 0, 0, 0.0
+    start, mask, saved = 0, 0, 0.0             # the open group is gates[start:i]
     for i, g in enumerate(gates):
         c = saves.get(g.tag)
+        if c is None and g.tag not in _ROTATIONS:
+            c = saves[g.tag] = _GATE_NS + _GATE_AMP_NS * _share(g) * size
         m = None
         if c is not None:
             m = masks.get(g.qubits)
             if m is None:
                 m = masks[g.qubits] = sum(1 << q for q in g.qubits)
         if m is None or (mask | m).bit_count() > _K:    # g closes the open group
-            if i - start > 1 and saved > dense[mask.bit_count()]:
+            if i - start > 1 and saved > dense:
                 plan.append((start, i, mask))
-            start, mask, runs, saved = i, 0, 0, 0.0
+            start, mask, saved = i, 0, 0.0
             if m is None:                # Rz or the Ry family: applied alone
                 start += 1
                 continue
         mask |= m
-        if m & (m - 1):
-            runs &= ~m
-        elif not runs & m:
-            runs |= m
-            c -= _RUN_NS
         saved += c
-    if len(gates) - start > 1 and saved > dense[mask.bit_count()]:
+    if len(gates) - start > 1 and saved > dense:
         plan.append((start, len(gates), mask))
     return plan
 

@@ -17,7 +17,7 @@ from qsprep.alias_prepare import (
     realized_marginal,
 )
 from qsprep.benchmark_states import BenchmarkSpec, make_state
-from qsprep.circuit_core import Circuit, count_resources, serialize
+from qsprep.circuit_core import Circuit, CircuitError, count_resources, serialize
 from qsprep.cliffordt_compile import SynthesisConfig, compile_circuit
 from qsprep.simulator import address_marginal, classical_simulate, fidelity_prob, simulate
 
@@ -65,6 +65,26 @@ def test_validation_errors():
         build_alias_table([0.5, 0.4], b=4)        # sums to 0.9
     with pytest.raises(ValidationError):
         build_alias_table([0.5, 0.5], b=0)
+
+
+@pytest.mark.parametrize("L, w, data, error, message", [
+    (3, 2, (0, 1, 2), ValidationError, "L must be a positive power of two"),
+    (0, 2, (), ValidationError, "L must be a positive power of two"),
+    (2, 0, (0, 0), ValidationError, "word width must be >= 1"),
+    (4, 2, (0, 1, 2), CircuitError, "data length must equal L"),
+    (2, 2, (1, 4), CircuitError, "data word exceeds width"),
+    (2, 2, (-1, 0), CircuitError, "data word exceeds width"),
+])
+def test_lookup_spec_validation(L, w, data, error, message):
+    with pytest.raises(error, match=message):
+        LookupSpec(L, w, data)
+
+
+def test_unknown_backends_are_refused():
+    with pytest.raises(ValidationError, match="unknown backend 'bogus'"):
+        prepare_alias_state([0.5, 0.5], 4, backend="bogus")
+    with pytest.raises(ValidationError, match="spec.backend must be 'selectswap'"):
+        build_selectswap(LookupSpec(2, 1, (0, 1)))
 
 
 def test_non_power_of_two_pads():

@@ -50,6 +50,16 @@ def test_sim_bench_counts_fused_and_built_groups(sim_bench):
     assert simulator._apply_blocks.__name__ == "_apply_blocks"
 
 
+def test_sim_bench_fits_a_line_and_times_the_dearest_pass(sim_bench):
+    points = [(amps, 3.0 + 2.5e-3 * amps) for amps in (16, 64, 4096, 1 << 18)]
+    assert sim_bench.fit(points) == pytest.approx((3000.0, 2.5))
+    qs = [0, 1, 2, 3]
+    _, blocks = simulator._active_blocks(
+        simulator._group_unitary(sim_bench.PASS_GROUP, qs), qs, 6)
+    assert blocks.shape == (1, 16, 16)      # no passive qubit
+    assert sim_bench.us_per_pass(6) > 0
+
+
 def test_rz_bench_phases_name_existing_functions():
     # time_phases() is not called: it patches gridsynth for the whole process
     for owner, attr in _load("rz_bench").PHASES.values():

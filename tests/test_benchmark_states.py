@@ -113,6 +113,18 @@ def test_magnus_states():
         BenchmarkSpec("magnus", k=0)
 
 
+@pytest.mark.parametrize("k", [-1, 0, 4, 5])
+def test_gen_dicke_refuses_k_outside_0_n(k):
+    with pytest.raises(ParameterError, match="dicke requires 0 < k < n"):
+        gen_dicke(4, k)
+
+
+@pytest.mark.parametrize("k", [0, 7])
+def test_gen_magnus_refuses_k_outside_1_6(k):
+    with pytest.raises(ParameterError, match="magnus requires 1 <= k <= 6"):
+        gen_magnus(k)
+
+
 def test_descents_and_coefficients():
     assert descent_count([0, 1, 2, 3]) == 0
     assert descent_count([3, 2, 1, 0]) == 3

@@ -191,6 +191,35 @@ def test_thc_parse_error_names_the_coefficient_file(tmp_path, capsys):
     assert f"THC coefficient file {bad}:2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, reason", [
+    ("15 16\nu 0 1.0\n", ":2: unknown record 'u'"),
+    ("15 16\nt 8 1.0\n", ":2: t index 8 out of range"),
+    ("15 16\nxi 0 1 1.0\nxi 0 1 2.0\n", ":3: duplicate xi index (0, 1)"),
+    ("15 16\nxi 15 0 1.0\n", ":2: xi index (15, 0) out of range"),
+    ("# no header\n\n", ": missing 'M n_orb' header"),
+    ("15 16\nt 0 0.0\nxi 1 2 -0.0\n", ": all THC coefficients are zero"),
+])
+def test_thc_file_errors_name_the_file_and_line(body, reason, tmp_path, capsys):
+    path = tmp_path / "bad.thc"
+    path.write_text(body)
+    assert main(["estimate", "--family", "thc_file", "--path", str(path),
+                 "--method", "sparse"]) == 3
+    assert f"validation error: THC coefficient file {path}{reason}" in capsys.readouterr().err
+
+
+def test_magnus_beyond_k6_is_a_validation_error(capsys):
+    assert main(["estimate", "--family", "magnus", "--k", "7", "--method", "sparse"]) == 3
+    assert "validation error: magnus requires 1 <= k <= 6" in capsys.readouterr().err
+
+
+def test_circuit_file_register_beyond_its_qubits_names_the_file(tmp_path, capsys):
+    qc = tmp_path / "reg.qc"
+    qc.write_text("qubits 2\nregister address 0 3\nPauliX 0\n")
+    assert main(["compile", str(qc)]) == 3
+    assert (f"validation error: circuit file {qc}: register address range (0, 3) "
+            "invalid") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("family, n", [("dense_random", 64),
                                        ("sparse_uniform", 70),
                                        ("sparse_random", 63)])

@@ -164,6 +164,11 @@ def test_three_controlled_x_v_chain(mode, want_t):
     assert np.allclose(blk, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", TOFFOLI_MODES)
+def test_lower_mcx_without_controls_is_one_x(mode):
+    assert lower_mcx([], 3, [], mode=mode) == [Gate("PauliX", (3,))]
+
+
 def test_lower_mcx_requires_enough_ancillas():
     with pytest.raises(CompileError):
         lower_mcx([0, 1, 2], 3, [4])

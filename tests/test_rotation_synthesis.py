@@ -22,6 +22,10 @@ def test_target_state_validation():
         TargetState(2, {0: 1.0, 1: 1.0})          # not normalized
     with pytest.raises(StateValidationError):
         TargetState(2, {4: 1.0})                  # index out of range
+    with pytest.raises(StateValidationError, match="nonzero"):
+        TargetState(2, {0: 1.0, 3: 0.0})          # a stored zero amplitude
+    with pytest.raises(StateValidationError, match="power of two"):
+        TargetState.from_vector([1.0, 0.0, 0.0])
     s = TargetState(2, {0: math.sqrt(0.5), 3: -math.sqrt(0.5)})
     assert s.support == [0, 3]
     v = s.to_vector()

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,6 +100,15 @@ def test_fidelity_prob_properties():
     assert fidelity_prob([1, 0], [0, 1]) == 0.0
     with pytest.raises(ValueError):
         fidelity_prob([0.5, 0.5], [0.5, -0.5])
+
+
+def test_shape_mismatches_are_refused():
+    with pytest.raises(ValueError, match="initial state dimension mismatch"):
+        simulate(Circuit(2, []), initial=np.ones(8) / math.sqrt(8))
+    with pytest.raises(ValueError, match="state dimension mismatch"):
+        fidelity_state(np.ones(2), np.ones(4))
+    with pytest.raises(ValueError, match="distribution dimension mismatch"):
+        fidelity_prob([0.5, 0.5], [0.25] * 4)
 
 
 def test_address_marginal_orders_msb_first():
@@ -307,6 +317,43 @@ def test_a_single_gate_circuit_is_applied_by_apply(tag):
     assert np.array_equal(simulate(Circuit(n, [g]), initial=psi0), want)
 
 
+def _operand_mask(g):
+    return sum(1 << q for q in g.qubits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.sampled_from([0.0, 0.1, 0.3]),
+       st.integers(0, 120), st.integers(4, 22), st.randoms(use_true_random=False),
+       st.tuples(*[st.floats(0, 1e5), st.floats(0, 10)] * 2))
+def test_fusion_plan_groups_close_only_where_they_must(n, width, drift, count, log_size,
+                                                       rng, prices):
+    # whatever the price, the plan holds disjoint runs of fixed-matrix gates,
+    # each ended by the circuit's end, a rotation, or a gate that would take
+    # it past _K qubits
+    gates = _windowed_gates(rng, n, count, _FIXED, min(width, n), drift)
+    for _ in range(count // 10):
+        q = rng.randrange(n)
+        gates.insert(rng.randrange(len(gates) + 1), rng.choice([
+            Gate("Rz", (q,), angle=0.3), Gate("Ry", (q,), angle=-0.2),
+            Gate("MultiControlledRy", (q, (q + 1) % n), angle=0.9, mask=(1,))
+            if n > 1 else Gate("Rz", (q,), angle=0.1)]))
+    names = ("_GATE_NS", "_GATE_AMP_NS", "_PASS_NS", "_PASS_AMP_NS")
+    with mock.patch.multiple(simulator, **dict(zip(names, prices))):
+        plan = simulator._fusion_plan(gates, 1 << log_size)
+    done = 0
+    for start, stop, mask in plan:
+        assert done <= start and stop - start >= 2
+        group = gates[start:stop]
+        assert all(g.tag not in simulator._ROTATIONS for g in group)
+        union = 0
+        for g in group:
+            union |= _operand_mask(g)
+        assert mask == union and mask.bit_count() <= simulator._K
+        assert (stop == len(gates) or gates[stop].tag in simulator._ROTATIONS
+                or (mask | _operand_mask(gates[stop])).bit_count() > simulator._K)
+        done = stop
+
+
 @pytest.fixture
 def active_qubits(monkeypatch):
     """Records the active qubit count of every dense pass simulate runs."""
@@ -343,8 +390,8 @@ def test_compiled_circuits_get_the_full_matrix_passes_states(rotation_sim_circui
 def test_an_entry_of_1e_300_keeps_its_qubits_active():
     qs = [1, 2, 4, 6]
     u = np.eye(16, dtype=complex)
-    axes, blocks = simulator._active_blocks(u, qs, 8)
-    assert blocks.shape == (16, 1, 1) and axes == qs + [0, 3, 5, 7]
+    axes, blocks = simulator._active_blocks(u, qs, 8)    # diagonal: qubit 6 stays active
+    assert blocks.shape == (8, 2, 2) and axes == qs + [0, 3, 5, 7]
     u[0b0000, 0b1010] = 1e-300        # flips the qubits 1 and 4
     axes, blocks = simulator._active_blocks(u, qs, 8)
     assert axes == [2, 6, 1, 4, 0, 3, 5, 7]
@@ -352,6 +399,20 @@ def test_an_entry_of_1e_300_keeps_its_qubits_active():
     u[0b0000, 0b1111] = 1e-300        # flips every qubit
     axes, blocks = simulator._active_blocks(u, qs, 8)
     assert axes == qs + [0, 3, 5, 7] and np.array_equal(blocks, u[None])
+
+
+def test_a_diagonal_group_gets_the_full_matrix_passes_state():
+    # 1x1 blocks would go to BLAS's vector kernels, which round the
+    # products of H.H, S and T otherwise than the matrix kernel
+    gates = [Gate("Hadamard", (2,)), Gate("Hadamard", (2,)), Gate("S", (1,)),
+             Gate("S", (3,)), Gate("T", (0,))]
+    u = simulator._group_unitary(gates, [0, 1, 2, 3])
+    assert not (u - np.diag(np.diag(u))).any()
+    psi0 = _random_state(5, seed=0)
+    got, want = psi0.copy(), psi0.copy()
+    simulator._apply_blocks(got.reshape((2,) * 5), *simulator._active_blocks(u, [0, 1, 2, 3], 5))
+    reference_sim._apply_matrix(want.reshape((2,) * 5), u, [0, 1, 2, 3])
+    assert np.array_equal(got, want)
 
 
 def test_a_group_on_every_qubit_keeps_its_whole_matrix():
@@ -402,7 +463,7 @@ def test_groups_used_once_are_not_kept():
     # 2^k x 2^k complex values per group
     rng = random.Random(8)
     gates = []
-    while len(gates) < 60_000:
+    while len(gates) < 66_000:
         gates += _windowed_gates(rng, 8, 30, _FIXED, 4) + [Gate("Rz", (0,), angle=0.1)]
     circ = Circuit(8, gates)
     plan = simulator._fusion_plan(circ.gates, 1 << 8)
