@@ -1,4 +1,4 @@
-"""Rz synthesis cost as precision grows: median ms per angle at b = 10..150.
+"""Rz synthesis cost as precision grows: median ms per angle at b = 4..150.
 
 Synthesizes fixed seeded angles at eps = 2^-b and prints, per b, the
 median and worst wall time per angle, the mean T-count and the mean gate
@@ -8,30 +8,45 @@ digest at a b gave the same words there.  The 2D grid solver keeps the
 time roughly flat in b; a solver whose work grows like 2^(b/2) shows up
 here first.
 
-It also prints the median ms per angle spent inside four phases of the
-synthesis, timed by wrapping them: the per-angle region set-up
-(`gridsynth._EpsRegion.__init__`, which finds the grid operator), candidate
-enumeration (`_EpsRegion.candidates`, every k), `gridsynth.solve_diophantine`
-and `gridsynth.exact_synthesize`.  Together they account for the time per
-angle; the rest is the octant reduction and the loop over k.
+It also prints the median ms per angle spent inside six phases of the
+synthesis, timed by wrapping them: the octant reduction
+(`gridsynth._octant`), the per-angle region set-up
+(`gridsynth._EpsRegion.__init__`, which finds the grid operator), cos phi0,
+sin phi0 within it (`gridsynth._cos_sin`), candidate enumeration
+(`_EpsRegion.candidates`, every k), `gridsynth.solve_diophantine` and
+`gridsynth.exact_synthesize`.  Apart from cos_sin, which the set-up
+includes, they account for the time per angle; the rest is the loop over k.
 
-Run:  PYTHONPATH=src python3 benchmarks/rz_bench.py
+`--vs-mpmath` times the octant reduction and cos phi0, sin phi0 alone, in
+microseconds per angle at b = 4..1000, against the mpmath set-up they
+replaced (`tests/reference_trig.py`; needs mpmath), and checks that both
+give the same octant, snap decision and fixed-point cos and sin.
+
+Run:  PYTHONPATH=src python3 benchmarks/rz_bench.py [--vs-mpmath]
 """
+import argparse
 import hashlib
 import math
 import random
 import statistics
+import sys
 import time
+from pathlib import Path
 
 from qsprep import gridsynth
 from qsprep.gridsynth import synthesize_rz_tags
 
 N_ANGLES = 20
-B_VALUES = (10, 20, 30, 40, 60, 100, 150)
+B_VALUES = (4, 10, 20, 30, 40, 60, 100, 150)
+TRIG_ANGLES = 200
+TRIG_B_VALUES = (4, 14, 40, 100, 150, 300, 500, 1000)
 SEED = 12345
+TESTS = Path(__file__).resolve().parents[1] / "tests"
 # phase name -> (owner, attribute) of the function it times
 PHASES = {
+    "octant": (gridsynth, "_octant"),
     "setup": (gridsynth._EpsRegion, "__init__"),
+    "cos_sin": (gridsynth, "_cos_sin"),
     "candidates": (gridsynth._EpsRegion, "candidates"),
     "dioph": (gridsynth, "solve_diophantine"),
     "exact": (gridsynth, "exact_synthesize"),
@@ -78,9 +93,50 @@ def bench(b: int, angles, spent: dict) -> dict:
     return out
 
 
+def integer_setup(theta: float, eps: float):
+    """(octant, snapped, (cos phi0, sin phi0) or None) as synthesize_rz_tags
+    and the region set-up compute them."""
+    prec = gridsynth._working_bits(eps)
+    mth, theta_p = gridsynth._octant(theta, prec + 64)
+    if abs(theta_p) <= min(1e-12, 2 * eps):
+        return mth, True, None
+    return mth, False, gridsynth._cos_sin(-theta_p / 2, prec)
+
+
+def vs_mpmath(b: int, angles, rounds: int = 3) -> dict:
+    """Best-of-rounds microseconds per angle of the integer set-up and of
+    the mpmath one, run alternately, and whether every result agreed."""
+    if str(TESTS) not in sys.path:
+        sys.path.insert(0, str(TESTS))
+    import reference_trig
+
+    eps = 2.0 ** -b
+    fns = {"int": integer_setup, "mpmath": reference_trig.octant_and_trig}
+    best, outs = dict.fromkeys(fns, math.inf), {}
+    for _ in range(rounds):
+        for name, fn in fns.items():
+            t0 = time.perf_counter()
+            outs[name] = [fn(theta, eps) for theta in angles]
+            best[name] = min(best[name], (time.perf_counter() - t0) / len(angles) * 1e6)
+    return {"b": b, "int_us": best["int"], "mpmath_us": best["mpmath"],
+            "same": outs["int"] == outs["mpmath"]}
+
+
 def main() -> None:
-    spent = time_phases()
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--vs-mpmath", action="store_true",
+                    help="time the integer octant and cos/sin against mpmath")
     rng = random.Random(SEED)
+    if ap.parse_args().vs_mpmath:
+        angles = [rng.uniform(-math.pi, math.pi) for _ in range(TRIG_ANGLES)]
+        print(f"{'b':>4} {'integer us':>11} {'mpmath us':>10} {'ratio':>6} same  "
+              f"({TRIG_ANGLES} angles, best of 3)")
+        for b in TRIG_B_VALUES:
+            r = vs_mpmath(b, angles)
+            print(f"{b:>4} {r['int_us']:>11.1f} {r['mpmath_us']:>10.1f}"
+                  f" {r['int_us'] / r['mpmath_us']:>6.2f} {r['same']}")
+        return
+    spent = time_phases()
     angles = [rng.uniform(-math.pi, math.pi) for _ in range(N_ANGLES)]
     print(f"{'b':>3} {'median ms/angle':>16} {'max ms':>9} {'mean T':>7} {'mean gates':>10}"
           + "".join(f" {name + ' ms':>13}" for name in PHASES)

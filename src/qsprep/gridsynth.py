@@ -13,9 +13,11 @@ Pipeline per precision eps = 2^-b:
      1D grid problem per coset and walks each line's exact chord of the
      eps-region with more 1D problems, best end first.  The set-up, the
      1D problems and the quality run exactly on integers with one working
-     precision, 4b + 100 fraction bits; mpmath only gives cos phi0,
-     sin phi0 once per angle and reduces the octant, 64 bits over it (and
-     over theta's integer bits), so eps holds for any finite theta.
+     precision, 4b + 100 fraction bits.  The octant reduction (of theta as
+     the exact rational float.as_integer_ratio gives, against a
+     fixed-point pi) and cos phi0, sin phi0 run on integers too, 64 bits
+     over it (and over theta's integer bits), so eps holds for any finite
+     theta.
   3. for each candidate solve the Diophantine equation t.conj t = xi with
      xi = 2^k - u.conj u over Z[sqrt2] by factoring its integer norm
      (`rings.factorize`, under a fixed effort cap) and splitting each prime
@@ -40,8 +42,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
-
-import mpmath as mp
 
 from .circuit_core import is_pi4_multiple
 from .rings import (
@@ -575,8 +575,9 @@ class _EpsRegion:
     Everything runs on integers with `prec` = `_working_bits(eps)` fraction
     bits (the upright ellipse is ~eps^1.5 R wide at ~eps^-1.5 R from the
     origin, and in float64 1 - eps^2/2 rounds to 1 from b = 27 on): the
-    ellipse's exact coefficients, one fixed-point cos phi0, sin phi0 (the
-    only mpmath call), the upright pair the operator search returns, from
+    ellipse's exact coefficients, one fixed-point cos phi0, sin phi0
+    (`_cos_sin`, for phi0 a float or a Fraction), the upright pair the
+    operator search returns, from
     which the outer axis, the ellipse's box and centre derive, and the
     quality.  H is exact, so the chords and the disk's box are exact in
     Z[sqrt2] and only rounded outward; the ellipse's box may round, as its
@@ -587,10 +588,7 @@ class _EpsRegion:
         self.phi0, self.eps = phi0, eps
         self.prec = prec = _working_bits(eps)
         one = 1 << prec
-        # cos phi0, sin phi0 to 64 bits over prec, floored to prec
-        with mp.workprec(prec + 80):
-            self._trig = c, s = [int(mp.nint(mp.ldexp(x, prec + 64))) >> 64
-                                 for x in mp.cos_sin(mp.mpf(phi0))]
+        self._trig = c, s = _cos_sin(phi0, prec)
         a, t, den, rc, thr = _segment_ellipse(eps)
         # pr c^2 + pt s^2, (pr - pt) c s, pr s^2 + pt c^2 over a common denominator
         d = tuple(round_div(x, den) for x in (a * c * c + t * s * s, (a - t) * c * s,
@@ -757,6 +755,86 @@ class _EpsRegion:
         return out
 
 
+_PI_FIXED = [0, 0]      # [bits, pi 2^bits] at the most bits asked for so far
+
+
+def _pi_fixed(bits: int) -> int:
+    """pi 2^bits within two units.  Machin's series
+    pi = 16 atan(1/5) - 4 atan(1/239) runs once at the most bits asked for
+    so far (rounded up to 256); fewer bits shift that value down."""
+    if bits > _PI_FIXED[0]:
+        n = -(-bits // 256) * 256
+        g = n + n.bit_length() + 8      # over the < 8g units the floors lose
+
+        def atan_inv(k: int) -> int:    # atan(1/k) 2^g
+            term = total = (1 << g) // k
+            j = 1
+            while term:
+                term //= k * k
+                j += 2
+                total += -(term // j) if j & 2 else term // j
+            return total
+
+        _PI_FIXED[:] = n, (16 * atan_inv(5) - 4 * atan_inv(239)) >> (g - n)
+    n, pi = _PI_FIXED
+    return pi >> (n - bits)
+
+
+def _octant(theta, bits: int) -> Tuple[int, Fraction]:
+    """(m, theta_p) with theta = N pi/4 + theta_p, N the nearest integer to
+    4 theta / pi and m = N mod 8, so that Rz(theta) is T^m Rz(theta_p) up to
+    a phase.  theta is taken exactly, as as_integer_ratio gives it, and pi
+    to `bits` plus theta's integer bits, so theta_p is within 2^-bits for
+    any finite theta."""
+    num, den = theta.as_integer_ratio()
+    q = bits + max(0, num.bit_length() - den.bit_length() + 1) + 8
+    pi = _pi_fixed(q)
+    th = (num << q) // den                      # theta 2^q, floored
+    n = (8 * th + pi) // (2 * pi)
+    return n % 8, Fraction(4 * th - n * pi, 4 << q)
+
+
+def _cos_sin(phi, prec: int) -> Tuple[int, int]:
+    """cos phi, sin phi for |phi| < 3, phi a float or a Fraction taken
+    exactly: rounded to 64 bits over `prec` fraction bits, then floored to
+    `prec`, the rounding every recorded word was made with (a plain floor
+    differs from it where a short-mantissa angle's Taylor terms fall on the
+    grid, and could change a word).
+
+    phi is halved r times; the cosine of that is its Taylor series in
+    y = x^2, summed in u interleaved parts so that one product by y^u
+    serves u terms; r doublings cos 2x = 2 cos^2 x - 1 give cos phi, and
+    sin phi = sign(phi) sqrt(1 - cos^2 phi).  Each doubling quadruples the
+    error and the square root divides it by |sin phi|, so the guard bits
+    grow with r and with phi's leading zeros."""
+    num, den = phi.as_integer_ratio()
+    if abs(num) >= 3 * den:
+        raise ValueError(f"cos/sin needs |phi| < 3, got phi={phi!r}")
+    r, u = math.isqrt(prec) // 5, max(2, math.isqrt(prec) // 12)
+    g = 80 + 2 * r + max(0, den.bit_length() - abs(num).bit_length())
+    p = prec + g
+    one = 1 << p
+    x = (num << p) // (den << r)
+    powers = [x * x >> p]                       # y, y^2, ..., y^u
+    for _ in range(u - 1):
+        powers.append(powers[-1] * powers[0] >> p)
+    # cos x - 1 = sum over k >= 1 of (-1)^k y^k / (2k)!; part i holds the
+    # terms with k = i + 1 (mod u) divided by y^(i+1)
+    parts = [0] * u
+    a, k = one, 0
+    while a:
+        for i in range(u):
+            k += 1
+            a //= (2 * k - 1) * (2 * k)
+            parts[i] += -a if k & 1 else a
+        a = a * powers[-1] >> p
+    c = one + (sum(v * w for v, w in zip(parts, powers)) >> p)
+    for _ in range(r):
+        c = (c * c >> (p - 1)) - one
+    s = math.isqrt((one << p) - c * c)   # c <= one: the series is <= 0, doublings floor
+    return tuple((v >> g - 65) + 1 >> 65 for v in (c, s if num > 0 else -s))
+
+
 def _working_bits(eps: float) -> int:
     """Fraction bits of every step of one angle's synthesis at eps = 2^-b."""
     return 4 * max(1, math.ceil(-math.log2(eps))) + 100
@@ -774,27 +852,24 @@ def synthesize_rz_tags(theta: float, eps: float) -> List[str]:
     Raises SynthesisError, naming theta and eps, if no word is found, and
     RuntimeError, naming them too, if an internal invariant breaks.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not math.isfinite(theta):
+        raise ValueError(f"Rz synthesis needs a finite angle, got theta={theta!r}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got eps={eps!r}")
     if eps < sys.float_info.min:
         raise SynthesisError(f"Rz synthesis failed for theta={theta!r} at eps={eps!r} "
                              f"(b={-math.log2(eps):g}): eps is not a normal float")
     eps = min(eps, 1.0)
     k, k_cap = _k_range(eps)
-    # octant reduction in high precision: in floats it errs by ~1e-16,
-    # which exceeds eps from b ~ 50 on; theta's integer bits cancel
-    with mp.workprec(_working_bits(eps) + 64 + max(0, math.frexp(theta)[1])):
-        th = mp.mpf(theta)
-        th -= 4 * mp.pi * mp.nint(th / (4 * mp.pi))
-        mth = int(mp.nint(th / (mp.pi / 4)))
-        theta_p = th - mth * mp.pi / 4
-        phi0 = -theta_p / 2
+    # octant reduction in fixed point: in floats it errs by ~1e-16, which
+    # exceeds eps from b ~ 50 on
+    mth, theta_p = _octant(theta, _working_bits(eps) + 64)
     # (near-)multiples of pi/4 get their exact S/T word; snapping moves the
     # rotation by |theta_p| / 2, so the tolerance never exceeds 2 eps
     if abs(theta_p) <= min(1e-12, 2 * eps):
-        return list(_T_WORD[mth % 8])
+        return list(_T_WORD[mth])
     try:
-        region = _EpsRegion(phi0, eps)
+        region = _EpsRegion(-theta_p / 2, eps)
         while k <= k_cap:
             for u in region.candidates(k, _ATTEMPTS_PER_K):
                 n, m = zo_abs_sq(u)

@@ -4,6 +4,7 @@ Each script is loaded as a module, without running its main(), and the parts
 it builds on are exercised on tiny inputs.
 """
 import importlib.util
+import math
 import random
 from pathlib import Path
 
@@ -64,6 +65,11 @@ def test_rz_bench_phases_name_existing_functions():
     # time_phases() is not called: it patches gridsynth for the whole process
     for owner, attr in _load("rz_bench").PHASES.values():
         assert callable(getattr(owner, attr, None)), attr
+
+
+def test_rz_bench_times_the_integer_setup_against_mpmath():
+    r = _load("rz_bench").vs_mpmath(4, [0.3, -2.5, math.pi / 2], rounds=1)
+    assert r["same"] and r["int_us"] > 0 and r["mpmath_us"] > 0
 
 
 def test_synth_bench_times_its_smallest_case():

@@ -417,13 +417,17 @@ def test_b_below_one_is_a_usage_error(cmd, b, tmp_path, capsys):
     assert "usage error: b must be >= 1" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs_without_warnings(tmp_path):
+def _run_python(args, cwd):
+    """A fresh interpreter on this checkout's package."""
     src = str(Path(qsprep.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "qsprep.cli_bench", "--help"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    proc = _run_python(["-W", "error", "-m", "qsprep.cli_bench", "--help"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "usage: qsprep" in proc.stdout
@@ -432,18 +436,23 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
 def test_importing_the_package_loads_no_sympy(tmp_path):
     # sympy is a test dependency only: the Diophantine solver factors with
     # rings.factorize
-    src = str(Path(qsprep.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import json, sys, qsprep, qsprep.cli_bench; "
             "print(json.dumps(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('sympy', 'qsprep'))))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert "qsprep.gridsynth" in loaded and "qsprep.cli_bench" in loaded
     assert not [m for m in loaded if m.startswith("sympy")]
+
+
+def test_synthesizing_an_angle_loads_no_mpmath(tmp_path):
+    # mpmath is a test dependency only: the octant reduction and cos phi0,
+    # sin phi0 run on integers
+    code = ("import sys, qsprep; qsprep.synthesize_rz_tags(0.3, 2 ** -20); "
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'")
+    proc = _run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_estimate_at_b30_exits_zero(capsys):

@@ -3,15 +3,17 @@ import json
 import math
 import os
 import random
+import sys
 import time
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import factorint, nextprime
 
 import reference_exact
 import reference_scan
+import reference_trig
 from qsprep import gridsynth, rings
 from qsprep.gridsynth import (
     RingMatrix, SynthesisError, _EpsRegion, exact_synthesize,
@@ -443,11 +445,13 @@ def test_a_wrong_table_entry_raises_rather_than_change_the_word(shift, monkeypat
        st.sampled_from([(2, 0, 0, 0), (0, 2, 0, 0), (2, 0, 0, -2), (0, -2, 2, 0)]))
 def test_a_non_unit_column_above_sde_4_still_raises(word, bump):
     # the bump keeps every parity, so the residue steps run as for the
-    # unit column, but |u|^2 + |t|^2 is no longer 2^k
+    # unit column; where it breaks |u|^2 + |t|^2 = 2^k (most draws, not
+    # all: see the next test) the column must be refused
     m = _word_matrix(word)
     u, t, k = gridsynth._strip(m.m00, m.m10, m.k)
     assert gridsynth._sde(u, k) >= 4
     t = zo_add(t, bump)
+    assume(_column_norm(u, t) != (1 << k, 0))
     try:
         _, u2, t2 = gridsynth._reduce_column(u, t, k)
     except RuntimeError as e:
@@ -457,6 +461,25 @@ def test_a_non_unit_column_above_sde_4_still_raises(word, bump):
                     or (u2 == ZO_ZERO and t2 in ZO_UNIT_LOG))
     with pytest.raises(RuntimeError):
         exact_synthesize(RingMatrix(u, tuple(-x for x in zo_conj(t)), t, zo_conj(u), k))
+
+
+def _column_norm(u, t):
+    return tuple(x + y for x, y in zip(zo_abs_sq(u), zo_abs_sq(t)))
+
+
+def test_a_bump_that_keeps_the_norm_reduces_to_a_unit_column():
+    # on this word the bump (2, 0, 0, -2) turns t = (-3, 6, 6, -1) into
+    # (-1, 6, 6, -3), whose |t|^2 = 82 + 9 sqrt2 is the same: the column
+    # is still unit, and its reduction rightly ends at one
+    word = [{"H": "Hadamard", "X": "PauliX"}.get(g, g) for g in
+            "H T H T H T H T X H T S H T S H T S X H T S H T H T H T H".split()]
+    m = _word_matrix(word)
+    u, t, k = gridsynth._strip(m.m00, m.m10, m.k)
+    assert (t, k) == ((-3, 6, 6, -1), 7) and gridsynth._sde(u, k) >= 4
+    t = zo_add(t, (2, 0, 0, -2))
+    assert _column_norm(u, t) == (1 << k, 0)
+    _, u2, t2 = gridsynth._reduce_column(u, t, k)
+    assert (u2, t2) == ((0, 0, -1, 0), ZO_ZERO)
 
 
 def test_exact_synthesize_rejects_a_non_unit_determinant():
@@ -576,8 +599,8 @@ def test_rz_words_match_golden(name, count, factorizations):
 
 
 def test_rz_words_ignore_the_global_mpmath_precision():
-    # every mpmath step of the synthesis must set its own precision, both
-    # below and above what it needs
+    # the synthesis runs on integers: an mpmath precision that a caller
+    # sets, below or above what the words need, must not reach them
     with open(_GOLDEN, encoding="utf-8") as f:
         cases = json.load(f)["cases"][::10]
     for prec in (20, 300):
@@ -585,6 +608,79 @@ def test_rz_words_ignore_the_global_mpmath_precision():
             for c in cases:
                 got = synthesize_rz_tags(float.fromhex(c["theta"]), 2.0 ** -c["b"])
                 assert " ".join(got) == c["tags"], prec
+
+
+def _integer_setup(theta, eps):
+    # the octant reduction and cos phi0, sin phi0 as synthesize_rz_tags
+    # and _EpsRegion run them
+    prec = gridsynth._working_bits(eps)
+    mth, theta_p = gridsynth._octant(theta, prec + 64)
+    if abs(theta_p) <= min(1e-12, 2 * eps):
+        return mth, True, None
+    return mth, False, gridsynth._cos_sin(-theta_p / 2, prec)
+
+
+def _setup_angles(b, rng):
+    """110 angles: W/Dicke ones, some within 1e-12 and within 2 eps of pi/4
+    multiples (either side of the snap tolerance), huge, subnormal, zero,
+    small ones with short mantissas (whose Taylor terms can fall on the
+    fixed-point grid) and random ones."""
+    eps = 2.0 ** -b
+    out = [0.0, -0.0] + _LATTICE_ANGLES
+    for d in [1e-12] * 8 + [2 * eps] * 8:
+        out.append(rng.randint(-16, 16) * math.pi / 4 + d * rng.choice((-1, 1)) * rng.uniform(0.5, 1.5))
+    out += [rng.choice((-1, 1)) * 10 ** rng.uniform(0, 300) for _ in range(12)]
+    out += [rng.choice((-1, 1)) * rng.random() * sys.float_info.min for _ in range(6)]
+    out += [math.ldexp(3 * rng.randrange(1, 1 << 20), -rng.randint(b // 2 + 20, b + 20))
+            for _ in range(4)]
+    return out + [rng.uniform(-math.pi, math.pi) for _ in range(110 - len(out))]
+
+
+def test_integer_setup_matches_the_mpmath_oracle():
+    # the octant m, the snap decision and the floored cos phi0, sin phi0
+    # must be the mpmath set-up's, so every word stays the same
+    rng = random.Random(2900)
+    n = snapped = 0
+    for b in list(range(1, 41)) + [60, 100, 150, 300, 512, 1074]:
+        eps = 2.0 ** -b
+        for theta in _setup_angles(b, rng):
+            got = _integer_setup(theta, eps)
+            assert got == reference_trig.octant_and_trig(theta, eps), (b, theta)
+            n, snapped = n + 1, snapped + got[1]
+    assert n == 5060 and 600 < snapped < 800
+
+
+def test_fixed_point_pi_is_within_two_units(monkeypatch):
+    # each size after the largest one is a shift of the cached value
+    monkeypatch.setattr(gridsynth, "_PI_FIXED", [0, 0])
+    for bits in (1, 64, 300, 257, 5000, 2000, 4999):
+        with mp.workprec(bits + 40):
+            assert abs(gridsynth._pi_fixed(bits) - mp.ldexp(mp.pi, bits)) < 2, bits
+    assert gridsynth._PI_FIXED[0] == 5120
+
+
+def test_cos_sin_of_tiny_and_wide_angles_matches_the_oracle():
+    # below 2^-(prec+79) the square root of 1 - cos^2 has no bits left and
+    # sin rounds to 0; |phi| up to 3 keeps the sign of sin phi that of phi
+    for prec in (104, 1000):
+        for phi in (1e-300, -1e-300, 2.0 ** -(prec + 78), -2.0 ** -150, 0.0, -0.0,
+                    0.5, -1.5, 2.9, -2.99):
+            assert gridsynth._cos_sin(phi, prec) == reference_trig.cos_sin(phi, prec), (prec, phi)
+    for phi in (3.0, -3.5, 1e300):
+        with pytest.raises(ValueError, match="phi"):
+            gridsynth._cos_sin(phi, 104)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_angle_is_refused_by_name(theta):
+    with pytest.raises(ValueError, match=f"theta={theta!r}"):
+        synthesize_rz_tags(theta, 2.0 ** -10)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+def test_an_eps_that_is_not_positive_is_refused_by_name(eps):
+    with pytest.raises(ValueError, match=f"eps={eps!r}"):
+        synthesize_rz_tags(0.3, eps)
 
 
 @pytest.mark.parametrize("b", [1, 3, 6, 8, 10])
