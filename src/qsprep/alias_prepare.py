@@ -19,11 +19,15 @@ swaps between address and alias.  Nothing is uncomputed; only the
 address-register marginal is contractual.
 
 The lookup comes from _emit_lookup, written straight onto the pipeline's
-qubits: lambda = 1 is unary-iteration QROM, lambda > 1 is SelectSwap.  Its
-exact proxy cost over L words of width w is 4 * (max(0, 2L/lambda - 4) +
-(lambda - 1) * w); under the selectswap backend lambda is the power of two
-minimizing it for w = n + b, ties to the smaller lambda, and nothing is
-built to choose it.  optimal_lambda is the separate textbook cost model.
+qubits: lambda = 1 is unary-iteration QROM, lambda > 1 is SelectSwap.  Each
+control qubit of a leaf gets one row of w load gates per target register,
+built once per lookup (a CNOT from the control to each output bit, or an X
+at the root), and each word takes the gates of its set bits from that row.
+The lookup's exact proxy cost over L words of width w is
+4 * (max(0, 2L/lambda - 4) + (lambda - 1) * w); under the selectswap backend
+lambda is the power of two minimizing it for w = n + b, ties to the smaller
+lambda, and nothing is built to choose it.  optimal_lambda is the separate
+textbook cost model.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import compress, count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circuit_core import Circuit, CircuitError, Gate, ResourceReport, gate, tally_gates
@@ -122,14 +126,20 @@ def build_alias_table(p: Sequence[float], b: int) -> AliasTable:
     return AliasTable(L=L, b=b, keep=tuple(keep), alias=tuple(alias))
 
 
-def realized_marginal(table: AliasTable) -> List[Fraction]:
-    """Exact address marginal induced by the quantized circuit."""
+def marginal_numerators(table: AliasTable) -> Tuple[List[int], int]:
+    """(num, den): the quantized circuit's address marginal is num[j] / den."""
     L, two_b = table.L, 1 << table.b
     num = list(table.keep)
     for k, j in enumerate(table.alias):
         if j != k:
             num[j] += two_b - table.keep[k]
-    return [Fraction(x, two_b * L) for x in num]
+    return num, two_b * L
+
+
+def realized_marginal(table: AliasTable) -> List[Fraction]:
+    """Exact address marginal induced by the quantized circuit."""
+    num, den = marginal_numerators(table)
+    return [Fraction(x, den) for x in num]
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +195,7 @@ def _emit_unary_loads(gates: List[Gate], addr: Sequence[int], anc: Sequence[int]
     walk(0, 1 << n, 0, None)
 
 
-def _word_load(gates: List[Gate], word: int, w: int, out: Sequence[int],
-               ctrl: Optional[int]) -> None:
-    for i in range(w):
-        if (word >> (w - 1 - i)) & 1:
-            if ctrl is None:
-                gates.append(gate("PauliX", (out[i],)))
-            else:
-                gates.append(gate("CNOT", (ctrl, out[i])))
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")   # "0"/"1" -> selector bytes
 
 
 def _lookup_work(n: int, w: int, lam: int) -> int:
@@ -225,9 +228,19 @@ def _emit_lookup(gates: List[Gate], data: Sequence[int], w: int, lam: int,
     temps = [out] if lam == 1 else [
         work[len(anc) + s * w:len(anc) + (s + 1) * w] for s in range(lam)]
 
+    # the w load gates of each (control, temp) pair, built once; a word
+    # takes the gates of its set bits, MSB first
+    rows: Dict[Tuple[Optional[int], int], List[Gate]] = {}
+    spec = f"0{w}b"
+
     def load_block(q: int, ctrl: Optional[int]) -> None:
         for s, t in enumerate(temps):
-            _word_load(gates, data[q * lam + s], w, t, ctrl)
+            row = rows.get((ctrl, s))
+            if row is None:
+                row = rows[ctrl, s] = [gate("PauliX", (o,)) if ctrl is None
+                                       else gate("CNOT", (ctrl, o)) for o in t]
+            bits = format(data[q * lam + s], spec).encode().translate(_BIT_BYTES)
+            gates.extend(compress(row, bits))
 
     _emit_unary_loads(gates, addr[:nq], anc, load_block)
     if lam == 1:

@@ -98,6 +98,22 @@ class Circuit:
         for g in dict(zip(map(id, self.gates), self.gates)).values():
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise CircuitError(f"gate {g.tag} operand out of range for {self.n_qubits} qubits")
+        self._check_registers()
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, gates: Sequence[Gate],
+                 registers: Mapping[str, Tuple[int, int]]) -> "Circuit":
+        """A circuit whose every operand the caller has already proven to lie
+        in [0, n_qubits): the per-gate scan of the public constructor is
+        skipped, the register check is not."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "n_qubits", n_qubits)
+        object.__setattr__(c, "gates", tuple(gates))
+        object.__setattr__(c, "registers", dict(registers))
+        c._check_registers()
+        return c
+
+    def _check_registers(self) -> None:
         spans: List[Tuple[int, int]] = []
         for name, (a, b) in self.registers.items():
             if not (0 <= a <= b <= self.n_qubits):
@@ -131,15 +147,22 @@ class ResourceReport:
     n_rz_synth: int = 0
 
 
-def tally_gates(gates: Sequence[Gate], n_qubits: int) -> ResourceReport:
-    """Resource report of a gate list on n_qubits qubits; see count_resources."""
-    hist = dict(Counter(map(attrgetter("tag"), gates)))
+def histogram_report(hist: Dict[str, int], total_gates: int,
+                     n_qubits: int) -> ResourceReport:
+    """Resource report of total_gates gates on n_qubits qubits whose tag
+    counts are hist (no zero entries); see count_resources."""
     n_t, n_tdg = hist.get("T", 0), hist.get("Tdg", 0)
     n_ccx = hist.get("Toffoli", 0) + hist.get("ControlledSwap", 0)
     return ResourceReport(
         n_T=n_t, n_Tdg=n_tdg, n_CCX=n_ccx, t_proxy=n_t + n_tdg + 4 * n_ccx,
-        compiled_T=n_t + n_tdg, total_gates=len(gates), qubits=n_qubits,
+        compiled_T=n_t + n_tdg, total_gates=total_gates, qubits=n_qubits,
         histogram=hist)
+
+
+def tally_gates(gates: Sequence[Gate], n_qubits: int) -> ResourceReport:
+    """Resource report of a gate list on n_qubits qubits; see count_resources."""
+    return histogram_report(dict(Counter(map(attrgetter("tag"), gates))),
+                            len(gates), n_qubits)
 
 
 def count_resources(circuit: Circuit) -> ResourceReport:

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .alias_prepare import ValidationError, prepare_alias_state, realized_marginal
+from .alias_prepare import ValidationError, marginal_numerators, prepare_alias_state
 from .benchmark_states import (
     BenchmarkSpec, DegenerateSurrogateError, ParameterError, ParseError, make_state,
 )
@@ -124,7 +124,9 @@ def _sampling_row(state: TargetState, method: str, cfg: SynthesisConfig, budget:
         counts, total = pipeline_histogram(pipe.circuit, address)
         marg = counts / total
     else:
-        marg = np.array([float(x) for x in realized_marginal(pipe.table)])
+        # int / int is the correctly rounded quotient, as float(Fraction) is
+        num, den = marginal_numerators(pipe.table)
+        marg = np.array([x / den for x in num])
     infid = 1.0 - fidelity_prob(target, marg)
     return rep, infid, "prob", ms
 

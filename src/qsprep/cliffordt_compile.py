@@ -3,7 +3,12 @@
 `compile_circuit` is the one path from a logical gate to Clifford+T
 gates.  `_lower` maps one logical gate to its block of gates, the ancillas
 it uses and its count of non-exact rotations, from the gate alone; a dict
-local to each call lowers every distinct gate once.  One peephole rule
+local to each call lowers every distinct gate once.  The output is built
+without a scan of its own: its passthrough gates were checked by the
+input's constructor, and the operands of the distinct blocks are checked
+once against the qubits and ancillas each block may use.  The report is counted as the output
+is emitted: each passthrough gate once, each distinct block's tags once
+per use, less two for each gate the peephole rule cancels.  One peephole rule
 joins the blocks: an X cancels the X on its qubit anywhere in the trailing
 run of X gates (X gates commute), and a CNOT cancels an equal last gate.
 Every passthrough gate goes through it, and so does each block up to its
@@ -31,12 +36,15 @@ placeholder and is charged ceil(3*log2(1/eps)) + 11 T gates.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circuit_core import (
-    Circuit, Gate, ResourceReport, count_resources, gate, is_pi4_multiple,
+    Circuit, Gate, ResourceReport, gate, histogram_report, is_pi4_multiple,
 )
 from .gridsynth import SynthesisError, synthesize_rz_tags
 
@@ -238,6 +246,24 @@ def _emit(gates: List[Gate], g: Gate) -> bool:
     return True
 
 
+def _check_lowered(blocks: Dict[Gate, int],
+                   lowered: List[Tuple[List[Gate], int, int]], n: int) -> None:
+    """Raise CompileError, naming the logical gate, when a gate of a lowered
+    block acts outside the n qubits and that block's own ancillas.  Each
+    distinct operand tuple is checked once per ancilla count."""
+    by_anc: Dict[int, List[List[Gate]]] = {}
+    for body, anc, _ in lowered:
+        by_anc.setdefault(anc, []).append(body)
+    for anc, bodies in by_anc.items():
+        width = n + anc
+        for qs in set(map(attrgetter("qubits"), chain.from_iterable(bodies))):
+            if any(q < 0 or q >= width for q in qs):
+                g, x = next((g, x) for g, i in blocks.items() if lowered[i][1] == anc
+                            for x in lowered[i][0] if x.qubits == qs)
+                raise CompileError(f"lowering {g.tag} {g.qubits} gives {x.tag} {x.qubits}, "
+                                   f"out of range for {width} qubits")
+
+
 def compile_circuit(circuit: Circuit,
                     cfg: SynthesisConfig) -> Tuple[Circuit, ResourceReport]:
     """Lower a logical circuit to {X, H, S, Sdg, T, Tdg, CNOT, ANDU}.
@@ -248,9 +274,12 @@ def compile_circuit(circuit: Circuit,
     """
     n = circuit.n_qubits
     eps = cfg.eps if cfg.rz_mode == "gridsynth" else None
-    blocks: Dict[Gate, Tuple[List[Gate], int, int]] = {}
+    blocks: Dict[Gate, int] = {}            # distinct gate -> index in lowered
+    lowered: List[Tuple[List[Gate], int, int]] = []
+    repeats: List[int] = []                 # the block index of each memo hit
+    cancelled: Counter = Counter()          # gates that _emit cancelled, by tag
     gates: List[Gate] = []
-    n_anc = n_rot = 0
+    n_rot = 0
     last_qubits = None           # gates[-1].qubits, kept apart for speed
     for g in circuit.gates:
         tag = g.tag
@@ -260,30 +289,54 @@ def compile_circuit(circuit: Circuit,
                 gates.append(g)
                 last_qubits = g.qubits
                 continue
-            _emit(gates, g)
+            if not _emit(gates, g):
+                cancelled[tag] += 1
         else:
-            block = blocks.get(g)
-            if block is None:
-                block = blocks[g] = _lower(g, n, cfg.toffoli_mode, eps)
-            body, anc, rot = block
+            i = blocks.get(g)
+            if i is None:
+                i = blocks[g] = len(lowered)
+                lowered.append(_lower(g, n, cfg.toffoli_mode, eps))
+            else:
+                repeats.append(i)
+            body, _, rot = lowered[i]
             n_rot += rot
-            n_anc = max(n_anc, anc)
             # a block cancels into the output only through its leading X
             # gates and first other gate: no block holds a pair that _emit
             # cancels, so once one of those stays the rest stays too
             if body and body[0].tag not in _SELF_INVERSE:
                 gates += body
             else:
-                for i, x in enumerate(body):
-                    if _emit(gates, x) and x.tag != "PauliX":
-                        gates += body[i + 1:]
+                for j, x in enumerate(body):
+                    if not _emit(gates, x):
+                        cancelled[x.tag] += 1
+                    elif x.tag != "PauliX":
+                        gates += body[j + 1:]
                         break
         last_qubits = gates[-1].qubits if gates else None
+
+    n_anc = max((anc for _, anc, _ in lowered), default=0)
+    # the input's constructor checked its gates, so checking the lowered
+    # blocks proves every operand of the output without a scan of it
+    _check_lowered(blocks, lowered, n)
+
+    # the output's tag counts: one per passthrough gate and a block's tags
+    # per use, less two for each cancellation (the gate and the one it met)
+    tag_of = attrgetter("tag")
+    hist = Counter(map(tag_of, circuit.gates))
+    for tag in hist.keys() - _PASSTHROUGH:
+        del hist[tag]
+    hist.update(map(tag_of, chain.from_iterable(body for body, _, _ in lowered)))
+    for i, k in Counter(repeats).items():
+        for tag, c in Counter(map(tag_of, lowered[i][0])).items():
+            hist[tag] += k * c
+    for tag, c in cancelled.items():
+        hist[tag] -= 2 * c
+
     registers = dict(circuit.registers)
     if n_anc and "ancilla" not in registers:
         registers["ancilla"] = (n, n + n_anc)
-    out = Circuit(n + n_anc, gates, registers)
-    report = count_resources(out)
+    out = Circuit._trusted(n + n_anc, gates, registers)
+    report = histogram_report({t: c for t, c in hist.items() if c}, len(gates), n + n_anc)
     extra = n_rot * cost_model_t_count(cfg.b) if eps is None else 0
     report = replace(report, n_rz_synth=n_rot, compiled_T=report.compiled_T + extra,
                      t_proxy=report.t_proxy + extra)

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import sys
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,7 @@ from qsprep.alias_prepare import prepare_alias_state
 from qsprep.benchmark_states import BenchmarkSpec, make_state
 from qsprep.circuit_core import _ARITY as _TAG_ARITY, Circuit, Gate, count_resources, serialize
 from qsprep.cliffordt_compile import (
-    TOFFOLI_MODES, CompileError, SynthesisConfig, compile_circuit,
+    RZ_MODES, TOFFOLI_MODES, CompileError, SynthesisConfig, compile_circuit,
     _lower, cost_model_t_count, lower_mcx,
 )
 from qsprep.gridsynth import exactly_preparable
@@ -260,10 +261,68 @@ def test_interned_lowering_equals_plain_gates(mode, monkeypatch):
     for mod in (alias_prepare, cliffordt_compile):
         monkeypatch.setattr(mod, "gate", Gate)
     plain = build()[1]
-    assert len({id(g) for g in plain[0]}) == len(plain[0])
+    # lookups share one row of load gates per control; the plain build
+    # must still make its own objects
+    assert {id(g) for g in plain[0]}.isdisjoint(map(id, interned[0]))
     assert interned == plain
     # the pipeline has no MultiControlledRy, so no mask flip cancels
     assert list(compile_circuit(pipeline, cfg)[0].gates) == interned[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TOFFOLI_MODES), st.sampled_from(RZ_MODES), st.data())
+def test_report_counts_the_emitted_gates(mode, rz_mode, data):
+    # the compiler counts tags from its blocks and cancellations and checks
+    # each distinct block once; its report must equal a count of its output,
+    # which the public constructor must accept.  Consecutive MCRy gates
+    # share qubit 0 as a zero control, and X/CNOT pairs, some around an
+    # empty leaf, cancel
+    n = 5
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    gates = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        kind = data.draw(st.sampled_from(["random", "mcry", "pair"]))
+        if kind == "random":
+            gates.append(_random_logical_gate(rng, n))
+        elif kind == "mcry":
+            c = rng.randint(1, 3)
+            for _ in range(rng.randint(2, 3)):
+                gates.append(Gate("MultiControlledRy", (0, *rng.sample(range(1, n), c)),
+                                  angle=rng.choice([0.0, rng.uniform(-3, 3)]),
+                                  mask=(0,) + tuple(rng.randrange(2) for _ in range(c - 1))))
+        else:
+            pair = (Gate("PauliX", (rng.randrange(n),)) if rng.randrange(2)
+                    else Gate("CNOT", tuple(rng.sample(range(n), 2))))
+            leaf = [Gate("Ry", (rng.randrange(n),), angle=0.0)] * rng.randrange(2)
+            gates += [pair, *leaf, pair]
+    cfg = SynthesisConfig(b=4, toffoli_mode=mode, rz_mode=rz_mode)
+    out, rep = compile_circuit(Circuit(n, gates), cfg)
+    want = count_resources(out)
+    if rz_mode == "cost-model":
+        assert rep.n_rz_synth == want.histogram.get("Rz", 0)    # one placeholder each
+        extra = rep.n_rz_synth * cost_model_t_count(cfg.b)
+        want = replace(want, compiled_T=want.compiled_T + extra, t_proxy=want.t_proxy + extra)
+    assert rep == replace(want, n_rz_synth=rep.n_rz_synth)
+    assert Circuit(out.n_qubits, out.gates, out.registers) == out
+
+
+@pytest.mark.parametrize("mode", TOFFOLI_MODES)
+def test_a_lowered_operand_out_of_range_is_compile_error(mode, monkeypatch):
+    # compile_circuit checks each distinct block in place of a scan over its
+    # output; a lowering that strays one qubit past its own ancillas must be
+    # caught there and name the logical gate, even where the MCRy's larger
+    # ancilla register puts the stray qubit inside the output
+    honest = cliffordt_compile._lower
+
+    def stray(g, n, toffoli_mode, eps):
+        body, anc, rot = honest(g, n, toffoli_mode, eps)
+        return body + [Gate("CNOT", (0, n + anc))], anc, rot
+
+    monkeypatch.setattr(cliffordt_compile, "_lower", stray)
+    circ = Circuit(4, [Gate("Hadamard", (0,)), Gate("Toffoli", (0, 1, 2)),
+                       Gate("MultiControlledRy", (0, 1, 2, 3), angle=0.3, mask=(1, 1, 1))])
+    with pytest.raises(CompileError, match="Toffoli"):
+        compile_circuit(circ, SynthesisConfig(b=4, toffoli_mode=mode))
 
 
 def test_memoization_shares_repeated_angles():
