@@ -9,6 +9,9 @@ heap, any other small bin from the head of the large FIFO, so the build is
 O(L log L).
 Bins with tau_j = 1 self-alias (alias_j = j, keep_j = 2^b) so the comparator
 outcome is irrelevant for them and they contribute no quantization error.
+The worklist pass does not depend on b: it runs once per distribution, and
+its result (L, A, alias and each s_j) is kept for the last distribution seen,
+so a sweep over b on one state only maps s_j to keep_j per b.
 
 Quantum stage: uniform superposition on the address register, one
 reversible lookup of the (n + b)-bit word alias_j << b | min(keep_j, 2^b - 1)
@@ -36,8 +39,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import compress, count
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .circuit_core import Circuit, CircuitError, Gate, ResourceReport, gate, tally_gates
 
@@ -84,9 +90,31 @@ def build_alias_table(p: Sequence[float], b: int) -> AliasTable:
     """Vose construction in exact integers, then b-bit keep thresholds."""
     if b < 1:
         raise ValidationError("b must be >= 1")
+    # a float64 vector is keyed by its bytes: 8 bytes an entry, where a tuple
+    # of its NumPy scalars would take 40
+    flat = isinstance(p, np.ndarray) and p.ndim == 1 and p.dtype == np.float64
+    L, A, alias, surplus = _vose(p.tobytes() if flat else tuple(p))
+    full = 1 << b
+    keep = tuple(full if s is None else (s << b) // A for s in surplus)
+    return AliasTable(L=L, b=b, keep=keep, alias=alias)
+
+
+@lru_cache(maxsize=1)
+def _vose(key: Union[bytes, Tuple[float, ...]]) -> Tuple[
+        int, int, Tuple[int, ...], Tuple[Optional[int], ...]]:
+    """(L, A, alias, surplus) of the distribution p held in key (its entries,
+    or the bytes of its float64 vector): surplus[k] is s_k when bin k left
+    the small list (tau_k = s_k / A), None for a bin that never did (tau = 1).
+
+    Cached for the last distribution only; a bad one raises and is not
+    cached, so it raises on every call."""
+    p = memoryview(key).cast("d") if isinstance(key, bytes) else key
     if any(x < 0 for x in p):
         raise ValidationError("negative probability entry")
-    ratios = [x.as_integer_ratio() for x in p]
+    try:
+        ratios = [x.as_integer_ratio() for x in p]
+    except (ValueError, OverflowError) as e:      # nan, inf
+        raise ValidationError(f"probability entry is not finite: {e}") from e
     den = math.lcm(*(d for _, d in ratios))
     a = [x * (den // d) for x, d in ratios]
     A = sum(a)       # p_j = a_j / A exactly
@@ -111,7 +139,7 @@ def build_alias_table(p: Sequence[float], b: int) -> AliasTable:
 
     for j in range(L):
         file(j)
-    keep, alias = [1 << b] * L, list(range(L))
+    surplus, alias = [None] * L, list(range(L))
     while small:        # exact sums keep `large` nonempty while `small` is
         k = small.popleft()
         # zero bins take their alias from the largest surplus, the others
@@ -119,11 +147,11 @@ def build_alias_table(p: Sequence[float], b: int) -> AliasTable:
         pop = large.popleft if s[k] else (lambda: heapq.heappop(heap))
         l = next(e for e in iter(pop, None) if live[e[2]] is e)[2]
         live[l] = None
-        keep[k], alias[k] = (s[k] << b) // A, l
+        surplus[k], alias[k] = s[k], l
         s[l] += s[k] - A
         file(l)
     # bins left in `large` hold exactly 1: keep = 2^b, self-alias
-    return AliasTable(L=L, b=b, keep=tuple(keep), alias=tuple(alias))
+    return L, A, tuple(alias), tuple(surplus)
 
 
 def marginal_numerators(table: AliasTable) -> Tuple[List[int], int]:
@@ -318,8 +346,16 @@ def comparator_gates(x: Sequence[int], y: Sequence[int], flag: int,
 class AliasPipeline:
     circuit: Circuit
     table: AliasTable
-    stages: Dict[str, ResourceReport]
     lam: int                # lambda of the lookup (1 under qrom)
+    # (stage, index of its first gate), in order, closed by ("end", len)
+    marks: Tuple[Tuple[str, int], ...]
+
+    @cached_property
+    def stages(self) -> Dict[str, ResourceReport]:
+        """Resource report of each stage's gate slice, tallied on first use."""
+        gates, n = self.circuit.gates, self.circuit.n_qubits
+        return {name: tally_gates(gates[start:stop], n)
+                for (name, start), (_, stop) in zip(self.marks, self.marks[1:])}
 
 
 def _lambda_for(L: int, w: int, backend: str, lam: Optional[int]) -> int:
@@ -334,6 +370,14 @@ def _lambda_for(L: int, w: int, backend: str, lam: Optional[int]) -> int:
 
 def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
                         lam: Optional[int] = None) -> AliasPipeline:
+    """The coherent alias-sampling pipeline of p at b-bit keep thresholds.
+
+    backend "qrom" loads the table by unary-iteration QROM (lam is then
+    ignored), "selectswap" by SelectSwap with block size lam, or with the
+    power of two minimizing the lookup's cost when lam is None.  The address
+    register's marginal is realized_marginal(table); the table comes from
+    build_alias_table, so a sweep over b on one p runs one Vose pass.
+    """
     if backend not in ("qrom", "selectswap"):
         raise ValidationError(f"unknown backend {backend!r}")
     table = build_alias_table(p, b)
@@ -381,8 +425,8 @@ def prepare_alias_state(p: Sequence[float], b: int, backend: str = "qrom",
         "random": (2 * n + b, 2 * n + 2 * b), "flag": (flag, flag + 1),
         "work": (flag + 1, cursor),
     }
-    circ = Circuit(cursor, gates, regs)
-
-    stages = {name: tally_gates(gates[start:stop], cursor)
-              for (name, start), (_, stop) in zip(marks, marks[1:])}
-    return AliasPipeline(circuit=circ, table=table, stages=stages, lam=lam)
+    # every operand above is drawn from addr, alias_out, keep_out, sigma,
+    # flag, comp_work or lookup_work (_emit_lookup and comparator_gates touch
+    # only the qubits they are given), and those ranges tile [0, cursor)
+    circ = Circuit._trusted(cursor, gates, regs)
+    return AliasPipeline(circuit=circ, table=table, lam=lam, marks=tuple(marks))

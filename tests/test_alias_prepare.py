@@ -11,13 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_alias
+from qsprep import alias_prepare
 from qsprep.alias_prepare import (
     LookupSpec, ValidationError, _lookup_t_proxy, build_alias_table,
     build_qrom, build_selectswap, optimal_lambda, prepare_alias_state,
     realized_marginal,
 )
 from qsprep.benchmark_states import BenchmarkSpec, make_state
-from qsprep.circuit_core import Circuit, CircuitError, count_resources, serialize
+from qsprep.circuit_core import (
+    Circuit, CircuitError, count_resources, serialize, tally_gates,
+)
+from qsprep.cli_bench import run_sweep
 from qsprep.cliffordt_compile import SynthesisConfig, compile_circuit
 from qsprep.simulator import address_marginal, classical_simulate, fidelity_prob, simulate
 
@@ -105,18 +109,23 @@ def test_quantization_error_bound(b, log_l, seed):
     assert sum(realized_marginal(t)) == 1          # exact rational total
 
 
+def _normalized(weights):
+    total = sum(weights)
+    if total == 0:
+        weights, total = [1] + weights[1:], 1 + sum(weights[1:])
+    return [w / total for w in weights]
+
+
 # weights from a small alphabet give exact zeros and tied surpluses; floats
 # give unrelated dyadic denominators
-_weights = st.lists(st.one_of(st.integers(0, 3), st.floats(0, 1)), min_size=1, max_size=40)
+_weight = st.one_of(st.integers(0, 3), st.floats(0, 1))
+_weights = st.lists(_weight, min_size=1, max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_weights, st.integers(1, 16))
 def test_alias_table_matches_fraction_oracle(weights, b):
-    total = sum(weights)
-    if total == 0:
-        weights, total = [1] + weights[1:], 1 + sum(weights[1:])
-    p = [w / total for w in weights]
+    p = _normalized(weights)
     assert build_alias_table(p, b) == reference_alias.build_alias_table(p, b)
 
 
@@ -128,6 +137,55 @@ def test_alias_table_matches_fraction_oracle_on_workload_states(spec):
     p = make_state(spec).probabilities()
     for b in (1, 10, 16):
         assert build_alias_table(p, b) == reference_alias.build_alias_table(p, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_weight, min_size=1, max_size=64),
+       st.permutations(range(1, 21)), st.booleans())
+def test_cached_pass_gives_each_b_its_own_table(weights, bs, as_array):
+    # one Vose pass, then every b in shuffled order from the warm cache
+    p = _normalized(weights)
+    arg = np.array(p) if as_array else p
+    alias_prepare._vose.cache_clear()
+    for b in bs:
+        assert build_alias_table(arg, b) == reference_alias.build_alias_table(p, b), b
+    assert alias_prepare._vose.cache_info().misses == 1
+
+
+def test_validation_errors_raise_on_every_call():
+    good = [0.5, 0.25, 0.25]
+    for bad, b, message in [([0.5, -0.1, 0.6], 4, "negative probability entry"),
+                            ([0.5, 0.4], 4, "sum to"),
+                            ([math.nan, 1.0], 4, "not finite"),
+                            ([math.inf, 0.0], 4, "not finite"),
+                            (good, 0, "b must be >= 1")]:
+        for arg in (bad, np.array(bad)):
+            build_alias_table(good, 4)                # a warm cache
+            for _ in range(2):
+                with pytest.raises(ValidationError, match=message):
+                    build_alias_table(arg, b)
+                with pytest.raises(ValidationError, match=message):
+                    prepare_alias_state(arg, b)
+
+
+def test_mutating_the_callers_distribution_moves_the_next_table():
+    p = [0.5, 0.25, 0.25, 0.0]
+    arr = np.array(p)
+    first = build_alias_table(p, 6)
+    assert build_alias_table(arr, 6) == first
+    p[:] = arr[:] = [0.25] * 4
+    for arg in (p, arr):
+        t = build_alias_table(arg, 6)
+        assert t == reference_alias.build_alias_table([0.25] * 4, 6) != first
+
+
+def test_sweep_runs_one_vose_pass_per_state(vose_passes):
+    for spec in (BenchmarkSpec("dense_random", n=4, seed=1),
+                 BenchmarkSpec("sparse_random", n=3, seed=1)):
+        vose_passes.clear()
+        rows = run_sweep(spec, ["qrom", "selectswap"], [4, 3, 5])
+        assert len(rows) == 6
+        assert len(vose_passes) == 1, spec
 
 
 def test_serialization_round_trip():
@@ -409,3 +467,35 @@ def test_pipeline_stage_reports_present():
     # comparator + swap at n = 1: 4b + 4
     t = pipe.stages["comparator"].t_proxy + pipe.stages["swap"].t_proxy
     assert t == 4 * 4 + 4
+
+
+_PIPELINE_MATRIX = [(n, b, backend, lam) for n in range(1, 7) for b in range(1, 7)
+                    for backend, lam in [("qrom", None), ("selectswap", None)]
+                    + [("selectswap", lam) for lam in _pow2_upto(1 << n)]]
+
+
+def test_trusted_pipelines_equal_their_public_rebuild():
+    # Circuit(...) checks every operand; _trusted skips that scan
+    for n, b, backend, lam in _PIPELINE_MATRIX:
+        p = _rand_dist(1 << n, random.Random(n * 100 + b), zeros=(1 << n) // 4)
+        circ = prepare_alias_state(p, b, backend=backend, lam=lam).circuit
+        assert circ == Circuit(circ.n_qubits, circ.gates, circ.registers), (n, b, lam)
+        spans = sorted(circ.registers.values())
+        assert spans[0][0] == 0 and spans[-1][1] == circ.n_qubits
+        assert all(a[1] == c[0] for a, c in zip(spans, spans[1:]))
+
+
+def test_stages_are_tallied_lazily_from_the_marks():
+    for n, b, backend, lam in _PIPELINE_MATRIX:
+        p = _rand_dist(1 << n, random.Random(n * 100 + b))
+        pipe = prepare_alias_state(p, b, backend=backend, lam=lam)
+        assert "stages" not in vars(pipe)
+        gates = pipe.circuit.gates
+        names = [name for name, _ in pipe.marks]
+        starts = [start for _, start in pipe.marks]
+        assert names == ["superposition", "lookup", "random", "comparator", "swap", "end"]
+        assert starts[0] == 0 and starts[-1] == len(gates) and starts == sorted(starts)
+        want = {name: tally_gates(gates[start:stop], pipe.circuit.n_qubits)
+                for name, start, stop in zip(names, starts, starts[1:])}
+        assert pipe.stages == want
+        assert pipe.stages is pipe.stages              # tallied once

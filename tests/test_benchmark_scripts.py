@@ -1,7 +1,8 @@
 """Smoke tests: the committed scripts under benchmarks/ still fit the package.
 
 Each script is loaded as a module, without running its main(), and the parts
-it builds on are exercised on tiny inputs.
+it builds on are exercised on tiny inputs.  The pinned bench rows of
+tests/rows_golden.json are checked here too, through benchmarks/row_diff.py.
 """
 import importlib.util
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsprep import simulator
+from qsprep import cli_bench, simulator
 from qsprep.benchmark_states import make_state
 from qsprep.circuit_core import TAGS, Circuit, Gate
 from qsprep.simulator import simulate
@@ -72,9 +73,47 @@ def test_rz_bench_times_the_integer_setup_against_mpmath():
     assert r["same"] and r["int_us"] > 0 and r["mpmath_us"] > 0
 
 
-def test_synth_bench_times_its_smallest_case():
+def test_synth_bench_times_its_smallest_case(vose_passes):
     synth_bench = _load("synth_bench")
     _, spec = synth_bench.CASES[0]
     row = synth_bench.time_case(make_state(spec), min_seconds=0.0)
     assert set(row) == set(synth_bench.ROUTINES)
     assert all(ms > 0 for ms in row.values())
+    # one call each: the untimed set-up and "alias cold" run the Vose pass,
+    # "alias warm" takes it from the cache
+    assert len(vose_passes) == 2
+
+
+@pytest.fixture(scope="module")
+def row_diff():
+    return _load("row_diff")
+
+
+def test_bench_rows_match_golden(row_diff):
+    moved = row_diff.diff(row_diff.load())
+    assert not moved, "\n".join(moved)
+
+
+def test_row_diff_names_what_moved_and_forgives_float_noise(row_diff):
+    old = {"family": "w", "n": 4, "seed": 0, "method": "dense", "b": 4,
+           "t_proxy": 129, "compiled_T": 129, "total_gates": 1000,
+           "qubits": 4, "infidelity": "0.25", "fidelity_kind": "state"}
+    nudged = dict(old, infidelity=repr(0.25 + 0.9e-13))     # < 1e-16 * 1000
+    assert row_diff.moved_columns(old, nudged) == {}
+    moved = dict(old, compiled_T=130, infidelity=repr(0.25 + 1.1e-13))
+    assert row_diff.moved_columns(old, moved) == {
+        "compiled_T": (129, 130), "infidelity": ("0.25", repr(0.25 + 1.1e-13))}
+    nan = dict(old, infidelity="nan")
+    assert row_diff.moved_columns(nan, nan) == {}
+    assert set(row_diff.moved_columns(old, nan)) == {"infidelity"}
+    assert set(row_diff.moved_columns(nan, old)) == {"infidelity"}
+
+
+def test_row_diff_covers_every_family_and_method(row_diff):
+    cases = row_diff.load()
+    assert sum(len(case["rows"]) for case in cases) == 98
+    small = [r for case in cases[:len(row_diff.SMALL)] for r in case["rows"]]
+    assert {r["family"] for r in small} == set(cli_bench.FAMILIES)
+    for family in cli_bench.FAMILIES:
+        assert {(r["method"], r["b"]) for r in small if r["family"] == family} == {
+            (m, b) for m in cli_bench.METHODS for b in (4, 8)}

@@ -207,6 +207,16 @@ def test_thc_file_errors_name_the_file_and_line(body, reason, tmp_path, capsys):
     assert f"validation error: THC coefficient file {path}{reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["dense", "sparse", "qrom", "selectswap"])
+def test_a_nan_thc_coefficient_is_a_validation_error(method, tmp_path, capsys):
+    # float() reads "nan"; a sampling method met it first in the alias table
+    path = tmp_path / "nan.thc"
+    path.write_text("3 4\nt 0 nan\nt 1 1.0\n")
+    assert main(["estimate", "--family", "thc_file", "--path", str(path),
+                 "--method", method, "--b", "4"]) == 3
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_magnus_beyond_k6_is_a_validation_error(capsys):
     assert main(["estimate", "--family", "magnus", "--k", "7", "--method", "sparse"]) == 3
     assert "validation error: magnus requires 1 <= k <= 6" in capsys.readouterr().err
